@@ -3,12 +3,14 @@ inference and learning, replay, and auto-associative recall."""
 
 from .core import (
     Activation,
+    DivergenceError,
     ErrorState,
     Gradients,
     LatentState,
     ModelParams,
     activation_eval,
     compute_errors,
+    descend_latents,
     free_energy,
     inference_gradients,
     inference_step,

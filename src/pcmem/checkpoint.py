@@ -135,7 +135,6 @@ def load_checkpoint(
     (flag,) = struct.unpack_from("<B", raw, offset)
     offset += 1
 
-    manifest_after = None  # parsed below; activation and beta live there
     adam_raw = None
     if flag == 1:
         adam_raw = []

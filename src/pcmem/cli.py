@@ -242,12 +242,7 @@ def cmd_export_weights(args) -> int:
 def cmd_export_latents(args) -> int:
     import numpy as np
 
-    from .core import (
-        LATENT_INIT_SCALE,
-        LatentState,
-        compute_errors,
-        inference_gradients,
-    )
+    from .core import LATENT_INIT_SCALE, LatentState, compute_errors, descend_latents
 
     params, _, manifest = _load_model(args)
     cfg = manifest.config
@@ -266,12 +261,8 @@ def cmd_export_latents(args) -> int:
     rows = []
     for start in range(0, n, 1024):
         sl = slice(start, min(start + 1024, n))
-        state = LatentState(phi2=phi2_all[sl].copy(), phi3=phi3_all[sl].copy())
-        for _ in range(n_iters):
-            errors = compute_errors(params, state, images[sl])
-            grads = inference_gradients(params, state, errors)
-            state = LatentState(phi2=state.phi2 - alpha * grads.d_phi2,
-                                phi3=state.phi3 - alpha * grads.d_phi3)
+        state = LatentState(phi2=phi2_all[sl], phi3=phi3_all[sl])
+        state = descend_latents(params, state, images[sl], alpha, n_iters)
         errors = compute_errors(params, state, images[sl])
         e1 = 0.5 * np.sum(errors.xi1**2, axis=1)
         for k in range(state.batch):

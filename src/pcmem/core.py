@@ -24,6 +24,10 @@ from typing import Optional
 import numpy as np
 
 
+class DivergenceError(RuntimeError):
+    """Inference produced non-finite latents or a non-finite free energy."""
+
+
 class Activation(Enum):
     """Activation for the layer-2 prediction (layer 1 is always identity)."""
 
@@ -259,10 +263,21 @@ def inference_step(
     only the coordinates marked True in phi1_free are updated; clamped
     coordinates come back bit-identical.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     u = state.phi1 if state.phi1 is not None else x
     errors = compute_errors(params, state, u, input_gate=input_gate)
+    return descent_step(params, state, errors, alpha, phi1_free)
+
+
+def descent_step(
+    params: ModelParams,
+    state: LatentState,
+    errors: ErrorState,
+    alpha: float,
+    phi1_free: Optional[np.ndarray] = None,
+) -> LatentState:
+    """The step of inference_step from errors already computed for state."""
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
     grads = inference_gradients(params, state, errors)
     phi2 = state.phi2 - alpha * grads.d_phi2
     phi3 = state.phi3 - alpha * grads.d_phi3
@@ -273,3 +288,61 @@ def inference_step(
         else:
             phi1 = np.where(phi1_free, state.phi1 - alpha * grads.d_phi1, state.phi1)
     return replace(state, phi1=phi1, phi2=phi2, phi3=phi3)
+
+
+def descend_latents(
+    params: ModelParams,
+    state: LatentState,
+    x: np.ndarray,
+    alpha: float,
+    n_iters: int,
+    rel_tol: Optional[float] = None,
+) -> LatentState:
+    """Up to n_iters gradient-descent steps on phi2 and phi3 with theta1 fixed.
+
+    While theta1 is fixed, d_phi2 = xi2 - x theta1 + phi2 theta1^T theta1,
+    so the Gram matrix G = theta1^T theta1 (d2 x d2) and the drive
+    b = x theta1 (batch x d2) are formed once per call and no batch x d1
+    product runs per step unless rel_tol needs the free energy. Equal to
+    repeated inference_step(params, state, x, alpha) up to rounding.
+
+    With rel_tol set, each iteration first evaluates the free energy from
+    the full d1-dimensional residual (so no cancellation) and stops,
+    before stepping, once it changed by at most rel_tol relative to the
+    previous iteration. Raises DivergenceError, naming the iteration, on a
+    non-finite free energy or non-finite latents after a step.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    d1, d2, d3 = params.dims
+    if x.ndim != 2 or x.shape != (state.batch, d1):
+        raise ValueError(f"input shape {x.shape} != ({state.batch}, {d1})")
+    if state.phi2.shape[1] != d2 or state.phi3.shape[1] != d3:
+        raise ValueError("latent shapes do not match model dims")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
+    theta1, theta2 = params.theta1, params.theta2
+    gram = theta1.T @ theta1
+    drive = x @ theta1
+    phi2, phi3 = state.phi2, state.phi3
+    prev = None
+    for i in range(n_iters):
+        pred2, fprime2 = activation_eval(params.activation, phi3 @ theta2.T)
+        xi2 = phi2 - pred2
+        if rel_tol is not None:
+            xi1 = x - phi2 @ theta1.T
+            mean_f = float(np.mean(0.5 * (
+                np.sum(xi1 * xi1, axis=1) + np.sum(xi2 * xi2, axis=1)
+                + np.sum(phi3 * phi3, axis=1)
+            )))
+            if not np.isfinite(mean_f):
+                raise DivergenceError(f"non-finite free energy at inference iteration {i}")
+            if prev is not None and abs(prev - mean_f) <= rel_tol * max(abs(prev), 1e-300):
+                break
+            prev = mean_f
+        d_phi2 = xi2 - drive + phi2 @ gram
+        d_phi3 = phi3 - (xi2 * fprime2) @ theta2
+        phi2 = phi2 - alpha * d_phi2
+        phi3 = phi3 - alpha * d_phi3
+        if not (np.all(np.isfinite(phi2)) and np.all(np.isfinite(phi3))):
+            raise DivergenceError(f"non-finite latents after inference iteration {i}")
+    return replace(state, phi2=phi2, phi3=phi3)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, asdict, replace as dc_replace
+from dataclasses import dataclass, field, asdict
 from pathlib import Path
 from typing import Optional
 
@@ -20,10 +20,11 @@ import numpy as np
 from .core import (
     LATENT_INIT_SCALE,
     Activation,
+    DivergenceError,
     LatentState,
     ModelParams,
     compute_errors,
-    inference_gradients,
+    descend_latents,
     init_latents,
     init_params,
     learning_gradients,
@@ -143,13 +144,7 @@ def convergence_check(
 
 def _pc_batch(params, x, n_iters, alpha, adam1, adam2, rng):
     state = init_latents(params.dims, x.shape[0], rng)
-    for _ in range(n_iters):
-        errors = compute_errors(params, state, x)
-        grads = inference_gradients(params, state, errors)
-        state = LatentState(
-            phi2=state.phi2 - alpha * grads.d_phi2,
-            phi3=state.phi3 - alpha * grads.d_phi3,
-        )
+    state = descend_latents(params, state, x, alpha, n_iters)
     errors = compute_errors(params, state, x)
     wgrads = learning_gradients(params, state, errors)
     theta1, adam1 = adam_step(params.theta1, wgrads.d_theta1, adam1)
@@ -161,14 +156,17 @@ def _pc_batch(params, x, n_iters, alpha, adam1, adam2, rng):
 def _ipc_batch(params, x, n_iters, alpha, adam1, adam2, rng):
     state = init_latents(params.dims, x.shape[0], rng)
     energies = None
-    for _ in range(n_iters):
+    for i in range(n_iters):
+        # one kernel step per weight update, so the kernel's own iteration
+        # count is always 0; name the step of this batch instead
+        try:
+            state = descend_latents(params, state, x, alpha, 1)
+        except DivergenceError:
+            raise DivergenceError(f"non-finite latents after inference iteration {i}") from None
         errors = compute_errors(params, state, x)
-        grads = inference_gradients(params, state, errors)
-        state = LatentState(
-            phi2=state.phi2 - alpha * grads.d_phi2,
-            phi3=state.phi3 - alpha * grads.d_phi3,
-        )
-        errors = compute_errors(params, state, x)
+        if not np.all(np.isfinite(errors.layer_energies)):
+            # overflowing errors would turn the weights non-finite next
+            raise DivergenceError(f"non-finite free energy at inference iteration {i}")
         wgrads = learning_gradients(params, state, errors)
         theta1, adam1 = adam_step(params.theta1, wgrads.d_theta1, adam1)
         theta2, adam2 = adam_step(params.theta2, wgrads.d_theta2, adam2)
@@ -213,13 +211,15 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         weighted = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             x = train_images[order[start : start + config.batch_size]]
-            params, adam1, adam2, energies = step(
-                params, x, config.n_iters, config.alpha, adam1, adam2, rng_l
-            )
-            if not np.all(np.isfinite(energies)):
-                raise RuntimeError(
-                    f"non-finite train energy at epoch {epoch}, batch {start // config.batch_size}"
+            where = f"epoch {epoch}, batch {start // config.batch_size}"
+            try:
+                params, adam1, adam2, energies = step(
+                    params, x, config.n_iters, config.alpha, adam1, adam2, rng_l
                 )
+            except DivergenceError as exc:
+                raise DivergenceError(f"{where}: {exc}") from exc
+            if not np.all(np.isfinite(energies)):
+                raise RuntimeError(f"non-finite train energy at {where}")
             weighted += energies * x.shape[0]
         train_energies = weighted / len(order)
         stop = (
@@ -271,14 +271,8 @@ def evaluate_errors(
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
         x = images[sl]
-        state = LatentState(phi2=phi2_all[sl].copy(), phi3=phi3_all[sl].copy())
-        for _ in range(n_iters):
-            errors = compute_errors(params, state, x)
-            grads = inference_gradients(params, state, errors)
-            state = LatentState(
-                phi2=state.phi2 - alpha * grads.d_phi2,
-                phi3=state.phi3 - alpha * grads.d_phi3,
-            )
+        state = LatentState(phi2=phi2_all[sl], phi3=phi3_all[sl])
+        state = descend_latents(params, state, x, alpha, n_iters)
         errors = compute_errors(params, state, x)
         totals += errors.layer_energies * x.shape[0]
     return totals / n

@@ -8,19 +8,20 @@ joint gradient descent on the hidden pixels and both latent levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (
+    DivergenceError,
     LatentState,
     ModelParams,
     activation_eval,
     compute_errors,
+    descend_latents,
+    descent_step,
     free_energy,
-    inference_gradients,
-    inference_step,
     init_latents,
     learning_gradients,
 )
@@ -29,10 +30,6 @@ DEFAULT_BUDGET = 5000
 REPLAY_REL_TOL = 1e-8
 REPLAY_XI2_TOL = 1e-6
 RECALL_PHI1_TOL = 1e-6
-
-
-class DivergenceError(RuntimeError):
-    """Inference produced a non-finite free energy."""
 
 
 @dataclass(frozen=True)
@@ -90,19 +87,7 @@ def infer_latents(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    for i in range(iters):
-        errors = compute_errors(params, state, x)
-        if not np.all(np.isfinite(errors.layer_energies)):
-            raise DivergenceError(f"non-finite free energy at inference iteration {i}")
-        grads = inference_gradients(params, state, errors)
-        state = replace(
-            state,
-            phi2=state.phi2 - alpha * grads.d_phi2,
-            phi3=state.phi3 - alpha * grads.d_phi3,
-        )
-    if not np.all(np.isfinite(state.phi2)) or not np.all(np.isfinite(state.phi3)):
-        raise DivergenceError(f"non-finite latents after {iters} inference iterations")
-    return state
+    return descend_latents(params, state, x, alpha, iters)
 
 
 def reconstruct(
@@ -119,22 +104,7 @@ def reconstruct(
 
 def _settle(params, state, x, alpha, budget, rel_tol):
     """Run gated-on inference until the free energy stops moving."""
-    prev = None
-    for i in range(budget):
-        errors = compute_errors(params, state, x)
-        _, mean_f = free_energy(errors)
-        if not np.isfinite(mean_f):
-            raise DivergenceError(f"non-finite free energy at iteration {i}")
-        if prev is not None and abs(prev - mean_f) <= rel_tol * max(abs(prev), 1e-300):
-            break
-        grads = inference_gradients(params, state, errors)
-        state = replace(
-            state,
-            phi2=state.phi2 - alpha * grads.d_phi2,
-            phi3=state.phi3 - alpha * grads.d_phi3,
-        )
-        prev = mean_f
-    return state
+    return descend_latents(params, state, x, alpha, budget, rel_tol=rel_tol)
 
 
 def regenerate(
@@ -221,25 +191,29 @@ def recall(
     state = replace(state, phi1=phi1)
     free = np.broadcast_to(mask.hidden, (n, d1))
 
+    # the errors of each new state serve its divergence check, the next
+    # step and, after the last step, the final free energy
+    errors = compute_errors(params, state, state.phi1)
+    _, mean_f = free_energy(errors)
     used = 0
     for i in range(iters):
-        new_state = inference_step(params, state, None, alpha, phi1_free=free)
+        new_state = descent_step(params, state, errors, alpha, phi1_free=free)
         delta = np.max(np.abs(new_state.phi1 - state.phi1))
         state = new_state
         used = i + 1
-        _, mean_f = free_energy(compute_errors(params, state, state.phi1))
+        errors = compute_errors(params, state, state.phi1)
+        _, mean_f = free_energy(errors)
         if not np.isfinite(mean_f):
             raise DivergenceError(f"non-finite free energy at recall iteration {used}")
         if delta < tol:
             break
 
-    _, final_f = free_energy(compute_errors(params, state, state.phi1))
     mses = np.array(
         [masked_mse(state.phi1[k], target[k], mask) for k in range(n)]
     )
     return MemoryTaskResult(
         images=state.phi1,
         iterations=used,
-        final_free_energy=final_f,
+        final_free_energy=mean_f,
         masked_mse=mses,
     )

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pcmem.core import (
+    DivergenceError,
     LatentState,
     compute_errors,
     inference_gradients,
@@ -155,6 +156,16 @@ class TestTrain:
         config = ExperimentConfig(mode="pc", beta=1e-3, scope="half", dims=TOY_DIMS)
         with pytest.raises(ValueError):
             train(config, toy_data)
+
+    @pytest.mark.parametrize("mode", ["pc", "ipc"])
+    def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode):
+        config = ExperimentConfig(
+            mode=mode, beta=1e-3, scope="full", dims=TOY_DIMS, batch_size=8,
+            alpha=1e6, max_epochs=3, epsilon=0.0,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"epoch 1, batch 0: .* iteration \d+"):
+                train(config, toy_data)
 
     def test_val_rows_carried_forward(self, toy_data):
         config = ExperimentConfig(

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from pcmem.core import Activation, ModelParams, activation_eval, compute_errors, free_energy, init_latents
+from pcmem.core import (
+    Activation,
+    LatentState,
+    ModelParams,
+    activation_eval,
+    compute_errors,
+    free_energy,
+    inference_step,
+    init_latents,
+)
 from pcmem.memory import (
     DivergenceError,
     OcclusionMask,
@@ -187,3 +196,31 @@ class TestRecall:
         result = recall(toy_trained, target, mask, iters=300)
         assert result.masked_mse.shape == (1,)
         assert result.masked_mse[0] >= 0
+
+    @pytest.mark.parametrize("iters", [40, 10000])
+    def test_matches_inference_step_loop(self, toy_trained, iters):
+        """Bit-identical to recall written with inference_step, both when
+        the budget runs out (40) and when the tolerance stops it (10000)."""
+        mask = toy_mask()
+        target = toy_patterns(2, seed=10)
+        result = recall(toy_trained, target, mask, iters=iters, init_seed=3)
+
+        init = init_latents(toy_trained.dims, 2, np.random.default_rng(3))
+        state = LatentState(init.phi2, init.phi3, np.where(mask.visible, target, 0.0))
+        free = np.broadcast_to(mask.hidden, target.shape)
+        used = 0
+        for i in range(iters):
+            new_state = inference_step(toy_trained, state, None, 0.01, phi1_free=free)
+            delta = np.max(np.abs(new_state.phi1 - state.phi1))
+            state, used = new_state, i + 1
+            if delta < 1e-6:
+                break
+        _, final_f = free_energy(compute_errors(toy_trained, state, state.phi1))
+
+        assert (iters == 40) == (used == iters)
+        assert result.iterations == used
+        np.testing.assert_array_equal(result.images, state.phi1)
+        assert result.final_free_energy == final_f
+        np.testing.assert_array_equal(
+            result.masked_mse, [masked_mse(state.phi1[k], target[k], mask) for k in range(2)]
+        )
