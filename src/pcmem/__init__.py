@@ -5,7 +5,6 @@ from .core import (
     Activation,
     DivergenceError,
     ErrorState,
-    Gradients,
     LatentState,
     ModelParams,
     activation_eval,
@@ -13,7 +12,6 @@ from .core import (
     descend_latents,
     free_energy,
     inference_gradients,
-    inference_step,
     init_latents,
     init_params,
     learning_gradients,
@@ -38,6 +36,6 @@ from .memory import (
     reconstruct,
     replay,
 )
-from .optim import AdamState, SgdConfig, adam_step, sgd_step
+from .optim import AdamState, adam_step
 
 __version__ = "0.1.0"

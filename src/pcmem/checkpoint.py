@@ -25,7 +25,6 @@ from typing import Optional
 import numpy as np
 
 from .core import Activation, ModelParams
-from .experiments import ExperimentConfig
 from .optim import AdamState
 
 MAGIC = b"PCN1"
@@ -60,6 +59,8 @@ class RunManifest:
     @classmethod
     def from_json(cls, text: str) -> "RunManifest":
         d = json.loads(text)
+        if not isinstance(d, dict) or not isinstance(d.get("config", {}), dict):
+            raise ValueError("manifest is not a JSON object with a config object")
         return cls(
             config=d.get("config", {}),
             data_digests=d.get("data_digests", {}),
@@ -110,56 +111,69 @@ def save_checkpoint(
 def load_checkpoint(
     path: str | Path,
 ) -> tuple[ModelParams, Optional[tuple[AdamState, AdamState]], RunManifest]:
+    """Read a checkpoint written by save_checkpoint.
+
+    Raises CheckpointError, naming the offset, on any file that does not
+    hold exactly one well-formed checkpoint.
+    """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise CheckpointError(f"bad checkpoint magic {raw[:4]!r}")
-    version, n_layers = struct.unpack_from("<II", raw, 4)
+    offset = 4
+
+    def take(n, what):
+        nonlocal offset
+        if n > len(raw) - offset:
+            raise CheckpointError(
+                f"truncated checkpoint: {what} needs {n} bytes at offset {offset}, "
+                f"{len(raw) - offset} left"
+            )
+        offset += n
+        return raw[offset - n : offset]
+
+    def unpack(fmt, what):
+        return struct.unpack(fmt, take(struct.calcsize(fmt), what))
+
+    def read_matrix(rows, cols, what):
+        return np.frombuffer(take(rows * cols * 8, what), dtype="<f8").reshape(rows, cols).copy()
+
+    version, n_layers = unpack("<II", "header")
     if version != VERSION:
         raise CheckpointError(f"unsupported checkpoint version {version}")
     if n_layers != 3:
         raise CheckpointError(f"unsupported layer count {n_layers}")
-    d1, d2, d3 = struct.unpack_from("<III", raw, 12)
-    offset = 24
+    d1, d2, d3 = unpack("<III", "dims")
+    theta1 = read_matrix(d1, d2, "theta1")
+    theta2 = read_matrix(d2, d3, "theta2")
+    (flag,) = unpack("<B", "adam flag")
+    if flag not in (0, 1):
+        raise CheckpointError(f"bad adam flag {flag} at offset {offset - 1}")
 
-    def read_matrix(rows, cols):
-        nonlocal offset
-        n = rows * cols * 8
-        arr = np.frombuffer(raw[offset : offset + n], dtype="<f8").reshape(rows, cols)
-        if arr.size != rows * cols:
-            raise CheckpointError("truncated weight payload")
-        offset += n
-        return arr.copy()
-
-    theta1 = read_matrix(d1, d2)
-    theta2 = read_matrix(d2, d3)
-    (flag,) = struct.unpack_from("<B", raw, offset)
-    offset += 1
-
-    adam_raw = None
+    adam_raw = []
     if flag == 1:
-        adam_raw = []
-        for rows, cols in ((d1, d2), (d2, d3)):
-            m = read_matrix(rows, cols)
-            v = read_matrix(rows, cols)
-            (t,) = struct.unpack_from("<Q", raw, offset)
-            offset += 8
+        for name, rows, cols in (("theta1", d1, d2), ("theta2", d2, d3)):
+            m = read_matrix(rows, cols, f"adam m of {name}")
+            v = read_matrix(rows, cols, f"adam v of {name}")
+            (t,) = unpack("<Q", f"adam step of {name}")
             adam_raw.append((m, v, t))
 
-    (mlen,) = struct.unpack_from("<I", raw, offset)
-    offset += 4
-    manifest = RunManifest.from_json(raw[offset : offset + mlen].decode("utf-8"))
+    (mlen,) = unpack("<I", "manifest length")
+    start = offset
+    blob = take(mlen, "manifest")
+    if offset != len(raw):
+        raise CheckpointError(f"{len(raw) - offset} trailing bytes at offset {offset}")
+    try:
+        manifest = RunManifest.from_json(blob.decode("utf-8"))
+        activation = Activation(manifest.config.get("activation", "tanh"))
+        beta = float(manifest.config.get("beta", 1e-4))
+    except (ValueError, TypeError) as exc:
+        raise CheckpointError(f"bad manifest at offset {start}: {exc}") from None
+    try:
+        params = ModelParams(theta1, theta2, activation)
+    except ValueError as exc:
+        raise CheckpointError(f"bad weights: {exc}") from None
 
-    cfg = manifest.config
-    activation = Activation(cfg.get("activation", "tanh"))
-    params = ModelParams(theta1, theta2, activation)
     adam = None
-    if adam_raw is not None:
-        beta = float(cfg.get("beta", 1e-4))
-        adam = tuple(
-            AdamState(m=m, v=v, t=t, rate=beta) for m, v, t in adam_raw
-        )
+    if adam_raw:
+        adam = tuple(AdamState(m=m, v=v, t=t, rate=beta) for m, v, t in adam_raw)
     return params, adam, manifest
-
-
-def manifest_for(config: ExperimentConfig, data_files: list[Path]) -> RunManifest:
-    return RunManifest(config=config.to_dict(), data_digests=file_digests(data_files))

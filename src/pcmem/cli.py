@@ -110,7 +110,10 @@ def cmd_train(args) -> int:
 
     cfg = preset(args.preset).to_dict()
     if args.config:
-        cfg.update(json.loads(args.config.read_text()))
+        overrides = json.loads(args.config.read_text())
+        if not isinstance(overrides, dict):
+            raise ValueError(f"--config {args.config} must hold a JSON object")
+        cfg.update(overrides)
     for seed_field in ("weight_seed", "latent_seed", "split_seed", "shuffle_seed"):
         cfg[seed_field] = args.seed
     if args.limit_train is not None:
@@ -242,36 +245,24 @@ def cmd_export_weights(args) -> int:
 def cmd_export_latents(args) -> int:
     import numpy as np
 
-    from .core import LATENT_INIT_SCALE, LatentState, compute_errors, descend_latents
+    from .core import compute_errors
+    from .memory import infer_latents
 
     params, _, manifest = _load_model(args)
     cfg = manifest.config
     splits = _splits_for(args, int(cfg.get("split_seed", args.seed)))
     images = splits.test.images
     labels = splits.test.labels
-    n = images.shape[0]
     _, d2, d3 = params.dims
-    alpha = float(cfg.get("alpha", 0.01))
-    n_iters = int(cfg.get("n_iters", 50))
-    rng = np.random.default_rng(args.seed)
-    phi2_all = LATENT_INIT_SCALE * rng.standard_normal((n, d2))
-    phi3_all = LATENT_INIT_SCALE * rng.standard_normal((n, d3))
-
-    args.out.mkdir(parents=True, exist_ok=True)
-    rows = []
-    for start in range(0, n, 1024):
-        sl = slice(start, min(start + 1024, n))
-        state = LatentState(phi2=phi2_all[sl], phi3=phi3_all[sl])
-        state = descend_latents(params, state, images[sl], alpha, n_iters)
-        errors = compute_errors(params, state, images[sl])
-        e1 = 0.5 * np.sum(errors.xi1**2, axis=1)
-        for k in range(state.batch):
-            rows.append([int(labels[sl][k]),
-                         *map(float, state.phi3[k]),
-                         *map(float, state.phi2[k]),
-                         float(e1[k])])
+    state = infer_latents(params, images, iters=int(cfg.get("n_iters", 50)),
+                          alpha=float(cfg.get("alpha", 0.01)), init_seed=args.seed)
+    errors = compute_errors(params, state, images)
+    e1 = 0.5 * np.sum(errors.xi1**2, axis=1)
+    rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),
+             float(e1[k])] for k in range(state.batch)]
     header = (["label"] + [f"phi3_{j}" for j in range(d3)]
               + [f"phi2_{j}" for j in range(d2)] + ["input_energy"])
+    args.out.mkdir(parents=True, exist_ok=True)
     _write_metric_csv(args.out / "latents.csv", header, rows)
     return 0
 
@@ -306,7 +297,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (FileNotFoundError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

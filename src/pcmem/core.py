@@ -100,19 +100,15 @@ def init_params(
 class LatentState:
     """Per-example hidden activities (the E-step state).
 
-    phi2: (batch, d2); phi3: (batch, d3); phi1: optional (batch, d1),
-    present only during recall when the input layer itself is optimized.
+    phi2: (batch, d2); phi3: (batch, d3).
     """
 
     phi2: np.ndarray
     phi3: np.ndarray
-    phi1: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.phi2.shape[0] != self.phi3.shape[0]:
             raise ValueError("batch dimension mismatch between phi2 and phi3")
-        if self.phi1 is not None and self.phi1.shape[0] != self.phi2.shape[0]:
-            raise ValueError("batch dimension mismatch between phi1 and phi2")
 
     @property
     def batch(self) -> int:
@@ -157,21 +153,6 @@ class ErrorState:
     xi3: np.ndarray
     layer_energies: np.ndarray
     fprime2: np.ndarray
-
-
-@dataclass(frozen=True)
-class Gradients:
-    """Gradients of the free energy F (to be *minimized*; the paper-style
-    ascent form is the negation, produced by the optimizer).
-
-    Latent gradients are per-example; weight gradients are batch means.
-    """
-
-    d_phi2: Optional[np.ndarray] = None
-    d_phi3: Optional[np.ndarray] = None
-    d_phi1: Optional[np.ndarray] = None
-    d_theta1: Optional[np.ndarray] = None
-    d_theta2: Optional[np.ndarray] = None
 
 
 def compute_errors(
@@ -222,23 +203,24 @@ def free_energy(errors: ErrorState) -> tuple[np.ndarray, float]:
 
 def inference_gradients(
     params: ModelParams, state: LatentState, errors: ErrorState
-) -> Gradients:
-    """Per-example gradients of l with respect to the latent activities.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per-example gradients (d_phi2, d_phi3) of l with respect to the latents.
 
     d_phi2 = -theta1^T xi1 + xi2
     d_phi3 = -theta2^T (f'(theta2 phi3) * xi2) + xi3
-    d_phi1 = xi1 (only when the input-layer estimate phi1 is present)
+
+    The gradient with respect to the input layer itself is xi1 (recall
+    descends the hidden pixels along it).
     """
     d_phi2 = errors.xi2 - errors.xi1 @ params.theta1
     d_phi3 = errors.xi3 - (errors.xi2 * errors.fprime2) @ params.theta2
-    d_phi1 = errors.xi1.copy() if state.phi1 is not None else None
-    return Gradients(d_phi2=d_phi2, d_phi3=d_phi3, d_phi1=d_phi1)
+    return d_phi2, d_phi3
 
 
 def learning_gradients(
     params: ModelParams, state: LatentState, errors: ErrorState
-) -> Gradients:
-    """Batch-mean gradients of F with respect to the weights.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Batch-mean gradients (d_theta1, d_theta2) of F with respect to the weights.
 
     d_theta1 = -<xi1 phi2^T>, d_theta2 = -<(xi2 * f') phi3^T>, with <.>
     the mini-batch mean.
@@ -246,48 +228,7 @@ def learning_gradients(
     b = state.batch
     d_theta1 = -(errors.xi1.T @ state.phi2) / b
     d_theta2 = -((errors.xi2 * errors.fprime2).T @ state.phi3) / b
-    return Gradients(d_theta1=d_theta1, d_theta2=d_theta2)
-
-
-def inference_step(
-    params: ModelParams,
-    state: LatentState,
-    x: Optional[np.ndarray],
-    alpha: float,
-    input_gate: bool = True,
-    phi1_free: Optional[np.ndarray] = None,
-) -> LatentState:
-    """One plain gradient-descent step on every unclamped latent block.
-
-    When state.phi1 is present it is used as the input (x is ignored) and
-    only the coordinates marked True in phi1_free are updated; clamped
-    coordinates come back bit-identical.
-    """
-    u = state.phi1 if state.phi1 is not None else x
-    errors = compute_errors(params, state, u, input_gate=input_gate)
-    return descent_step(params, state, errors, alpha, phi1_free)
-
-
-def descent_step(
-    params: ModelParams,
-    state: LatentState,
-    errors: ErrorState,
-    alpha: float,
-    phi1_free: Optional[np.ndarray] = None,
-) -> LatentState:
-    """The step of inference_step from errors already computed for state."""
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
-    grads = inference_gradients(params, state, errors)
-    phi2 = state.phi2 - alpha * grads.d_phi2
-    phi3 = state.phi3 - alpha * grads.d_phi3
-    phi1 = None
-    if state.phi1 is not None:
-        if phi1_free is None:
-            phi1 = state.phi1 - alpha * grads.d_phi1
-        else:
-            phi1 = np.where(phi1_free, state.phi1 - alpha * grads.d_phi1, state.phi1)
-    return replace(state, phi1=phi1, phi2=phi2, phi3=phi3)
+    return d_theta1, d_theta2
 
 
 def descend_latents(
@@ -304,7 +245,8 @@ def descend_latents(
     so the Gram matrix G = theta1^T theta1 (d2 x d2) and the drive
     b = x theta1 (batch x d2) are formed once per call and no batch x d1
     product runs per step unless rel_tol needs the free energy. Equal to
-    repeated inference_step(params, state, x, alpha) up to rounding.
+    the direct form (compute_errors + inference_gradients, stepped n_iters
+    times) up to rounding.
 
     With rel_tol set, each iteration first evaluates the free energy from
     the full d1-dimensional residual (so no cancellation) and stops,

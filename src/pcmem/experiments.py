@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import csv
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    LATENT_INIT_SCALE,
     Activation,
     DivergenceError,
     LatentState,
@@ -59,6 +58,17 @@ class ExperimentConfig:
     # every val_every epochs (plus first and last) and carry rows forward
     val_every: int = 1
 
+    def __post_init__(self):
+        if self.mode not in ("pc", "ipc"):
+            raise ValueError(f"mode must be 'pc' or 'ipc', got {self.mode!r}")
+        if self.scope not in ("single-batch", "full"):
+            raise ValueError(f"scope must be 'single-batch' or 'full', got {self.scope!r}")
+        for name in ("batch_size", "n_iters", "max_epochs", "patience", "val_every",
+                     "eval_batch_size"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["activation"] = self.activation.value
@@ -67,6 +77,9 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         d = dict(d)
         d["activation"] = Activation(d.get("activation", "tanh"))
         d["dims"] = tuple(d.get("dims", (784, 35, 2)))
@@ -146,9 +159,9 @@ def _pc_batch(params, x, n_iters, alpha, adam1, adam2, rng):
     state = init_latents(params.dims, x.shape[0], rng)
     state = descend_latents(params, state, x, alpha, n_iters)
     errors = compute_errors(params, state, x)
-    wgrads = learning_gradients(params, state, errors)
-    theta1, adam1 = adam_step(params.theta1, wgrads.d_theta1, adam1)
-    theta2, adam2 = adam_step(params.theta2, wgrads.d_theta2, adam2)
+    d_theta1, d_theta2 = learning_gradients(params, state, errors)
+    theta1, adam1 = adam_step(params.theta1, d_theta1, adam1)
+    theta2, adam2 = adam_step(params.theta2, d_theta2, adam2)
     params = ModelParams(theta1, theta2, params.activation)
     return params, adam1, adam2, errors.layer_energies
 
@@ -167,9 +180,9 @@ def _ipc_batch(params, x, n_iters, alpha, adam1, adam2, rng):
         if not np.all(np.isfinite(errors.layer_energies)):
             # overflowing errors would turn the weights non-finite next
             raise DivergenceError(f"non-finite free energy at inference iteration {i}")
-        wgrads = learning_gradients(params, state, errors)
-        theta1, adam1 = adam_step(params.theta1, wgrads.d_theta1, adam1)
-        theta2, adam2 = adam_step(params.theta2, wgrads.d_theta2, adam2)
+        d_theta1, d_theta2 = learning_gradients(params, state, errors)
+        theta1, adam1 = adam_step(params.theta1, d_theta1, adam1)
+        theta2, adam2 = adam_step(params.theta2, d_theta2, adam2)
         params = ModelParams(theta1, theta2, params.activation)
         energies = errors.layer_energies
     return params, adam1, adam2, energies
@@ -194,8 +207,6 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     if config.scope == "single-batch":
         first = batch_order(len(splits.train), config.shuffle_seed, True)[: config.batch_size]
         train_images = splits.train.images[first]
-    elif config.scope != "full":
-        raise ValueError(f"unknown scope {config.scope!r}")
 
     step = {"pc": _pc_batch, "ipc": _ipc_batch}[config.mode]
     log = TrainLog()
@@ -263,15 +274,12 @@ def evaluate_errors(
     """
     images = split.images
     n = images.shape[0]
-    _, d2, d3 = params.dims
-    rng = np.random.default_rng(seed)
-    phi2_all = LATENT_INIT_SCALE * rng.standard_normal((n, d2))
-    phi3_all = LATENT_INIT_SCALE * rng.standard_normal((n, d3))
+    init = init_latents(params.dims, n, np.random.default_rng(seed))
     totals = np.zeros(3)
     for start in range(0, n, batch_size):
         sl = slice(start, min(start + batch_size, n))
         x = images[sl]
-        state = LatentState(phi2=phi2_all[sl], phi3=phi3_all[sl])
+        state = LatentState(phi2=init.phi2[sl], phi3=init.phi3[sl])
         state = descend_latents(params, state, x, alpha, n_iters)
         errors = compute_errors(params, state, x)
         totals += errors.layer_energies * x.shape[0]

@@ -50,11 +50,11 @@ def gradient_report(
     phi1 = rng.uniform(0.0, 1.0, size=(batch, d1))
     phi2 = rng.standard_normal((batch, d2))
     phi3 = rng.standard_normal((batch, d3))
-    state = LatentState(phi2=phi2, phi3=phi3, phi1=phi1)
+    state = LatentState(phi2=phi2, phi3=phi3)
 
     errors = compute_errors(params, state, phi1)
-    latent = inference_gradients(params, state, errors)
-    weight = learning_gradients(params, state, errors)
+    d_phi2, d_phi3 = inference_gradients(params, state, errors)
+    d_theta1, d_theta2 = learning_gradients(params, state, errors)
 
     def energy(p1=phi1, p2=phi2, p3=phi3, t1=params.theta1, t2=params.theta2):
         return _per_example_energy(t1, t2, params.activation, p1, p2, p3)
@@ -74,9 +74,10 @@ def gradient_report(
                 worst = max(worst, _rel_err(analytic[k, j], numeric))
         return worst
 
-    report["d_phi1"] = check_latent("p1", latent.d_phi1, phi1)
-    report["d_phi2"] = check_latent("p2", latent.d_phi2, phi2)
-    report["d_phi3"] = check_latent("p3", latent.d_phi3, phi3)
+    # dl/dphi1 is the input error itself
+    report["d_phi1"] = check_latent("p1", errors.xi1, phi1)
+    report["d_phi2"] = check_latent("p2", d_phi2, phi2)
+    report["d_phi3"] = check_latent("p3", d_phi3, phi3)
 
     def check_weight(name, analytic, base):
         worst = 0.0
@@ -91,6 +92,6 @@ def gradient_report(
                 worst = max(worst, _rel_err(analytic[i, j], numeric))
         return worst
 
-    report["d_theta1"] = check_weight("t1", weight.d_theta1, params.theta1)
-    report["d_theta2"] = check_weight("t2", weight.d_theta2, params.theta2)
+    report["d_theta1"] = check_weight("t1", d_theta1, params.theta1)
+    report["d_theta2"] = check_weight("t2", d_theta2, params.theta2)
     return report

@@ -1,9 +1,12 @@
 """Memory procedures on a trained model: reconstruction, replay, and
 auto-associative recall of partially occluded inputs.
 
-Replay regenerates an input from its frozen top-level representation with
-the input-error pathway gated off. Recall clamps the known pixels and runs
-joint gradient descent on the hidden pixels and both latent levels.
+Reconstruction and replay's settle phase run on core.descend_latents.
+Replay then regenerates the input from its frozen top-level representation
+with the input-error pathway gated off; that gated descent has a closed
+form, which regenerate returns directly. Recall clamps the known pixels
+and runs joint gradient descent on the hidden pixels and both latent
+levels, directly on compute_errors and inference_gradients.
 """
 
 from __future__ import annotations
@@ -20,8 +23,8 @@ from .core import (
     activation_eval,
     compute_errors,
     descend_latents,
-    descent_step,
     free_energy,
+    inference_gradients,
     init_latents,
     learning_gradients,
 )
@@ -102,11 +105,6 @@ def reconstruct(
     return state.phi2 @ params.theta1.T
 
 
-def _settle(params, state, x, alpha, budget, rel_tol):
-    """Run gated-on inference until the free energy stops moving."""
-    return descend_latents(params, state, x, alpha, budget, rel_tol=rel_tol)
-
-
 def regenerate(
     params: ModelParams,
     phi3: np.ndarray,
@@ -116,19 +114,20 @@ def regenerate(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-down regeneration from a frozen phi3 with input errors gated off.
 
-    The gated phi2 update is phi2 -= alpha*xi2, a contraction toward
-    f(theta2 phi3); it stops on the xi2 inf-norm rather than the
-    free-energy change, which can flatten out first. Takes no input at
-    all, so the result is trivially invariant to input perturbations.
-    Returns (images, phi2).
+    The gated phi2 update phi2 -= alpha*xi2 scales xi2 = phi2 - f(theta2 phi3)
+    by (1 - alpha) per step, so k steps give the closed form
+    phi2_k = f(theta2 phi3) + (1 - alpha)^k (phi2_init - f(theta2 phi3)).
+    k is where that descent stops: the first step with xi2 inf-norm below
+    REPLAY_XI2_TOL (the free-energy change can flatten out first), or
+    budget. Takes no input at all, so the result is trivially invariant to
+    input perturbations. Returns (images, phi2).
     """
-    phi2 = phi2_init
     target, _ = activation_eval(params.activation, phi3 @ params.theta2.T)
-    for _ in range(budget):
-        xi2 = phi2 - target
-        if np.max(np.abs(xi2)) < REPLAY_XI2_TOL:
-            break
-        phi2 = phi2 - alpha * xi2
+    gap = phi2_init - target
+    decay = (1.0 - alpha) ** np.arange(budget + 1)
+    below = np.abs(decay) * np.max(np.abs(gap)) < REPLAY_XI2_TOL
+    k = int(np.argmax(below)) if below.any() else budget
+    phi2 = target + decay[k] * gap
     return phi2 @ params.theta1.T, phi2
 
 
@@ -151,15 +150,15 @@ def replay(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    state = _settle(params, state, x, alpha, budget, REPLAY_REL_TOL)
+    state = descend_latents(params, state, x, alpha, budget, rel_tol=REPLAY_REL_TOL)
 
     images, phi2 = regenerate(params, state.phi3, state.phi2, alpha=alpha, budget=budget)
 
     if consolidate:
         final = replace(state, phi2=phi2)
         errors = compute_errors(params, final, x, input_gate=False)
-        grads = learning_gradients(params, final, errors)
-        params.theta2[...] = params.theta2 - consolidate_rate * grads.d_theta2
+        _, d_theta2 = learning_gradients(params, final, errors)
+        params.theta2[...] = params.theta2 - consolidate_rate * d_theta2
 
     return images
 
@@ -184,35 +183,36 @@ def recall(
     n, d1 = target.shape
     if d1 != mask.visible.shape[0]:
         raise ValueError("mask length does not match image size")
+    if alpha < 0:
+        raise ValueError("alpha must be nonnegative")
 
     phi1 = np.where(mask.visible, target, 0.0)
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, n, rng)
-    state = replace(state, phi1=phi1)
-    free = np.broadcast_to(mask.hidden, (n, d1))
 
     # the errors of each new state serve its divergence check, the next
     # step and, after the last step, the final free energy
-    errors = compute_errors(params, state, state.phi1)
+    errors = compute_errors(params, state, phi1)
     _, mean_f = free_energy(errors)
     used = 0
     for i in range(iters):
-        new_state = descent_step(params, state, errors, alpha, phi1_free=free)
-        delta = np.max(np.abs(new_state.phi1 - state.phi1))
-        state = new_state
+        d_phi2, d_phi3 = inference_gradients(params, state, errors)
+        state = LatentState(phi2=state.phi2 - alpha * d_phi2, phi3=state.phi3 - alpha * d_phi3)
+        # dF/dphi1 = xi1; only the hidden pixels move
+        new_phi1 = np.where(mask.hidden, phi1 - alpha * errors.xi1, phi1)
+        delta = np.max(np.abs(new_phi1 - phi1))
+        phi1 = new_phi1
         used = i + 1
-        errors = compute_errors(params, state, state.phi1)
+        errors = compute_errors(params, state, phi1)
         _, mean_f = free_energy(errors)
         if not np.isfinite(mean_f):
             raise DivergenceError(f"non-finite free energy at recall iteration {used}")
         if delta < tol:
             break
 
-    mses = np.array(
-        [masked_mse(state.phi1[k], target[k], mask) for k in range(n)]
-    )
+    mses = np.array([masked_mse(phi1[k], target[k], mask) for k in range(n)])
     return MemoryTaskResult(
-        images=state.phi1,
+        images=phi1,
         iterations=used,
         final_free_energy=mean_f,
         masked_mse=mses,

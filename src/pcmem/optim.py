@@ -1,33 +1,16 @@
-"""Hand-rolled first-order optimizers with explicit, persistable state.
+"""Hand-rolled Adam with explicit, persistable state.
 
-Plain gradient descent drives inference; Adam (standard bias-corrected
-form, defaults 0.9 / 0.999 / 1e-8) drives weight learning. Both are pure
-value-in/value-out and bit-deterministic.
+Adam (standard bias-corrected form, defaults 0.9 / 0.999 / 1e-8) drives
+weight learning; it is pure value-in/value-out and bit-deterministic.
+Inference descends the latents with plain gradient steps inside
+core.descend_latents and memory.recall.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class SgdConfig:
-    """Plain deterministic gradient descent (no momentum)."""
-
-    rate: float
-
-    def __post_init__(self):
-        if self.rate <= 0:
-            raise ValueError("rate must be positive")
-
-
-def sgd_step(param: np.ndarray, grad: np.ndarray, config: SgdConfig) -> np.ndarray:
-    """Return param - rate * grad."""
-    if param.shape != grad.shape:
-        raise ValueError(f"shape mismatch: param {param.shape}, grad {grad.shape}")
-    return param - config.rate * grad
 
 
 @dataclass

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pcmem import synthetic
-from pcmem.core import Activation, init_params
+from pcmem.core import LatentState, compute_errors, inference_gradients, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
 
@@ -76,3 +76,12 @@ def toy_trained(toy_data):
         epsilon=0.0,
     )
     return train(config, toy_data).params
+
+
+def direct_descent(params, state, x, alpha, n_iters):
+    """Reference: the direct-form latent loop, compute_errors and
+    inference_gradients once per step (two batch x d1 products)."""
+    for _ in range(n_iters):
+        d_phi2, d_phi3 = inference_gradients(params, state, compute_errors(params, state, x))
+        state = LatentState(phi2=state.phi2 - alpha * d_phi2, phi3=state.phi3 - alpha * d_phi3)
+    return state

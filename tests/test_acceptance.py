@@ -5,19 +5,22 @@ desk-scale Experiment-2 run (criterion 4) are session fixtures, so the
 whole suite trains exactly three models.
 """
 
-import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pcmem
 from pcmem.checkpoint import load_checkpoint, save_checkpoint
 from pcmem.core import (
     LatentState,
     activation_eval,
     compute_errors,
+    descend_latents,
     free_energy,
     inference_gradients,
     init_latents,
@@ -32,7 +35,9 @@ from pcmem.experiments import (
     train,
 )
 from pcmem.gradcheck import gradient_report
-from pcmem.memory import OcclusionMask, regenerate, replay
+from pcmem.memory import REPLAY_REL_TOL, OcclusionMask, regenerate, replay
+
+from conftest import direct_descent
 
 
 def _cli_train(out_dir, corpus_dir):
@@ -41,7 +46,11 @@ def _cli_train(out_dir, corpus_dir):
         "--preset", "exp1", "--seed", "0", "--single-thread",
         "--data-dir", str(corpus_dir), "--out", str(out_dir),
     ]
-    subprocess.run(cmd, check=True, capture_output=True, text=True)
+    # run the pcmem sources under test, installed or not
+    src = str(Path(pcmem.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    subprocess.run(cmd, check=True, capture_output=True, text=True, env=env)
     return out_dir
 
 
@@ -166,11 +175,9 @@ def test_criterion_5_replay_contract(exp1_model, splits):
     first = batch_order(len(splits.train), config.shuffle_seed, True)[:8]
     x = splits.train.images[first]
 
-    from pcmem.memory import _settle
-
     rng = np.random.default_rng(0)
     state = init_latents(params.dims, 8, rng)
-    settled = _settle(params, state, x, config.alpha, 5000, 1e-8)
+    settled = descend_latents(params, state, x, config.alpha, 5000, rel_tol=REPLAY_REL_TOL)
     images, phi2 = regenerate(params, settled.phi3, settled.phi2)
     target, _ = activation_eval(params.activation, settled.phi3 @ params.theta2.T)
     gap = np.max(np.abs(phi2 - target))
@@ -180,20 +187,17 @@ def test_criterion_5_replay_contract(exp1_model, splits):
     # gate invariance: with the input errors gated off, the phi2 updates
     # driven from the frozen phi3 are identical no matter how the input is
     # perturbed after the settle step
-    from pcmem.core import inference_step
+    def gated_phi2_step(state, u):
+        errors = compute_errors(params, state, u, input_gate=False)
+        d_phi2, _ = inference_gradients(params, state, errors)
+        return LatentState(phi2=state.phi2 - config.alpha * d_phi2, phi3=settled.phi3)
 
     state_a = LatentState(phi2=settled.phi2.copy(), phi3=settled.phi3.copy())
     state_b = LatentState(phi2=settled.phi2.copy(), phi3=settled.phi3.copy())
     perturbed = x + np.random.default_rng(1).standard_normal(x.shape)
     for _ in range(200):
-        state_a = LatentState(
-            phi2=inference_step(params, state_a, x, config.alpha, input_gate=False).phi2,
-            phi3=settled.phi3,
-        )
-        state_b = LatentState(
-            phi2=inference_step(params, state_b, perturbed, config.alpha, input_gate=False).phi2,
-            phi3=settled.phi3,
-        )
+        state_a = gated_phi2_step(state_a, x)
+        state_b = gated_phi2_step(state_b, perturbed)
     np.testing.assert_array_equal(state_a.phi2, state_b.phi2)
     np.testing.assert_array_equal(
         state_a.phi2 @ params.theta1.T, state_b.phi2 @ params.theta1.T
@@ -224,13 +228,7 @@ def test_criterion_7_descent(exp1_model, exp2_result, splits):
     for label, params in (("exp1", exp1_model[0]), ("exp2", exp2_result[1].params)):
         state = init_latents(params.dims, 100, np.random.default_rng(1))
         before, _ = free_energy(compute_errors(params, state, x))
-        for _ in range(50):
-            errors = compute_errors(params, state, x)
-            grads = inference_gradients(params, state, errors)
-            state = LatentState(
-                phi2=state.phi2 - 0.01 * grads.d_phi2,
-                phi3=state.phi3 - 0.01 * grads.d_phi3,
-            )
+        state = direct_descent(params, state, x, 0.01, 50)
         after, _ = free_energy(compute_errors(params, state, x))
         n_down = int(np.sum(after < before))
         print(f"criterion 7: {label} free energy reduced on {n_down}/100 images")
@@ -261,14 +259,7 @@ def test_criterion_9_latent_separability(exp1_model, splits):
     labels = splits.test.labels.astype(bool)
     rng = np.random.default_rng(config.latent_seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    for _ in range(config.n_iters):
-        errors = compute_errors(params, state, x)
-        grads = inference_gradients(params, state, errors)
-        state = LatentState(
-            phi2=state.phi2 - config.alpha * grads.d_phi2,
-            phi3=state.phi3 - config.alpha * grads.d_phi3,
-        )
-    phi3 = state.phi3
+    phi3 = direct_descent(params, state, x, config.alpha, config.n_iters).phi3
     m0, m1 = phi3[~labels].mean(axis=0), phi3[labels].mean(axis=0)
     # pooled per-class std along the between-means direction
     w = (m1 - m0) / np.linalg.norm(m1 - m0)

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from pcmem.checkpoint import (
     RunManifest,
     file_digests,
     load_checkpoint,
-    manifest_for,
     save_checkpoint,
 )
 from pcmem.core import Activation, ModelParams, init_params
@@ -85,8 +85,6 @@ class TestFormat:
         save_checkpoint(path, small_params())
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
-        import struct
-
         version, n_layers = struct.unpack_from("<II", raw, 4)
         dims = struct.unpack_from("<III", raw, 12)
         assert version == 1 and n_layers == 3
@@ -124,6 +122,44 @@ class TestFormat:
         save_checkpoint(b, params, adam=adam, manifest=manifest)
         assert a.read_bytes() == b.read_bytes()
 
+    def test_every_truncation_rejected(self, tmp_path):
+        params, adam = small_adam(small_params(dims=(25, 8, 2)))
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, params, adam=adam, manifest=RunManifest(config=preset("exp1").to_dict()))
+        raw = path.read_bytes()
+        cut = tmp_path / "cut.pcn"
+        for n in range(len(raw)):
+            cut.write_bytes(raw[:n])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
+    def test_trailing_byte_rejected(self, tmp_path):
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, small_params())
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(CheckpointError, match="trailing"):
+            load_checkpoint(path)
+
+    def test_bad_adam_flag_rejected(self, tmp_path):
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, small_params())
+        raw = bytearray(path.read_bytes())
+        raw[24 + 8 * (6 * 4 + 4 * 2)] = 7
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match="adam flag 7"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "blob", [b"\xff", b"{", b"[]", b'{"config": {"activation": "relu"}}']
+    )
+    def test_bad_manifest_rejected(self, tmp_path, blob):
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, small_params())
+        head = path.read_bytes()[: 24 + 8 * (6 * 4 + 4 * 2) + 1]  # through the adam flag
+        path.write_bytes(head + struct.pack("<I", len(blob)) + blob)
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(path)
+
     def test_no_leftover_tmp_file(self, tmp_path):
         path = tmp_path / "model.pcn"
         save_checkpoint(path, small_params())
@@ -148,10 +184,3 @@ class TestManifest:
         import hashlib
 
         assert digests == {"x.bin": hashlib.sha256(b"hello").hexdigest()}
-
-    def test_manifest_for_collects_config_and_digests(self, tmp_path):
-        f = tmp_path / "data.bin"
-        f.write_bytes(b"\x00\x01")
-        manifest = manifest_for(preset("exp1"), [f])
-        assert manifest.config["mode"] == "pc"
-        assert "data.bin" in manifest.data_digests

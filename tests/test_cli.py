@@ -46,6 +46,22 @@ class TestTrain:
         assert params.dims == (784, 35, 2)
         assert adam is not None and adam[0].t == 30
 
+    @pytest.mark.parametrize(
+        "override, field",
+        [({"mode": "pcx"}, "mode"), ({"val_every": 0}, "val_every"),
+         ({"max_epoch": 3}, "max_epoch"), ([1], "JSON object")],
+    )
+    def test_bad_config_fails_cleanly(self, corpus_dir, tmp_path, capsys, override, field):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(override))
+        rc = main([
+            "train", "--config", str(config), "--data-dir", str(corpus_dir),
+            "--out", str(tmp_path / "x"),
+        ])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err
+
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PCN_DATA_DIR", raising=False)
         rc = main(["train", "--out", str(tmp_path / "x")])
@@ -156,3 +172,18 @@ class TestParser:
         ])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+
+    def test_truncated_checkpoint_reports_error(self, trained_run, corpus_dir, tmp_path, capsys):
+        cut = tmp_path / "cut.pcn"
+        cut.write_bytes((trained_run / "checkpoint.pcn").read_bytes()[:1000])
+        rc = main([
+            "recall", "--checkpoint", str(cut), "--data-dir", str(corpus_dir),
+            "--out", str(tmp_path / "o"),
+        ])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_checkpoint_directory_reports_error(self, tmp_path, capsys):
+        rc = main(["export-weights", "--checkpoint", str(tmp_path), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error:")

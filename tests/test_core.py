@@ -13,22 +13,21 @@ from pcmem.core import (
     descend_latents,
     free_energy,
     inference_gradients,
-    inference_step,
     init_latents,
     init_params,
     learning_gradients,
 )
 
+from conftest import direct_descent
+
 DIMS = (6, 4, 2)
 
 
-def small_instance(seed=0, batch=3, with_phi1=False):
+def small_instance(seed=0, batch=3):
     rng = np.random.default_rng(seed)
     params = init_params(DIMS, rng)
     x = rng.uniform(0, 1, size=(batch, DIMS[0]))
     state = init_latents(DIMS, batch, rng)
-    if with_phi1:
-        state = LatentState(phi2=state.phi2, phi3=state.phi3, phi1=x.copy())
     return params, state, x
 
 
@@ -142,16 +141,16 @@ class TestGradients:
         params, _, _ = small_instance()
         state = LatentState(phi2=np.zeros((2, 4)), phi3=np.zeros((2, 2)))
         errors = compute_errors(params, state, np.zeros((2, 6)))
-        latent = inference_gradients(params, state, errors)
-        weight = learning_gradients(params, state, errors)
-        assert np.all(latent.d_phi2 == 0) and np.all(latent.d_phi3 == 0)
-        assert np.all(weight.d_theta1 == 0) and np.all(weight.d_theta2 == 0)
+        d_phi2, d_phi3 = inference_gradients(params, state, errors)
+        d_theta1, d_theta2 = learning_gradients(params, state, errors)
+        assert np.all(d_phi2 == 0) and np.all(d_phi3 == 0)
+        assert np.all(d_theta1 == 0) and np.all(d_theta2 == 0)
 
     def test_gated_phi2_gradient_is_xi2(self):
         params, state, x = small_instance(seed=3)
         errors = compute_errors(params, state, x, input_gate=False)
-        latent = inference_gradients(params, state, errors)
-        np.testing.assert_array_equal(latent.d_phi2, errors.xi2)
+        d_phi2, _ = inference_gradients(params, state, errors)
+        np.testing.assert_array_equal(d_phi2, errors.xi2)
 
     def test_rank_one_weight_gradient(self):
         params, _, _ = small_instance()
@@ -161,23 +160,23 @@ class TestGradients:
         x = (params.theta1 @ phi2[0])[None, :]
         x[0, 0] += 1.0  # xi1 = e1
         errors = compute_errors(params, state, x)
-        weight = learning_gradients(params, state, errors)
+        d_theta1, _ = learning_gradients(params, state, errors)
         expected = np.zeros((6, 4))
         expected[0, 0] = -1.0
-        np.testing.assert_allclose(weight.d_theta1, expected, atol=1e-12)
+        np.testing.assert_allclose(d_theta1, expected, atol=1e-12)
 
     def test_finite_difference_all_blocks(self):
-        params, state, x = small_instance(seed=11, with_phi1=True)
+        params, state, x = small_instance(seed=11)
         errors = compute_errors(params, state, x)
-        latent = inference_gradients(params, state, errors)
-        weight = learning_gradients(params, state, errors)
+        d_phi2, d_phi3 = inference_gradients(params, state, errors)
+        d_theta1, d_theta2 = learning_gradients(params, state, errors)
         h = 1e-5
 
         def fd_latent(arr, analytic, which):
             for k in range(arr.shape[0]):
                 for j in range(arr.shape[1]):
                     args = {
-                        "phi1": state.phi1.copy(),
+                        "phi1": x.copy(),
                         "phi2": state.phi2.copy(),
                         "phi3": state.phi3.copy(),
                     }
@@ -190,11 +189,11 @@ class TestGradients:
                         abs(analytic[k, j]) + abs(numeric), 1e-8
                     ) < 1e-4
 
-        fd_latent(state.phi1, latent.d_phi1, "phi1")
-        fd_latent(state.phi2, latent.d_phi2, "phi2")
-        fd_latent(state.phi3, latent.d_phi3, "phi3")
+        fd_latent(x, errors.xi1, "phi1")
+        fd_latent(state.phi2, d_phi2, "phi2")
+        fd_latent(state.phi3, d_phi3, "phi3")
 
-        for name, analytic in (("theta1", weight.d_theta1), ("theta2", weight.d_theta2)):
+        for name, analytic in (("theta1", d_theta1), ("theta2", d_theta2)):
             base = getattr(params, name)
             for i in range(base.shape[0]):
                 for j in range(base.shape[1]):
@@ -205,64 +204,12 @@ class TestGradients:
                                            "activation": params.activation}, name: plus})
                     pm = ModelParams(**{**{"theta1": params.theta1, "theta2": params.theta2,
                                            "activation": params.activation}, name: minus})
-                    fp = np.mean(scalar_free_energy(pp, state.phi1, state.phi2, state.phi3))
-                    fm = np.mean(scalar_free_energy(pm, state.phi1, state.phi2, state.phi3))
+                    fp = np.mean(scalar_free_energy(pp, x, state.phi2, state.phi3))
+                    fm = np.mean(scalar_free_energy(pm, x, state.phi2, state.phi3))
                     numeric = (fp - fm) / (2 * h)
                     assert abs(analytic[i, j] - numeric) / max(
                         abs(analytic[i, j]) + abs(numeric), 1e-8
                     ) < 1e-4
-
-
-class TestInferenceStep:
-    def test_zero_error_fixed_point(self):
-        params, _, _ = small_instance()
-        state = LatentState(phi2=np.zeros((2, 4)), phi3=np.zeros((2, 2)))
-        out = inference_step(params, state, np.zeros((2, 6)), alpha=0.01)
-        np.testing.assert_array_equal(out.phi2, state.phi2)
-        np.testing.assert_array_equal(out.phi3, state.phi3)
-
-    def test_alpha_zero_identity(self):
-        params, state, x = small_instance(seed=4)
-        out = inference_step(params, state, x, alpha=0.0)
-        np.testing.assert_array_equal(out.phi2, state.phi2)
-        np.testing.assert_array_equal(out.phi3, state.phi3)
-
-    def test_descent_on_trained_toy(self, toy_trained):
-        rng = np.random.default_rng(0)
-        x = rng.uniform(0, 1, size=(4, 25))
-        state = init_latents(toy_trained.dims, 4, rng)
-        _, before = free_energy(compute_errors(toy_trained, state, x))
-        for _ in range(50):
-            state = inference_step(toy_trained, state, x, alpha=0.01)
-        _, after = free_energy(compute_errors(toy_trained, state, x))
-        assert after < before
-
-    def test_gate_isolation_of_phi2_trajectory(self):
-        params, state, x = small_instance(seed=8)
-        a = inference_step(params, state, x, alpha=0.01, input_gate=False)
-        b = inference_step(params, state, x + 3.0, alpha=0.01, input_gate=False)
-        np.testing.assert_array_equal(a.phi2, b.phi2)
-        np.testing.assert_array_equal(a.phi3, b.phi3)
-
-    def test_clamped_phi1_coordinates_bit_identical(self):
-        params, state, x = small_instance(seed=6, with_phi1=True)
-        free = np.zeros((3, 6), dtype=bool)
-        free[:, :2] = True
-        out = inference_step(params, state, None, alpha=0.01, phi1_free=free)
-        np.testing.assert_array_equal(out.phi1[:, 2:], state.phi1[:, 2:])
-        assert not np.array_equal(out.phi1[:, :2], state.phi1[:, :2])
-
-
-def direct_descent(params, state, x, alpha, n_iters):
-    """Reference: the direct-form loop, two batch x d1 products per step."""
-    for _ in range(n_iters):
-        errors = compute_errors(params, state, x)
-        grads = inference_gradients(params, state, errors)
-        state = LatentState(
-            phi2=state.phi2 - alpha * grads.d_phi2,
-            phi3=state.phi3 - alpha * grads.d_phi3,
-        )
-    return state
 
 
 # The Gram form reorders the sums of the direct form, so the two agree only
@@ -315,6 +262,28 @@ class TestDescendLatents:
             short.phi2, direct_descent(toy_trained, state, x, 0.01, 7).phi2,
             rtol=0, atol=KERNEL_ATOL,
         )
+
+    def test_zero_error_fixed_point(self):
+        params, _, _ = small_instance()
+        state = LatentState(phi2=np.zeros((2, 4)), phi3=np.zeros((2, 2)))
+        out = descend_latents(params, state, np.zeros((2, 6)), 0.01, 1)
+        np.testing.assert_array_equal(out.phi2, state.phi2)
+        np.testing.assert_array_equal(out.phi3, state.phi3)
+
+    def test_alpha_zero_identity(self):
+        params, state, x = small_instance(seed=4)
+        out = descend_latents(params, state, x, 0.0, 1)
+        np.testing.assert_array_equal(out.phi2, state.phi2)
+        np.testing.assert_array_equal(out.phi3, state.phi3)
+
+    def test_descent_on_trained_toy(self, toy_trained):
+        rng = np.random.default_rng(0)
+        x = rng.uniform(0, 1, size=(4, 25))
+        state = init_latents(toy_trained.dims, 4, rng)
+        _, before = free_energy(compute_errors(toy_trained, state, x))
+        state = descend_latents(toy_trained, state, x, 0.01, 50)
+        _, after = free_energy(compute_errors(toy_trained, state, x))
+        assert after < before
 
     def test_input_is_not_modified(self):
         params, state, x = small_instance(seed=5)

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pcmem.core import (
+    LATENT_INIT_SCALE,
     DivergenceError,
     LatentState,
     compute_errors,
-    inference_gradients,
     init_latents,
     init_params,
     learning_gradients,
@@ -21,7 +21,7 @@ from pcmem.experiments import (
 )
 from pcmem.optim import AdamState, adam_step
 
-from conftest import TOY_DIMS, toy_splits
+from conftest import TOY_DIMS, direct_descent
 
 
 class TestConvergenceCheck:
@@ -67,6 +67,13 @@ class TestConfig:
         config = preset("exp1")
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
+    @pytest.mark.parametrize(
+        "name", ["batch_size", "n_iters", "max_epochs", "patience", "val_every", "eval_batch_size"]
+    )
+    def test_sizes_below_one_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig(mode="pc", beta=1e-3, scope="full", **{name: 0})
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("exp3")
@@ -86,18 +93,11 @@ class TestTrain:
         first = batch_order(len(toy_data.train), config.shuffle_seed, True)[:4]
         x = toy_data.train.images[first]
         rng_l = np.random.default_rng(config.latent_seed)
-        state = init_latents(TOY_DIMS, 4, rng_l)
-        for _ in range(5):
-            errors = compute_errors(params, state, x)
-            grads = inference_gradients(params, state, errors)
-            state = LatentState(
-                phi2=state.phi2 - 0.01 * grads.d_phi2,
-                phi3=state.phi3 - 0.01 * grads.d_phi3,
-            )
+        state = direct_descent(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
-        wgrads = learning_gradients(params, state, errors)
-        theta1, _ = adam_step(params.theta1, wgrads.d_theta1, AdamState.fresh(params.theta1.shape, 1e-3))
-        theta2, _ = adam_step(params.theta2, wgrads.d_theta2, AdamState.fresh(params.theta2.shape, 1e-3))
+        d_theta1, d_theta2 = learning_gradients(params, state, errors)
+        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape, 1e-3))
+        theta2, _ = adam_step(params.theta2, d_theta2, AdamState.fresh(params.theta2.shape, 1e-3))
 
         np.testing.assert_array_equal(result.params.theta1, theta1)
         np.testing.assert_array_equal(result.params.theta2, theta2)
@@ -152,10 +152,9 @@ class TestTrain:
         assert result.converged and result.stop_reason == "converged"
         assert len(result.log.rows) == 3
 
-    def test_unknown_scope_rejected(self, toy_data):
-        config = ExperimentConfig(mode="pc", beta=1e-3, scope="half", dims=TOY_DIMS)
-        with pytest.raises(ValueError):
-            train(config, toy_data)
+    def test_unknown_scope_rejected(self):
+        with pytest.raises(ValueError, match="scope"):
+            ExperimentConfig(mode="pc", beta=1e-3, scope="half", dims=TOY_DIMS)
 
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
     def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode):
@@ -189,8 +188,6 @@ class TestEvaluateErrors:
         split = toy_data.validation
         batched = evaluate_errors(toy_trained, split, n_iters=10, seed=4)
         n = len(split)
-        from pcmem.core import LATENT_INIT_SCALE
-
         rng = np.random.default_rng(4)
         phi2_all = LATENT_INIT_SCALE * rng.standard_normal((n, TOY_DIMS[1]))
         phi3_all = LATENT_INIT_SCALE * rng.standard_normal((n, TOY_DIMS[2]))
@@ -198,13 +195,7 @@ class TestEvaluateErrors:
         for k in range(n):
             state = LatentState(phi2=phi2_all[k : k + 1].copy(), phi3=phi3_all[k : k + 1].copy())
             x = split.images[k : k + 1]
-            for _ in range(10):
-                errors = compute_errors(toy_trained, state, x)
-                grads = inference_gradients(toy_trained, state, errors)
-                state = LatentState(
-                    phi2=state.phi2 - 0.01 * grads.d_phi2,
-                    phi3=state.phi3 - 0.01 * grads.d_phi3,
-                )
+            state = direct_descent(toy_trained, state, x, 0.01, 10)
             totals += compute_errors(toy_trained, state, x).layer_energies
         np.testing.assert_allclose(batched, totals / n, rtol=1e-10)
 

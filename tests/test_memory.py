@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from pcmem.core import (
-    Activation,
     LatentState,
     ModelParams,
     activation_eval,
     compute_errors,
+    descend_latents,
     free_energy,
-    inference_step,
+    inference_gradients,
     init_latents,
+    init_params,
 )
 from pcmem.memory import (
+    REPLAY_REL_TOL,
+    REPLAY_XI2_TOL,
     DivergenceError,
     OcclusionMask,
     infer_latents,
@@ -116,9 +119,7 @@ class TestReplay:
         x = toy_patterns(4, seed=2)
         rng = np.random.default_rng(0)
         state = init_latents(toy_trained.dims, 4, rng)
-        from pcmem.memory import _settle
-
-        settled = _settle(toy_trained, state, x, 0.01, 5000, 1e-8)
+        settled = descend_latents(toy_trained, state, x, 0.01, 5000, rel_tol=REPLAY_REL_TOL)
         _, phi2 = regenerate(toy_trained, settled.phi3, settled.phi2)
         target, _ = activation_eval(
             toy_trained.activation, settled.phi3 @ toy_trained.theta2.T
@@ -133,8 +134,6 @@ class TestReplay:
         np.testing.assert_array_equal(toy_trained.theta2, theta2)
 
     def test_consolidate_updates_theta2_only(self, toy_data):
-        from pcmem.core import init_params
-
         params = init_params(TOY_DIMS, np.random.default_rng(9))
         theta1 = params.theta1.copy()
         theta2 = params.theta2.copy()
@@ -148,12 +147,29 @@ class TestReplay:
         x = toy_patterns(2, seed=4)
         rng = np.random.default_rng(0)
         state = init_latents(toy_trained.dims, 2, rng)
-        from pcmem.memory import _settle
-
-        settled = _settle(toy_trained, state, x, 0.01, 5000, 1e-8)
+        settled = descend_latents(toy_trained, state, x, 0.01, 5000, rel_tol=REPLAY_REL_TOL)
         img_a, _ = regenerate(toy_trained, settled.phi3, settled.phi2)
         img_b, _ = regenerate(toy_trained, settled.phi3.copy(), settled.phi2.copy())
         np.testing.assert_array_equal(img_a, img_b)
+
+    @pytest.mark.parametrize("budget", [0, 7, 5000])
+    @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.5, 1.0, 1.5])
+    def test_regenerate_matches_loop(self, alpha, budget):
+        """The closed form against the gated descent loop it replaces."""
+        rng = np.random.default_rng(4)
+        params = init_params((784, 35, 2), rng)
+        state = init_latents(params.dims, 6, rng)
+        images, phi2 = regenerate(params, state.phi3, state.phi2, alpha=alpha, budget=budget)
+
+        target, _ = activation_eval(params.activation, state.phi3 @ params.theta2.T)
+        ref = state.phi2
+        for _ in range(budget):
+            xi2 = ref - target
+            if np.max(np.abs(xi2)) < REPLAY_XI2_TOL:
+                break
+            ref = ref - alpha * xi2
+        np.testing.assert_allclose(phi2, ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(images, ref @ params.theta1.T, rtol=0, atol=1e-12)
 
     def test_deterministic(self, toy_trained):
         x = toy_patterns(2, seed=5)
@@ -199,28 +215,31 @@ class TestRecall:
 
     @pytest.mark.parametrize("iters", [40, 10000])
     def test_matches_inference_step_loop(self, toy_trained, iters):
-        """Bit-identical to recall written with inference_step, both when
-        the budget runs out (40) and when the tolerance stops it (10000)."""
+        """Bit-identical to the direct-form loop that recomputes the errors
+        before every step, both when the budget runs out (40) and when the
+        tolerance stops it (10000)."""
         mask = toy_mask()
         target = toy_patterns(2, seed=10)
         result = recall(toy_trained, target, mask, iters=iters, init_seed=3)
 
-        init = init_latents(toy_trained.dims, 2, np.random.default_rng(3))
-        state = LatentState(init.phi2, init.phi3, np.where(mask.visible, target, 0.0))
-        free = np.broadcast_to(mask.hidden, target.shape)
+        state = init_latents(toy_trained.dims, 2, np.random.default_rng(3))
+        phi1 = np.where(mask.visible, target, 0.0)
         used = 0
         for i in range(iters):
-            new_state = inference_step(toy_trained, state, None, 0.01, phi1_free=free)
-            delta = np.max(np.abs(new_state.phi1 - state.phi1))
-            state, used = new_state, i + 1
+            errors = compute_errors(toy_trained, state, phi1)
+            d_phi2, d_phi3 = inference_gradients(toy_trained, state, errors)
+            state = LatentState(state.phi2 - 0.01 * d_phi2, state.phi3 - 0.01 * d_phi3)
+            new_phi1 = np.where(mask.hidden, phi1 - 0.01 * errors.xi1, phi1)
+            delta = np.max(np.abs(new_phi1 - phi1))
+            phi1, used = new_phi1, i + 1
             if delta < 1e-6:
                 break
-        _, final_f = free_energy(compute_errors(toy_trained, state, state.phi1))
+        _, final_f = free_energy(compute_errors(toy_trained, state, phi1))
 
         assert (iters == 40) == (used == iters)
         assert result.iterations == used
-        np.testing.assert_array_equal(result.images, state.phi1)
+        np.testing.assert_array_equal(result.images, phi1)
         assert result.final_free_energy == final_f
         np.testing.assert_array_equal(
-            result.masked_mse, [masked_mse(state.phi1[k], target[k], mask) for k in range(2)]
+            result.masked_mse, [masked_mse(phi1[k], target[k], mask) for k in range(2)]
         )

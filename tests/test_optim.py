@@ -1,36 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmem.optim import AdamState, SgdConfig, adam_step, sgd_step
-
-
-class TestSgd:
-    def test_zero_grad_identity(self):
-        p = np.arange(6.0).reshape(2, 3)
-        out = sgd_step(p, np.zeros_like(p), SgdConfig(0.01))
-        np.testing.assert_array_equal(out, p)
-
-    def test_linearity_from_zero(self):
-        g = np.array([[1.0, -2.0], [3.0, 0.5]])
-        out = sgd_step(np.zeros_like(g), g, SgdConfig(0.01))
-        np.testing.assert_array_equal(out, -0.01 * g)
-
-    def test_matches_scalar_loop(self):
-        rng = np.random.default_rng(0)
-        p = rng.standard_normal((4, 5))
-        g = rng.standard_normal((4, 5))
-        out = sgd_step(p, g, SgdConfig(0.3))
-        for i in range(4):
-            for j in range(5):
-                assert out[i, j] == p[i, j] - 0.3 * g[i, j]
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            sgd_step(np.zeros((2, 2)), np.zeros((3, 2)), SgdConfig(0.1))
-
-    def test_rejects_nonpositive_rate(self):
-        with pytest.raises(ValueError):
-            SgdConfig(0.0)
+from pcmem.optim import AdamState, adam_step
 
 
 class TestAdam:
