@@ -73,7 +73,8 @@ def file_digests(paths: list[Path]) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
 
 
-def _atomic_write(path: Path, payload: bytes) -> None:
+def atomic_write(path: Path, payload: bytes) -> None:
+    """Write payload to a temporary file next to path, then rename it over path."""
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     tmp.replace(path)
@@ -105,7 +106,7 @@ def save_checkpoint(
     blob = manifest_text.encode("utf-8")
     out += struct.pack("<I", len(blob))
     out += blob
-    _atomic_write(path, bytes(out))
+    atomic_write(path, bytes(out))
 
 
 def load_checkpoint(

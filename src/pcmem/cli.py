@@ -105,7 +105,7 @@ def _load_model(args):
 
 
 def cmd_train(args) -> int:
-    from .checkpoint import RunManifest, file_digests, save_checkpoint
+    from .checkpoint import RunManifest, atomic_write, file_digests, save_checkpoint
     from .experiments import ExperimentConfig, preset, train
 
     cfg = preset(args.preset).to_dict()
@@ -134,7 +134,8 @@ def cmd_train(args) -> int:
     )
     save_checkpoint(args.out / "checkpoint.pcn", result.params,
                     adam=(result.adam1, result.adam2), manifest=manifest)
-    (args.out / "manifest.json").write_text(manifest.to_json(include_timestamp=True))
+    atomic_write(args.out / "manifest.json",
+                 manifest.to_json(include_timestamp=True).encode("utf-8"))
     result.log.to_csv(args.out / "trainlog.csv")
     print(f"stopped: {result.stop_reason} after {len(result.log.rows)} epochs")
     return 0

@@ -122,9 +122,8 @@ def init_latents(
     dims: tuple[int, int, int],
     batch: int,
     rng: np.random.Generator,
-    scale: float = LATENT_INIT_SCALE,
 ) -> LatentState:
-    """Seeded i.i.d. small random latent init.
+    """Seeded i.i.d. normal latent init with standard deviation LATENT_INIT_SCALE.
 
     The scale matters: with T = 50 inference steps at alpha = 0.01 a
     unit-variance init leaves most of its noise in phi2, so the top layer
@@ -135,8 +134,8 @@ def init_latents(
     """
     _, d2, d3 = dims
     return LatentState(
-        phi2=scale * rng.standard_normal((batch, d2)),
-        phi3=scale * rng.standard_normal((batch, d3)),
+        phi2=LATENT_INIT_SCALE * rng.standard_normal((batch, d2)),
+        phi3=LATENT_INIT_SCALE * rng.standard_normal((batch, d3)),
     )
 
 

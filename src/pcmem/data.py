@@ -10,7 +10,9 @@ labels mapped 4 -> 0, 7 -> 1.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +33,8 @@ DEFAULT_FILENAMES = {
 
 
 class IdxFormatError(ValueError):
-    """Malformed IDX container (bad magic, type code, or payload length)."""
+    """Malformed IDX container (bad magic, type code, or payload length) or
+    corrupt gzip data around it."""
 
 
 def parse_idx(data: bytes) -> np.ndarray:
@@ -44,10 +47,12 @@ def parse_idx(data: bytes) -> np.ndarray:
     if type_code != IDX_UBYTE:
         raise IdxFormatError(f"unsupported IDX type code {type_code:#x}")
     header_len = 4 + 4 * n_dims
+    if n_dims == 0:
+        raise IdxFormatError("IDX header declares no dimensions")
     if len(data) < header_len:
         raise IdxFormatError("truncated IDX dimension header")
     dims = struct.unpack(f">{n_dims}I", data[4:header_len])
-    expected = int(np.prod(dims)) if dims else 0
+    expected = math.prod(dims)
     payload = data[header_len:]
     if len(payload) != expected:
         raise IdxFormatError(
@@ -57,12 +62,21 @@ def parse_idx(data: bytes) -> np.ndarray:
 
 
 def load_idx(path: str | Path) -> np.ndarray:
-    """Load an IDX file, transparently decompressing gzip."""
+    """Load an IDX file, transparently decompressing gzip.
+
+    Raises IdxFormatError naming the file on a malformed IDX stream or on
+    truncated or damaged gzip data.
+    """
     path = Path(path)
     raw = path.read_bytes()
-    if raw[:2] == b"\x1f\x8b":
-        raw = gzip.decompress(raw)
-    return parse_idx(raw)
+    try:
+        if raw[:2] == b"\x1f\x8b":
+            raw = gzip.decompress(raw)
+        return parse_idx(raw)
+    except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+        raise IdxFormatError(f"{path}: corrupt gzip data: {exc}") from None
+    except IdxFormatError as exc:
+        raise IdxFormatError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -77,12 +91,9 @@ class RawImageSet:
             raise ValueError("image count != label count")
 
 
-def load_raw(data_dir: str | Path, filenames: dict | None = None) -> tuple[RawImageSet, RawImageSet]:
+def load_raw(data_dir: str | Path) -> tuple[RawImageSet, RawImageSet]:
     """Load the four standard MNIST files (optionally .gz) from data_dir."""
     data_dir = Path(data_dir)
-    names = dict(DEFAULT_FILENAMES)
-    if filenames:
-        names.update(filenames)
 
     def find(name: str) -> Path:
         for candidate in (data_dir / name, data_dir / (name + ".gz")):
@@ -91,12 +102,12 @@ def load_raw(data_dir: str | Path, filenames: dict | None = None) -> tuple[RawIm
         raise FileNotFoundError(f"missing MNIST file: {data_dir / name}[.gz]")
 
     train = RawImageSet(
-        images=load_idx(find(names["train_images"])),
-        labels=load_idx(find(names["train_labels"])),
+        images=load_idx(find(DEFAULT_FILENAMES["train_images"])),
+        labels=load_idx(find(DEFAULT_FILENAMES["train_labels"])),
     )
     test = RawImageSet(
-        images=load_idx(find(names["test_images"])),
-        labels=load_idx(find(names["test_labels"])),
+        images=load_idx(find(DEFAULT_FILENAMES["test_images"])),
+        labels=load_idx(find(DEFAULT_FILENAMES["test_labels"])),
     )
     return train, test
 
@@ -117,7 +128,6 @@ class DatasetSplits:
     train: Split
     validation: Split
     test: Split
-    split_seed: int
 
 
 def _filter_and_scale(raw: RawImageSet, digits: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
@@ -156,30 +166,22 @@ def build_splits(
         train=Split(train_images[train_idx], train_labels[train_idx]),
         validation=Split(train_images[val_idx], train_labels[val_idx]),
         test=Split(test_images, test_labels),
-        split_seed=split_seed,
     )
 
 
-def batch_order(n: int, shuffle_seed: int, shuffle: bool) -> np.ndarray:
-    """Epoch-wide example order: seeded permutation or identity."""
-    if shuffle:
-        return np.random.default_rng(shuffle_seed).permutation(n)
-    return np.arange(n)
+def batch_order(n: int, shuffle_seed: int) -> np.ndarray:
+    """Epoch-wide example order: a seeded permutation of range(n)."""
+    return np.random.default_rng(shuffle_seed).permutation(n)
 
 
-def batches(
-    split: Split,
-    batch_size: int = 64,
-    shuffle_seed: int = 0,
-    shuffle: bool = True,
-):
+def batches(split: Split, batch_size: int = 64, shuffle_seed: int = 0):
     """Yield (images, labels) batches covering every example exactly once.
 
     Deterministic given the seed; the final batch may be smaller.
     """
     if len(split) == 0:
         raise ValueError("empty split")
-    order = batch_order(len(split), shuffle_seed, shuffle)
+    order = batch_order(len(split), shuffle_seed)
     for start in range(0, len(order), batch_size):
         idx = order[start : start + batch_size]
         yield split.images[idx], split.labels[idx]

@@ -1,15 +1,18 @@
 """Training orchestration (PC and iPC), convergence tracking, and the
 evaluation battery (per-layer error curves, recall suite).
 
-PC runs T inference iterations per mini-batch and then a single Adam
-update on the weights from the final errors. iPC additionally performs an
-Adam weight update after every one of the T inference iterations, which
-keeps full-dataset training stable at the cost of T updates per batch.
+PC and iPC share one batch step: fresh latents, T inference iterations,
+and Adam updates of both weight matrices from the current errors. They
+differ only in how often the weights move: PC updates them once, after
+all T iterations; iPC after every iteration, which keeps full-dataset
+training stable at the cost of T updates per batch.
 """
 
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -53,7 +56,6 @@ class ExperimentConfig:
     patience: int = 5
     max_epochs: int = 500
     limit_train: Optional[int] = None
-    eval_batch_size: int = 1024
     # validation inference costs far more than training itself; evaluate
     # every val_every epochs (plus first and last) and carry rows forward
     val_every: int = 1
@@ -63,11 +65,19 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'pc' or 'ipc', got {self.mode!r}")
         if self.scope not in ("single-batch", "full"):
             raise ValueError(f"scope must be 'single-batch' or 'full', got {self.scope!r}")
-        for name in ("batch_size", "n_iters", "max_epochs", "patience", "val_every",
-                     "eval_batch_size"):
+        for name in ("batch_size", "n_iters", "max_epochs", "patience", "val_every"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not (isinstance(self.dims, tuple) and len(self.dims) == 3
+                and all(_is_int(d) and d >= 1 for d in self.dims)):
+            raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
+        if not (_is_real(self.beta) and math.isfinite(self.beta) and self.beta > 0):
+            raise ValueError(f"beta must be a finite number > 0, got {self.beta!r}")
+        for name in ("alpha", "epsilon"):
+            value = getattr(self, name)
+            if not (_is_real(value) and math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -82,8 +92,17 @@ class ExperimentConfig:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         d = dict(d)
         d["activation"] = Activation(d.get("activation", "tanh"))
-        d["dims"] = tuple(d.get("dims", (784, 35, 2)))
+        if isinstance(d.get("dims"), list):
+            d["dims"] = tuple(d["dims"])
         return cls(**d)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def preset(name: str) -> ExperimentConfig:
@@ -138,7 +157,6 @@ class TrainResult:
     adam1: AdamState
     adam2: AdamState
     log: TrainLog
-    converged: bool
     stop_reason: str
 
 
@@ -155,37 +173,37 @@ def convergence_check(
     return bool(np.all(spread <= epsilon * scale))
 
 
-def _pc_batch(params, x, n_iters, alpha, adam1, adam2, rng):
-    state = init_latents(params.dims, x.shape[0], rng)
-    state = descend_latents(params, state, x, alpha, n_iters)
-    errors = compute_errors(params, state, x)
-    d_theta1, d_theta2 = learning_gradients(params, state, errors)
-    theta1, adam1 = adam_step(params.theta1, d_theta1, adam1)
-    theta2, adam2 = adam_step(params.theta2, d_theta2, adam2)
-    params = ModelParams(theta1, theta2, params.activation)
-    return params, adam1, adam2, errors.layer_energies
+def _train_batch(params, x, config, adam1, adam2, rng):
+    """One mini-batch of PC or iPC from fresh latents.
 
-
-def _ipc_batch(params, x, n_iters, alpha, adam1, adam2, rng):
+    Both run config.n_iters inference iterations; PC updates the weights
+    once after all of them, iPC after each one. Raises DivergenceError,
+    naming the batch's inference iteration, before any update from
+    non-finite errors. Returns the new weights and Adam states and the
+    per-layer energies of the last update.
+    """
+    steps = config.n_iters if config.mode == "pc" else 1
     state = init_latents(params.dims, x.shape[0], rng)
-    energies = None
-    for i in range(n_iters):
-        # one kernel step per weight update, so the kernel's own iteration
-        # count is always 0; name the step of this batch instead
+    for update in range(config.n_iters // steps):
         try:
-            state = descend_latents(params, state, x, alpha, 1)
+            state = descend_latents(params, state, x, config.alpha, steps)
         except DivergenceError:
-            raise DivergenceError(f"non-finite latents after inference iteration {i}") from None
+            if steps == 1:  # the kernel's own count restarts at 0 on every call
+                raise DivergenceError(
+                    f"non-finite latents after inference iteration {update}"
+                ) from None
+            raise
         errors = compute_errors(params, state, x)
         if not np.all(np.isfinite(errors.layer_energies)):
             # overflowing errors would turn the weights non-finite next
-            raise DivergenceError(f"non-finite free energy at inference iteration {i}")
+            raise DivergenceError(
+                f"non-finite free energy at inference iteration {(update + 1) * steps - 1}"
+            )
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
         theta1, adam1 = adam_step(params.theta1, d_theta1, adam1)
         theta2, adam2 = adam_step(params.theta2, d_theta2, adam2)
         params = ModelParams(theta1, theta2, params.activation)
-        energies = errors.layer_energies
-    return params, adam1, adam2, energies
+    return params, adam1, adam2, errors.layer_energies
 
 
 def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
@@ -205,12 +223,10 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     if config.limit_train is not None:
         train_images = train_images[: config.limit_train]
     if config.scope == "single-batch":
-        first = batch_order(len(splits.train), config.shuffle_seed, True)[: config.batch_size]
+        first = batch_order(len(splits.train), config.shuffle_seed)[: config.batch_size]
         train_images = splits.train.images[first]
 
-    step = {"pc": _pc_batch, "ipc": _ipc_batch}[config.mode]
     log = TrainLog()
-    converged = False
     reason = "max_epochs"
     last_val = np.full(3, np.nan)
     for epoch in range(1, config.max_epochs + 1):
@@ -222,15 +238,13 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         weighted = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             x = train_images[order[start : start + config.batch_size]]
-            where = f"epoch {epoch}, batch {start // config.batch_size}"
             try:
-                params, adam1, adam2, energies = step(
-                    params, x, config.n_iters, config.alpha, adam1, adam2, rng_l
+                params, adam1, adam2, energies = _train_batch(
+                    params, x, config, adam1, adam2, rng_l
                 )
             except DivergenceError as exc:
+                where = f"epoch {epoch}, batch {start // config.batch_size}"
                 raise DivergenceError(f"{where}: {exc}") from exc
-            if not np.all(np.isfinite(energies)):
-                raise RuntimeError(f"non-finite train energy at {where}")
             weighted += energies * x.shape[0]
         train_energies = weighted / len(order)
         stop = (
@@ -241,21 +255,15 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         )
         if epoch == 1 or stop or epoch % config.val_every == 0:
             last_val = evaluate_errors(
-                params,
-                splits.validation,
-                config.n_iters,
-                config.alpha,
-                config.latent_seed,
-                batch_size=config.eval_batch_size,
+                params, splits.validation, config.n_iters, config.alpha, config.latent_seed
             )
         log.rows.append(
             EpochStats(epoch, train_energies, last_val, time.perf_counter() - t0)
         )
         if stop and epoch != config.max_epochs:
-            converged = True
             reason = "converged"
             break
-    return TrainResult(params, adam1, adam2, log, converged, reason)
+    return TrainResult(params, adam1, adam2, log, reason)
 
 
 def evaluate_errors(
@@ -310,7 +318,7 @@ def run_recall_suite(
     given mask; reports per-image and mean masked MSE."""
     if mask is None:
         mask = OcclusionMask.top_half()
-    idx = batch_order(len(splits.train), shuffle_seed, True)[:n_images]
+    idx = batch_order(len(splits.train), shuffle_seed)[:n_images]
     originals = splits.train.images[idx]
     presented = np.where(mask.visible, originals, 0.0)
     recalled = np.empty_like(originals)

@@ -4,14 +4,15 @@ auto-associative recall of partially occluded inputs.
 Reconstruction and replay's settle phase run on core.descend_latents.
 Replay then regenerates the input from its frozen top-level representation
 with the input-error pathway gated off; that gated descent has a closed
-form, which regenerate returns directly. Recall clamps the known pixels
-and runs joint gradient descent on the hidden pixels and both latent
-levels, directly on compute_errors and inference_gradients.
+form, which regenerate returns directly. None of these procedures changes
+the weights. Recall clamps the known pixels and runs joint gradient descent
+on the hidden pixels and both latent levels, directly on compute_errors
+and inference_gradients.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -26,7 +27,6 @@ from .core import (
     free_energy,
     inference_gradients,
     init_latents,
-    learning_gradients,
 )
 
 DEFAULT_BUDGET = 5000
@@ -40,7 +40,6 @@ class OcclusionMask:
     """Boolean visibility over the 784 pixels; True = clamped/known."""
 
     visible: np.ndarray
-    tag: str = ""
 
     def __post_init__(self):
         if self.visible.dtype != np.bool_ or self.visible.ndim != 1:
@@ -56,7 +55,7 @@ class OcclusionMask:
     def top_half(cls, side: int = 28) -> "OcclusionMask":
         visible = np.zeros((side, side), dtype=bool)
         visible[: side // 2] = True
-        return cls(visible=visible.ravel(), tag="top-half")
+        return cls(visible=visible.ravel())
 
 
 @dataclass
@@ -134,32 +133,23 @@ def regenerate(
 def replay(
     params: ModelParams,
     x: np.ndarray,
-    consolidate: bool = False,
     alpha: float = 0.01,
     budget: int = DEFAULT_BUDGET,
     init_seed: int = 0,
-    consolidate_rate: float = 1e-4,
 ) -> np.ndarray:
     """Replay inputs through the gated top-down pathway.
 
     1. full inference to convergence; 2. freeze phi3 and gate the input
     errors off; 3. re-infer phi2 alone (fixpoint phi2 = f(theta2 phi3));
-    4. optionally one theta2 consolidation update (in place). Returns the
-    replayed images theta1 @ phi2.
+    4. read out and return the replayed images theta1 @ phi2. The weights
+    are left untouched.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)
     state = descend_latents(params, state, x, alpha, budget, rel_tol=REPLAY_REL_TOL)
 
-    images, phi2 = regenerate(params, state.phi3, state.phi2, alpha=alpha, budget=budget)
-
-    if consolidate:
-        final = replace(state, phi2=phi2)
-        errors = compute_errors(params, final, x, input_gate=False)
-        _, d_theta2 = learning_gradients(params, final, errors)
-        params.theta2[...] = params.theta2 - consolidate_rate * d_theta2
-
+    images, _ = regenerate(params, state.phi3, state.phi2, alpha=alpha, budget=budget)
     return images
 
 
@@ -170,14 +160,13 @@ def recall(
     iters: int = DEFAULT_BUDGET,
     alpha: float = 0.01,
     init_seed: int = 0,
-    tol: float = RECALL_PHI1_TOL,
 ) -> MemoryTaskResult:
     """Pattern-complete the hidden pixels of a partially presented image.
 
     phi1 starts at the corrupted input (hidden pixels zeroed); each
     iteration jointly descends phi1 (hidden coordinates only), phi2 and
     phi3. Stops after `iters` iterations or when the inf-norm change of
-    phi1 drops below tol. Visible pixels are clamped bit-exactly.
+    phi1 drops below RECALL_PHI1_TOL. Visible pixels are clamped bit-exactly.
     """
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     n, d1 = target.shape
@@ -207,7 +196,7 @@ def recall(
         _, mean_f = free_energy(errors)
         if not np.isfinite(mean_f):
             raise DivergenceError(f"non-finite free energy at recall iteration {used}")
-        if delta < tol:
+        if delta < RECALL_PHI1_TOL:
             break
 
     mses = np.array([masked_mse(phi1[k], target[k], mask) for k in range(n)])

@@ -1,9 +1,9 @@
 """Hand-rolled Adam with explicit, persistable state.
 
-Adam (standard bias-corrected form, defaults 0.9 / 0.999 / 1e-8) drives
-weight learning; it is pure value-in/value-out and bit-deterministic.
-Inference descends the latents with plain gradient steps inside
-core.descend_latents and memory.recall.
+Adam (standard bias-corrected form, fixed decays 0.9 / 0.999 and
+epsilon 1e-8) drives weight learning; it is pure value-in/value-out and
+bit-deterministic. Inference descends the latents with plain gradient
+steps inside core.descend_latents and memory.recall.
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+ADAM_DECAY1 = 0.9
+ADAM_DECAY2 = 0.999
+ADAM_EPSILON = 1e-8
 
 
 @dataclass
@@ -25,9 +29,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     rate: float = 1e-4
-    decay1: float = 0.9
-    decay2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def fresh(cls, shape: tuple[int, ...], rate: float) -> "AdamState":
@@ -47,18 +48,9 @@ def adam_step(
             f"shape mismatch: param {param.shape}, grad {grad.shape}, m {state.m.shape}"
         )
     t = state.t + 1
-    m = state.decay1 * state.m + (1.0 - state.decay1) * grad
-    v = state.decay2 * state.v + (1.0 - state.decay2) * grad * grad
-    m_hat = m / (1.0 - state.decay1**t)
-    v_hat = v / (1.0 - state.decay2**t)
-    new_param = param - state.rate * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    new_state = AdamState(
-        m=m,
-        v=v,
-        t=t,
-        rate=state.rate,
-        decay1=state.decay1,
-        decay2=state.decay2,
-        epsilon=state.epsilon,
-    )
-    return new_param, new_state
+    m = ADAM_DECAY1 * state.m + (1.0 - ADAM_DECAY1) * grad
+    v = ADAM_DECAY2 * state.v + (1.0 - ADAM_DECAY2) * grad * grad
+    m_hat = m / (1.0 - ADAM_DECAY1**t)
+    v_hat = v / (1.0 - ADAM_DECAY2**t)
+    new_param = param - state.rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return new_param, AdamState(m=m, v=v, t=t, rate=state.rate)

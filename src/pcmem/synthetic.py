@@ -9,7 +9,6 @@ what the split builder requires.
 
 from __future__ import annotations
 
-import gzip
 import struct
 from pathlib import Path
 
@@ -100,19 +99,16 @@ def _render(labels: np.ndarray, bank: np.ndarray, rng) -> np.ndarray:
     return (np.clip(images, 0.0, 1.0) * 255).round().astype(np.uint8)
 
 
-def write_idx(path: Path, array: np.ndarray, compress: bool = False) -> None:
+def write_idx(path: Path, array: np.ndarray) -> None:
     header = struct.pack(">BBBB", 0, 0, 0x08, array.ndim)
     header += struct.pack(f">{array.ndim}I", *array.shape)
     payload = header + array.tobytes()
-    if compress:
-        payload = gzip.compress(payload)
-        path = path.with_suffix(path.suffix + ".gz") if not str(path).endswith(".gz") else path
     tmp = path.with_name(path.name + ".tmp")
     tmp.write_bytes(payload)
     tmp.replace(path)
 
 
-def write_corpus(out_dir: str | Path, seed: int = 0, compress: bool = False) -> Path:
+def write_corpus(out_dir: str | Path, seed: int = 0) -> Path:
     """Write the four IDX files into out_dir; returns out_dir."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -124,8 +120,8 @@ def write_corpus(out_dir: str | Path, seed: int = 0, compress: bool = False) -> 
     train_images = _render(train_labels, bank, rng)
     test_images = _render(test_labels, bank, rng)
 
-    write_idx(out_dir / "train-images-idx3-ubyte", train_images, compress)
-    write_idx(out_dir / "train-labels-idx1-ubyte", train_labels, compress)
-    write_idx(out_dir / "t10k-images-idx3-ubyte", test_images, compress)
-    write_idx(out_dir / "t10k-labels-idx1-ubyte", test_labels, compress)
+    write_idx(out_dir / "train-images-idx3-ubyte", train_images)
+    write_idx(out_dir / "train-labels-idx1-ubyte", train_labels)
+    write_idx(out_dir / "t10k-images-idx3-ubyte", test_images)
+    write_idx(out_dir / "t10k-labels-idx1-ubyte", test_labels)
     return out_dir

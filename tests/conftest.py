@@ -48,7 +48,6 @@ def toy_splits(n_train=16, n_val=8, seed=7) -> DatasetSplits:
         train=Split(imgs[:n_train], labels[:n_train]),
         validation=Split(imgs[n_train:], labels[n_train:]),
         test=Split(imgs[n_train:], labels[n_train:]),
-        split_seed=0,
     )
 
 

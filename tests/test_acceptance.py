@@ -114,7 +114,7 @@ def test_criterion_3_experiment_1(exp1_model, exp1_recall, splits):
     """Single-batch PC overfits (val/train input-energy ratio > 1.5) and
     recalls its batch far better than an untrained baseline."""
     params, config = exp1_model
-    first = batch_order(len(splits.train), config.shuffle_seed, True)[: config.batch_size]
+    first = batch_order(len(splits.train), config.shuffle_seed)[: config.batch_size]
     from pcmem.data import Split
 
     batch_split = Split(splits.train.images[first], splits.train.labels[first])
@@ -172,7 +172,7 @@ def test_criterion_5_replay_contract(exp1_model, splits):
     representation is frozen and the input errors are gated."""
     t0 = time.perf_counter()
     params, config = exp1_model
-    first = batch_order(len(splits.train), config.shuffle_seed, True)[:8]
+    first = batch_order(len(splits.train), config.shuffle_seed)[:8]
     x = splits.train.images[first]
 
     rng = np.random.default_rng(0)

@@ -3,6 +3,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pcmem.checkpoint import (
     MAGIC,
@@ -79,6 +81,16 @@ class TestRoundTrip:
         assert ExperimentConfig.from_dict(manifest.config) == config
 
 
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """(directory, bytes) of a 25-8-2 checkpoint with Adam state."""
+    out = tmp_path_factory.mktemp("toy_checkpoint")
+    params, adam = small_adam(small_params(dims=(25, 8, 2)))
+    path = out / "model.pcn"
+    save_checkpoint(path, params, adam=adam, manifest=RunManifest(config=preset("exp1").to_dict()))
+    return out, path.read_bytes()
+
+
 class TestFormat:
     def test_magic_and_version_header(self, tmp_path):
         path = tmp_path / "model.pcn"
@@ -132,6 +144,21 @@ class TestFormat:
             cut.write_bytes(raw[:n])
             with pytest.raises(CheckpointError):
                 load_checkpoint(cut)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_byte_flip_loads_or_raises_checkpoint_error(self, toy_checkpoint, data):
+        out, raw = toy_checkpoint
+        offset = data.draw(st.integers(0, len(raw) - 1), label="offset")
+        flip = data.draw(st.integers(1, 255), label="xor")
+        damaged = bytearray(raw)
+        damaged[offset] ^= flip
+        path = out / "flipped.pcn"
+        path.write_bytes(bytes(damaged))
+        try:
+            load_checkpoint(path)
+        except CheckpointError:
+            pass
 
     def test_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "model.pcn"

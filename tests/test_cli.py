@@ -1,4 +1,5 @@
 import csv
+import gzip
 import json
 
 import numpy as np
@@ -49,18 +50,32 @@ class TestTrain:
     @pytest.mark.parametrize(
         "override, field",
         [({"mode": "pcx"}, "mode"), ({"val_every": 0}, "val_every"),
-         ({"max_epoch": 3}, "max_epoch"), ([1], "JSON object")],
+         ({"max_epoch": 3}, "max_epoch"), ([1], "JSON object"),
+         ({"beta": "x"}, "beta"), ({"alpha": -1}, "alpha"), ({"epsilon": float("nan")}, "epsilon"),
+         ({"dims": [784, 35]}, "dims"), ({"batch_size": True}, "batch_size")],
     )
-    def test_bad_config_fails_cleanly(self, corpus_dir, tmp_path, capsys, override, field):
+    def test_bad_config_fails_cleanly(self, tmp_path, capsys, override, field):
+        # the data directory does not exist: a config checked only after
+        # loading would report the missing data instead
         config = tmp_path / "config.json"
         config.write_text(json.dumps(override))
         rc = main([
-            "train", "--config", str(config), "--data-dir", str(corpus_dir),
+            "train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
             "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and field in err
+        assert err.startswith("error:") and field in err and "MNIST" not in err
+
+    def test_truncated_gzip_data_fails_cleanly(self, corpus_dir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        blob = gzip.compress((corpus_dir / "train-images-idx3-ubyte").read_bytes()[:4096])
+        (data_dir / "train-images-idx3-ubyte.gz").write_bytes(blob[: len(blob) // 2])
+        rc = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train-images-idx3-ubyte.gz" in err
 
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PCN_DATA_DIR", raising=False)

@@ -68,11 +68,36 @@ class TestConfig:
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     @pytest.mark.parametrize(
-        "name", ["batch_size", "n_iters", "max_epochs", "patience", "val_every", "eval_batch_size"]
+        "name", ["batch_size", "n_iters", "max_epochs", "patience", "val_every"]
     )
     def test_sizes_below_one_rejected(self, name):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig(mode="pc", beta=1e-3, scope="full", **{name: 0})
+
+    @pytest.mark.parametrize(
+        "override, name",
+        [({"batch_size": True}, "batch_size"), ({"n_iters": True}, "n_iters"),
+         ({"max_epochs": False}, "max_epochs"), ({"patience": True}, "patience"),
+         ({"val_every": True}, "val_every"), ({"n_iters": 2.0}, "n_iters"),
+         ({"beta": "x"}, "beta"), ({"beta": 0.0}, "beta"), ({"beta": -1e-4}, "beta"),
+         ({"beta": float("inf")}, "beta"), ({"beta": True}, "beta"),
+         ({"alpha": -1}, "alpha"), ({"alpha": float("nan")}, "alpha"), ({"alpha": None}, "alpha"),
+         ({"epsilon": float("nan")}, "epsilon"), ({"epsilon": -1e-5}, "epsilon"),
+         ({"epsilon": "1e-5"}, "epsilon"),
+         ({"dims": [784, 35]}, "dims"), ({"dims": [784, 35, 2, 1]}, "dims"),
+         ({"dims": [784, 0, 2]}, "dims"), ({"dims": [784, 35.0, 2]}, "dims"),
+         ({"dims": [784, True, 2]}, "dims"), ({"dims": 784}, "dims"), ({"dims": "abc"}, "dims")],
+    )
+    def test_bad_values_rejected(self, override, name):
+        with pytest.raises(ValueError, match=name):
+            ExperimentConfig.from_dict({"mode": "pc", "beta": 1e-3, "scope": "full", **override})
+
+    def test_edge_rates_accepted(self):
+        config = ExperimentConfig.from_dict(
+            {"mode": "pc", "beta": 1, "scope": "full", "alpha": 0, "epsilon": 0.0,
+             "dims": [25, 8, 2]}
+        )
+        assert config.dims == (25, 8, 2)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -90,7 +115,7 @@ class TestTrain:
         result = train(config, toy_data)
 
         params = init_params(TOY_DIMS, np.random.default_rng(config.weight_seed))
-        first = batch_order(len(toy_data.train), config.shuffle_seed, True)[:4]
+        first = batch_order(len(toy_data.train), config.shuffle_seed)[:4]
         x = toy_data.train.images[first]
         rng_l = np.random.default_rng(config.latent_seed)
         state = direct_descent(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
@@ -149,7 +174,7 @@ class TestTrain:
             batch_size=4, n_iters=2, max_epochs=50, epsilon=1e6, patience=3,
         )
         result = train(config, toy_data)
-        assert result.converged and result.stop_reason == "converged"
+        assert result.stop_reason == "converged"
         assert len(result.log.rows) == 3
 
     def test_unknown_scope_rejected(self):

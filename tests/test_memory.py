@@ -25,13 +25,13 @@ from pcmem.memory import (
     replay,
 )
 
-from conftest import TOY_DIMS, toy_patterns
+from conftest import toy_patterns
 
 
 def toy_mask():
     visible = np.zeros(25, dtype=bool)
     visible[:13] = True
-    return OcclusionMask(visible, tag="toy-top")
+    return OcclusionMask(visible)
 
 
 class TestOcclusionMask:
@@ -132,14 +132,6 @@ class TestReplay:
         replay(toy_trained, toy_patterns(2, seed=3))
         np.testing.assert_array_equal(toy_trained.theta1, theta1)
         np.testing.assert_array_equal(toy_trained.theta2, theta2)
-
-    def test_consolidate_updates_theta2_only(self, toy_data):
-        params = init_params(TOY_DIMS, np.random.default_rng(9))
-        theta1 = params.theta1.copy()
-        theta2 = params.theta2.copy()
-        replay(params, toy_data.train.images[:2], consolidate=True)
-        np.testing.assert_array_equal(params.theta1, theta1)
-        assert not np.array_equal(params.theta2, theta2)
 
     def test_regeneration_ignores_input(self, toy_trained):
         # the top-down phase takes no input: identical frozen states give
