@@ -16,7 +16,7 @@ from .core import (
     init_params,
     learning_gradients,
 )
-from .data import DatasetSplits, RawImageSet, Split, batches, build_splits, load_raw, parse_idx
+from .data import DatasetSplits, RawImageSet, Split, build_splits, load_raw, parse_idx
 from .experiments import (
     ExperimentConfig,
     TrainLog,

@@ -156,6 +156,10 @@ def load_checkpoint(
             m = read_matrix(rows, cols, f"adam m of {name}")
             v = read_matrix(rows, cols, f"adam v of {name}")
             (t,) = unpack("<Q", f"adam step of {name}")
+            if not np.all(np.isfinite(m)):
+                raise CheckpointError(f"non-finite adam m of {name}")
+            if not (np.all(np.isfinite(v)) and np.all(v >= 0)):
+                raise CheckpointError(f"non-finite or negative adam v of {name}")
             adam_raw.append((m, v, t))
 
     (mlen,) = unpack("<I", "manifest length")

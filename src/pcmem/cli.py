@@ -3,6 +3,10 @@
 Subcommands: train, reconstruct, replay, recall, export-weights,
 export-latents, gradcheck. Config precedence is CLI flags > --config file
 > preset defaults; the resolved config is frozen into the run manifest.
+`--seed` sets the config's one seed, which train uses for all four RNG
+streams (weights, latents, split, shuffle). The memory commands rebuild
+the splits with the checkpoint's seed, pick their batch or images with
+data.batch_order from their own `--seed`, and draw latents from it too.
 """
 
 from __future__ import annotations
@@ -68,44 +72,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_data(args):
-    from . import data as data_mod
+def _splits(args, split_seed: int):
+    from .data import build_splits, load_raw
 
     if args.data_dir is None:
         raise FileNotFoundError(
             f"no data directory: pass --data-dir or set ${DATA_DIR_ENV}"
         )
-    train_raw, test_raw = data_mod.load_raw(args.data_dir)
-    return train_raw, test_raw
-
-
-def _data_paths(data_dir: Path) -> list[Path]:
-    from .data import DEFAULT_FILENAMES
-
-    paths = []
-    for name in DEFAULT_FILENAMES.values():
-        for candidate in (data_dir / name, data_dir / (name + ".gz")):
-            if candidate.exists():
-                paths.append(candidate)
-                break
-    return paths
-
-
-def _splits_for(args, split_seed: int):
-    from .data import build_splits
-
-    train_raw, test_raw = _load_data(args)
-    return build_splits(train_raw, test_raw, split_seed=split_seed)
-
-
-def _load_model(args):
-    from .checkpoint import load_checkpoint
-
-    return load_checkpoint(args.checkpoint)
+    return build_splits(*load_raw(args.data_dir), split_seed=split_seed)
 
 
 def cmd_train(args) -> int:
     from .checkpoint import RunManifest, atomic_write, file_digests, save_checkpoint
+    from .data import DEFAULT_FILENAMES, data_file
     from .experiments import ExperimentConfig, preset, train
 
     cfg = preset(args.preset).to_dict()
@@ -114,8 +93,7 @@ def cmd_train(args) -> int:
         if not isinstance(overrides, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
         cfg.update(overrides)
-    for seed_field in ("weight_seed", "latent_seed", "split_seed", "shuffle_seed"):
-        cfg[seed_field] = args.seed
+    cfg["seed"] = args.seed
     if args.limit_train is not None:
         cfg["limit_train"] = args.limit_train
     if args.max_epochs is not None:
@@ -124,13 +102,14 @@ def cmd_train(args) -> int:
         cfg["beta"] = args.beta
     config = ExperimentConfig.from_dict(cfg)
 
-    splits = _splits_for(args, config.split_seed)
-    result = train(config, splits)
+    result = train(config, _splits(args, config.seed))
 
     args.out.mkdir(parents=True, exist_ok=True)
     manifest = RunManifest(
         config=config.to_dict(),
-        data_digests=file_digests(_data_paths(Path(args.data_dir))),
+        data_digests=file_digests(
+            [data_file(args.data_dir, name) for name in DEFAULT_FILENAMES.values()]
+        ),
     )
     save_checkpoint(args.out / "checkpoint.pcn", result.params,
                     adam=(result.adam1, result.adam2), manifest=manifest)
@@ -153,69 +132,61 @@ def _write_pair_grid(out_dir, name, left, right):
     write_pgm(out_dir / name, image_grid(interleaved, n_cols=2))
 
 
-def _write_metric_csv(path, header, rows):
-    import csv
-
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(header)
-        w.writerows(rows)
-    tmp.replace(path)
-
-
 def cmd_reconstruct(args) -> int:
     import numpy as np
 
-    from .data import batches
+    from .checkpoint import load_checkpoint
+    from .data import batch_order
+    from .experiments import write_csv
     from .memory import reconstruct
 
-    params, _, manifest = _load_model(args)
+    params, _, manifest = load_checkpoint(args.checkpoint)
     cfg = manifest.config
-    splits = _splits_for(args, int(cfg.get("split_seed", args.seed)))
+    splits = _splits(args, int(cfg.get("seed", args.seed)))
     split = splits.train if args.split == "train" else splits.test
-    x, _ = next(batches(split, int(cfg.get("batch_size", 64)), shuffle_seed=args.seed))
+    x = split.images[batch_order(len(split), args.seed)[: int(cfg.get("batch_size", 64))]]
     recon = reconstruct(params, x, iters=int(cfg.get("n_iters", 50)),
                         alpha=float(cfg.get("alpha", 0.01)), init_seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_pair_grid(args.out, f"reconstruct_{args.split}.pgm", x, recon)
     mse = np.mean((x - recon) ** 2, axis=1)
-    _write_metric_csv(args.out / f"reconstruct_{args.split}.csv",
-                      ["image", "mse"], list(enumerate(map(float, mse))))
+    write_csv(args.out / f"reconstruct_{args.split}.csv",
+              ["image", "mse"], enumerate(map(float, mse)))
     return 0
 
 
 def cmd_replay(args) -> int:
     import numpy as np
 
-    from .data import batches
+    from .checkpoint import load_checkpoint
+    from .data import batch_order
+    from .experiments import write_csv
     from .memory import replay
 
-    params, _, manifest = _load_model(args)
+    params, _, manifest = load_checkpoint(args.checkpoint)
     cfg = manifest.config
-    splits = _splits_for(args, int(cfg.get("split_seed", args.seed)))
-    x, _ = next(batches(splits.train, int(cfg.get("batch_size", 64)),
-                        shuffle_seed=args.seed))
+    split = _splits(args, int(cfg.get("seed", args.seed))).train
+    x = split.images[batch_order(len(split), args.seed)[: int(cfg.get("batch_size", 64))]]
     replayed = replay(params, x, alpha=float(cfg.get("alpha", 0.01)),
                       init_seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_pair_grid(args.out, "replay.pgm", x, replayed)
     mse = np.mean((x - replayed) ** 2, axis=1)
-    _write_metric_csv(args.out / "replay.csv",
-                      ["image", "mse"], list(enumerate(map(float, mse))))
+    write_csv(args.out / "replay.csv", ["image", "mse"], enumerate(map(float, mse)))
     return 0
 
 
 def cmd_recall(args) -> int:
     import numpy as np
 
-    from .experiments import run_recall_suite
+    from .checkpoint import load_checkpoint
+    from .experiments import run_recall_suite, write_csv
     from .images import image_grid, write_pgm
 
-    params, _, manifest = _load_model(args)
+    params, _, manifest = load_checkpoint(args.checkpoint)
     cfg = manifest.config
-    splits = _splits_for(args, int(cfg.get("split_seed", args.seed)))
-    suite = run_recall_suite(params, splits, seed=args.seed, shuffle_seed=args.seed,
+    splits = _splits(args, int(cfg.get("seed", args.seed)))
+    suite = run_recall_suite(params, splits, seed=args.seed,
                              alpha=float(cfg.get("alpha", 0.01)))
     args.out.mkdir(parents=True, exist_ok=True)
     n = suite.originals.shape[0]
@@ -224,8 +195,8 @@ def cmd_recall(args) -> int:
     columns[1::3] = suite.recalled
     columns[2::3] = suite.originals
     write_pgm(args.out / "recall.pgm", image_grid(columns, n_cols=3))
-    _write_metric_csv(args.out / "recall.csv", ["image", "masked_mse"],
-                      list(enumerate(map(float, suite.per_image_mse))))
+    write_csv(args.out / "recall.csv", ["image", "masked_mse"],
+              enumerate(map(float, suite.per_image_mse)))
     print(f"mean masked MSE: {suite.mean_mse:.6f}")
     return 0
 
@@ -233,9 +204,10 @@ def cmd_recall(args) -> int:
 def cmd_export_weights(args) -> int:
     import numpy as np
 
+    from .checkpoint import load_checkpoint
     from .images import image_grid, write_pgm
 
-    params, _, _ = _load_model(args)
+    params, _, _ = load_checkpoint(args.checkpoint)
     tiles = params.theta1.T  # one tile per hidden unit
     n_cols = int(np.ceil(np.sqrt(tiles.shape[0])))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -246,12 +218,14 @@ def cmd_export_weights(args) -> int:
 def cmd_export_latents(args) -> int:
     import numpy as np
 
+    from .checkpoint import load_checkpoint
     from .core import compute_errors
+    from .experiments import write_csv
     from .memory import infer_latents
 
-    params, _, manifest = _load_model(args)
+    params, _, manifest = load_checkpoint(args.checkpoint)
     cfg = manifest.config
-    splits = _splits_for(args, int(cfg.get("split_seed", args.seed)))
+    splits = _splits(args, int(cfg.get("seed", args.seed)))
     images = splits.test.images
     labels = splits.test.labels
     _, d2, d3 = params.dims
@@ -264,7 +238,7 @@ def cmd_export_latents(args) -> int:
     header = (["label"] + [f"phi3_{j}" for j in range(d3)]
               + [f"phi2_{j}" for j in range(d2)] + ["input_energy"])
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_metric_csv(args.out / "latents.csv", header, rows)
+    write_csv(args.out / "latents.csv", header, rows)
     return 0
 
 

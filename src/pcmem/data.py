@@ -1,10 +1,13 @@
-"""MNIST IDX parsing, two-digit filtering, splits and batching.
+"""MNIST IDX parsing, two-digit filtering, splits and example order.
 
-The pipeline filters standard MNIST down to digits 4 and 7, shuffles the
+The pipeline finds the four standard MNIST files (each plain or .gz) in a
+data directory, filters them down to digits 4 and 7, shuffles the
 filtered training subset with a seed and takes the first 10097 examples as
 the training set (the remaining 2010 become validation); the filtered test
 subset (2010 examples) is the test set. Pixels are scaled to [0, 1] and
-labels mapped 4 -> 0, 7 -> 1.
+labels mapped 4 -> 0, 7 -> 1. batch_order is the one seeded pick of
+examples: single-batch training takes its batch from it, and the memory
+commands and the recall suite take their images the same way.
 """
 
 from __future__ import annotations
@@ -87,28 +90,31 @@ class RawImageSet:
     labels: np.ndarray
 
     def __post_init__(self):
+        if self.images.ndim != 3 or self.labels.ndim != 1:
+            raise ValueError(
+                f"expected 3-D images and 1-D labels, got images of shape "
+                f"{self.images.shape} and labels of shape {self.labels.shape}"
+            )
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("image count != label count")
 
 
+def data_file(data_dir: str | Path, name: str) -> Path:
+    """The MNIST file `name` in data_dir: the plain file if present, else its .gz."""
+    for candidate in (Path(data_dir) / name, Path(data_dir) / (name + ".gz")):
+        if candidate.exists():
+            return candidate
+    raise FileNotFoundError(f"missing MNIST file: {Path(data_dir) / name}[.gz]")
+
+
 def load_raw(data_dir: str | Path) -> tuple[RawImageSet, RawImageSet]:
     """Load the four standard MNIST files (optionally .gz) from data_dir."""
-    data_dir = Path(data_dir)
 
-    def find(name: str) -> Path:
-        for candidate in (data_dir / name, data_dir / (name + ".gz")):
-            if candidate.exists():
-                return candidate
-        raise FileNotFoundError(f"missing MNIST file: {data_dir / name}[.gz]")
+    def load(key: str) -> np.ndarray:
+        return load_idx(data_file(data_dir, DEFAULT_FILENAMES[key]))
 
-    train = RawImageSet(
-        images=load_idx(find(DEFAULT_FILENAMES["train_images"])),
-        labels=load_idx(find(DEFAULT_FILENAMES["train_labels"])),
-    )
-    test = RawImageSet(
-        images=load_idx(find(DEFAULT_FILENAMES["test_images"])),
-        labels=load_idx(find(DEFAULT_FILENAMES["test_labels"])),
-    )
+    train = RawImageSet(images=load("train_images"), labels=load("train_labels"))
+    test = RawImageSet(images=load("test_images"), labels=load("test_labels"))
     return train, test
 
 
@@ -172,16 +178,3 @@ def build_splits(
 def batch_order(n: int, shuffle_seed: int) -> np.ndarray:
     """Epoch-wide example order: a seeded permutation of range(n)."""
     return np.random.default_rng(shuffle_seed).permutation(n)
-
-
-def batches(split: Split, batch_size: int = 64, shuffle_seed: int = 0):
-    """Yield (images, labels) batches covering every example exactly once.
-
-    Deterministic given the seed; the final batch may be smaller.
-    """
-    if len(split) == 0:
-        raise ValueError("empty split")
-    order = batch_order(len(split), shuffle_seed)
-    for start in range(0, len(order), batch_size):
-        idx = order[start : start + batch_size]
-        yield split.images[idx], split.labels[idx]

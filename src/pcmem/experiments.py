@@ -6,11 +6,16 @@ and Adam updates of both weight matrices from the current errors. They
 differ only in how often the weights move: PC updates them once, after
 all T iterations; iPC after every iteration, which keeps full-dataset
 training stable at the cost of T updates per batch.
+
+Evaluation settles a whole split through memory.infer_latents and reads
+its energies from compute_errors. write_csv is the one CSV writer, for
+the training log and the command-line metric files.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import math
 import numbers
 import time
@@ -20,10 +25,10 @@ from typing import Optional
 
 import numpy as np
 
+from .checkpoint import atomic_write
 from .core import (
     Activation,
     DivergenceError,
-    LatentState,
     ModelParams,
     compute_errors,
     descend_latents,
@@ -32,7 +37,7 @@ from .core import (
     learning_gradients,
 )
 from .data import DatasetSplits, Split, batch_order
-from .memory import OcclusionMask, recall
+from .memory import OcclusionMask, infer_latents, recall
 from .optim import AdamState, adam_step
 
 
@@ -48,10 +53,8 @@ class ExperimentConfig:
     batch_size: int = 64
     n_iters: int = 50
     alpha: float = 0.01
-    weight_seed: int = 0
-    latent_seed: int = 0
-    split_seed: int = 0
-    shuffle_seed: int = 0
+    # weight, latent, split and shuffle streams; each gets its own generator
+    seed: int = 0
     epsilon: float = 1e-5
     patience: int = 5
     max_epochs: int = 500
@@ -69,6 +72,9 @@ class ExperimentConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        limit = self.limit_train
+        if limit is not None and not (_is_int(limit) and limit >= 1):
+            raise ValueError(f"limit_train must be null or an integer >= 1, got {limit!r}")
         if not (isinstance(self.dims, tuple) and len(self.dims) == 3
                 and all(_is_int(d) and d >= 1 for d in self.dims)):
             raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
@@ -135,20 +141,23 @@ class TrainLog:
         return [r.train_energies for r in self.rows]
 
     def to_csv(self, path: str | Path) -> None:
-        path = Path(path)
-        tmp = path.with_name(path.name + ".tmp")
-        with open(tmp, "w", newline="") as f:
-            w = csv.writer(f)
-            w.writerow(
-                ["epoch", "train_e1", "train_e2", "train_e3",
-                 "val_e1", "val_e2", "val_e3", "seconds"]
-            )
-            for r in self.rows:
-                w.writerow(
-                    [r.epoch, *(repr(float(e)) for e in r.train_energies),
-                     *(repr(float(e)) for e in r.val_energies), f"{r.seconds:.3f}"]
-                )
-        tmp.replace(path)
+        write_csv(
+            path,
+            ["epoch", "train_e1", "train_e2", "train_e3",
+             "val_e1", "val_e2", "val_e3", "seconds"],
+            [[r.epoch, *(repr(float(e)) for e in r.train_energies),
+              *(repr(float(e)) for e in r.val_energies), f"{r.seconds:.3f}"]
+             for r in self.rows],
+        )
+
+
+def write_csv(path: str | Path, header: list, rows) -> None:
+    """Write one header row and the given rows as CSV, atomically."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    atomic_write(Path(path), buf.getvalue().encode("utf-8"))
 
 
 @dataclass
@@ -212,18 +221,18 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     Fresh seeded latents every batch; Adam state persists across the whole
     run (one state per weight matrix).
     """
-    rng_w = np.random.default_rng(config.weight_seed)
+    rng_w = np.random.default_rng(config.seed)
     params = init_params(config.dims, rng_w, config.activation)
     adam1 = AdamState.fresh(params.theta1.shape, config.beta)
     adam2 = AdamState.fresh(params.theta2.shape, config.beta)
-    rng_l = np.random.default_rng(config.latent_seed)
-    rng_s = np.random.default_rng(config.shuffle_seed)
+    rng_l = np.random.default_rng(config.seed)
+    rng_s = np.random.default_rng(config.seed)
 
     train_images = splits.train.images
     if config.limit_train is not None:
         train_images = train_images[: config.limit_train]
     if config.scope == "single-batch":
-        first = batch_order(len(splits.train), config.shuffle_seed)[: config.batch_size]
+        first = batch_order(len(splits.train), config.seed)[: config.batch_size]
         train_images = splits.train.images[first]
 
     log = TrainLog()
@@ -255,7 +264,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         )
         if epoch == 1 or stop or epoch % config.val_every == 0:
             last_val = evaluate_errors(
-                params, splits.validation, config.n_iters, config.alpha, config.latent_seed
+                params, splits.validation, config.n_iters, config.alpha, config.seed
             )
         log.rows.append(
             EpochStats(epoch, train_energies, last_val, time.perf_counter() - t0)
@@ -272,26 +281,11 @@ def evaluate_errors(
     n_iters: int = 50,
     alpha: float = 0.01,
     seed: int = 0,
-    batch_size: int = 1024,
 ) -> np.ndarray:
-    """Mean per-layer energies over a split after seeded inference.
-
-    Latent inits for all examples are drawn in one pass, so results are
-    batch-size invariant (up to float reduction order). Never updates
-    weights.
-    """
-    images = split.images
-    n = images.shape[0]
-    init = init_latents(params.dims, n, np.random.default_rng(seed))
-    totals = np.zeros(3)
-    for start in range(0, n, batch_size):
-        sl = slice(start, min(start + batch_size, n))
-        x = images[sl]
-        state = LatentState(phi2=init.phi2[sl], phi3=init.phi3[sl])
-        state = descend_latents(params, state, x, alpha, n_iters)
-        errors = compute_errors(params, state, x)
-        totals += errors.layer_energies * x.shape[0]
-    return totals / n
+    """Mean per-layer energies over a split after seeded inference
+    (memory.infer_latents on all rows at once). Never updates weights."""
+    state = infer_latents(params, split.images, n_iters, alpha, seed)
+    return compute_errors(params, state, split.images).layer_energies
 
 
 @dataclass
@@ -310,15 +304,15 @@ def run_recall_suite(
     n_images: int = 10,
     mask: Optional[OcclusionMask] = None,
     seed: int = 0,
-    shuffle_seed: int = 0,
     iters: int = 5000,
     alpha: float = 0.01,
 ) -> RecallSuiteResult:
     """Recall the first n images of the seeded training order through the
-    given mask; reports per-image and mean masked MSE."""
+    given mask; reports per-image and mean masked MSE. `seed` picks the
+    images and draws each recall's latent init."""
     if mask is None:
         mask = OcclusionMask.top_half()
-    idx = batch_order(len(splits.train), shuffle_seed)[:n_images]
+    idx = batch_order(len(splits.train), seed)[:n_images]
     originals = splits.train.images[idx]
     presented = np.where(mask.visible, originals, 0.0)
     recalled = np.empty_like(originals)

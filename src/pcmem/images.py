@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .checkpoint import atomic_write
+
 SEPARATOR = 2
 GUTTER_VALUE = 128
 
@@ -46,11 +48,7 @@ def write_pgm(path: str | Path, raster: np.ndarray) -> None:
     if raster.ndim != 2 or raster.dtype != np.uint8:
         raise ValueError("raster must be a 2-D uint8 array")
     h, w = raster.shape
-    payload = f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes()
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
+    atomic_write(Path(path), f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
 
 
 def read_pgm(path: str | Path) -> np.ndarray:

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 from scipy import ndimage
 
+from .checkpoint import atomic_write
+
 # Stroke skeletons as ((row0, col0), (row1, col1)) segments on a 28x28 grid.
 # Margins of >= 4 px keep shifted strokes away from the border.
 _SEGMENTS: dict[int, list[tuple[tuple[int, int], tuple[int, int]]]] = {
@@ -102,10 +104,7 @@ def _render(labels: np.ndarray, bank: np.ndarray, rng) -> np.ndarray:
 def write_idx(path: Path, array: np.ndarray) -> None:
     header = struct.pack(">BBBB", 0, 0, 0x08, array.ndim)
     header += struct.pack(f">{array.ndim}I", *array.shape)
-    payload = header + array.tobytes()
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
-    tmp.replace(path)
+    atomic_write(path, header + array.tobytes())
 
 
 def write_corpus(out_dir: str | Path, seed: int = 0) -> Path:

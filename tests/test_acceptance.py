@@ -81,7 +81,7 @@ def exp2_result(splits):
 @pytest.fixture(scope="session")
 def exp1_recall(exp1_model, splits):
     params, config = exp1_model
-    return run_recall_suite(params, splits, n_images=10, seed=0, shuffle_seed=0)
+    return run_recall_suite(params, splits, n_images=10, seed=0)
 
 
 def test_criterion_1_gradient_oracle():
@@ -114,18 +114,18 @@ def test_criterion_3_experiment_1(exp1_model, exp1_recall, splits):
     """Single-batch PC overfits (val/train input-energy ratio > 1.5) and
     recalls its batch far better than an untrained baseline."""
     params, config = exp1_model
-    first = batch_order(len(splits.train), config.shuffle_seed)[: config.batch_size]
+    first = batch_order(len(splits.train), config.seed)[: config.batch_size]
     from pcmem.data import Split
 
     batch_split = Split(splits.train.images[first], splits.train.labels[first])
-    train_e = evaluate_errors(params, batch_split, config.n_iters, config.alpha, config.latent_seed)
-    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.alpha, config.latent_seed)
+    train_e = evaluate_errors(params, batch_split, config.n_iters, config.alpha, config.seed)
+    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.alpha, config.seed)
     ratio = val_e[0] / train_e[0]
     print(f"criterion 3a: val/train input-energy ratio {ratio:.3f}")
     assert ratio > 1.5
 
-    untrained = init_params(config.dims, np.random.default_rng(config.weight_seed))
-    baseline = run_recall_suite(untrained, splits, n_images=10, seed=0, shuffle_seed=0)
+    untrained = init_params(config.dims, np.random.default_rng(config.seed))
+    baseline = run_recall_suite(untrained, splits, n_images=10, seed=0)
     print(
         f"criterion 3b: recall MSE trained {exp1_recall.mean_mse:.5f} "
         f"untrained {baseline.mean_mse:.5f}"
@@ -144,8 +144,8 @@ def test_criterion_4_experiment_2(exp2_result, exp1_recall, splits):
         splits.train.images[: config.limit_train],
         splits.train.labels[: config.limit_train],
     )
-    train_e = evaluate_errors(params, train_subset, config.n_iters, config.alpha, config.latent_seed)
-    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.alpha, config.latent_seed)
+    train_e = evaluate_errors(params, train_subset, config.n_iters, config.alpha, config.seed)
+    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.alpha, config.seed)
     ratio = val_e[0] / train_e[0]
     print(f"criterion 4a: val/train input-energy ratio {ratio:.3f}")
     assert abs(ratio - 1.0) < 0.10
@@ -159,7 +159,7 @@ def test_criterion_4_experiment_2(exp2_result, exp1_recall, splits):
     print(f"criterion 4b: reconstruction MSE train {mse_train:.5f} test {mse_test:.5f}")
     assert abs(mse_test / mse_train - 1.0) < 0.25
 
-    suite = run_recall_suite(params, splits, n_images=10, seed=0, shuffle_seed=0)
+    suite = run_recall_suite(params, splits, n_images=10, seed=0)
     print(
         f"criterion 4c: recall MSE semantic {suite.mean_mse:.5f} "
         f"episodic {exp1_recall.mean_mse:.5f}"
@@ -172,7 +172,7 @@ def test_criterion_5_replay_contract(exp1_model, splits):
     representation is frozen and the input errors are gated."""
     t0 = time.perf_counter()
     params, config = exp1_model
-    first = batch_order(len(splits.train), config.shuffle_seed)[:8]
+    first = batch_order(len(splits.train), config.seed)[:8]
     x = splits.train.images[first]
 
     rng = np.random.default_rng(0)
@@ -257,7 +257,7 @@ def test_criterion_9_latent_separability(exp1_model, splits):
     params, config = exp1_model
     x = splits.test.images
     labels = splits.test.labels.astype(bool)
-    rng = np.random.default_rng(config.latent_seed)
+    rng = np.random.default_rng(config.seed)
     state = init_latents(params.dims, x.shape[0], rng)
     phi3 = direct_descent(params, state, x, config.alpha, config.n_iters).phi3
     m0, m1 = phi3[~labels].mean(axis=0), phi3[labels].mean(axis=0)

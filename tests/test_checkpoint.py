@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,9 +188,45 @@ class TestFormat:
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("matrix", [0, 1], ids=["theta1", "theta2"])
+    @pytest.mark.parametrize("moment, value", [("m", float("nan")), ("v", -1.0)])
+    def test_bad_adam_moments_rejected(self, tmp_path, matrix, moment, value):
+        params, adam = small_adam(small_params())
+        bad = getattr(adam[matrix], moment).copy()
+        bad[0, 0] = value
+        adam = list(adam)
+        adam[matrix] = replace(adam[matrix], **{moment: bad})
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, params, adam=tuple(adam))
+        with pytest.raises(CheckpointError, match=f"adam {moment} of theta{matrix + 1}"):
+            load_checkpoint(path)
+
     def test_no_leftover_tmp_file(self, tmp_path):
         path = tmp_path / "model.pcn"
         save_checkpoint(path, small_params())
+        assert list(tmp_path.iterdir()) == [path]
+
+
+class TestAtomicWriters:
+    @pytest.mark.parametrize("writer", ["pgm", "idx", "csv", "trainlog"])
+    def test_no_leftover_tmp_file(self, tmp_path, writer):
+        from pcmem.experiments import EpochStats, TrainLog, write_csv
+        from pcmem.images import read_pgm, write_pgm
+        from pcmem.synthetic import write_idx
+
+        path = tmp_path / "out"
+        if writer == "pgm":
+            write_pgm(path, np.arange(6, dtype=np.uint8).reshape(2, 3))
+            assert read_pgm(path).shape == (2, 3)
+        elif writer == "idx":
+            write_idx(path, np.arange(6, dtype=np.uint8).reshape(2, 3))
+            assert path.read_bytes()[3] == 2  # two dimensions
+        elif writer == "csv":
+            write_csv(path, ["a", "b"], [(1, 2.5)])
+            assert path.read_bytes() == b"a,b\r\n1,2.5\r\n"
+        else:
+            TrainLog([EpochStats(1, np.ones(3), np.zeros(3), 0.5)]).to_csv(path)
+            assert path.read_text().splitlines()[1] == "1,1.0,1.0,1.0,0.0,0.0,0.0,0.500"
         assert list(tmp_path.iterdir()) == [path]
 
 

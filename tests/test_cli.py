@@ -7,7 +7,10 @@ import pytest
 
 from pcmem.checkpoint import load_checkpoint
 from pcmem.cli import main
+from pcmem.data import batch_order, build_splits, load_raw
 from pcmem.images import read_pgm
+from pcmem.memory import reconstruct, replay
+from pcmem.synthetic import write_idx
 
 
 @pytest.fixture(scope="module")
@@ -52,7 +55,9 @@ class TestTrain:
         [({"mode": "pcx"}, "mode"), ({"val_every": 0}, "val_every"),
          ({"max_epoch": 3}, "max_epoch"), ([1], "JSON object"),
          ({"beta": "x"}, "beta"), ({"alpha": -1}, "alpha"), ({"epsilon": float("nan")}, "epsilon"),
-         ({"dims": [784, 35]}, "dims"), ({"batch_size": True}, "batch_size")],
+         ({"dims": [784, 35]}, "dims"), ({"batch_size": True}, "batch_size"),
+         ({"limit_train": "x"}, "limit_train"), ({"limit_train": 0}, "limit_train"),
+         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train")],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, capsys, override, field):
         # the data directory does not exist: a config checked only after
@@ -76,6 +81,17 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "train-images-idx3-ubyte.gz" in err
+
+    def test_one_dimensional_images_fail_cleanly(self, corpus_dir, tmp_path, capsys):
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        for f in corpus_dir.iterdir():
+            (data_dir / f.name).write_bytes(f.read_bytes())
+        write_idx(data_dir / "train-images-idx3-ubyte", np.zeros(10, dtype=np.uint8))
+        rc = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "x")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "(10,)" in err and "(60000,)" in err
 
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PCN_DATA_DIR", raising=False)
@@ -112,6 +128,29 @@ class TestReplay:
         assert (out / "replay.pgm").exists()
         with open(out / "replay.csv") as f:
             assert len(list(csv.DictReader(f))) == 64
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "replay"])
+def test_mse_column_matches_api_on_batch_order_rows(trained_run, corpus_dir, tmp_path, command):
+    """The CLI takes the checkpoint's split seed and the first batch_size rows
+    of batch_order(--seed); its MSE column equals the API call on those rows."""
+    out = tmp_path / command
+    rc = main([
+        command, "--checkpoint", str(trained_run / "checkpoint.pcn"),
+        "--data-dir", str(corpus_dir), "--out", str(out), "--seed", "3",
+    ])
+    assert rc == 0
+    params, _, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
+    split = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"]).train
+    x = split.images[batch_order(len(split), 3)[:64]]
+    if command == "reconstruct":
+        expected = reconstruct(params, x, iters=50, alpha=0.01, init_seed=3)
+    else:
+        expected = replay(params, x, alpha=0.01, init_seed=3)
+    name = "reconstruct_train.csv" if command == "reconstruct" else "replay.csv"
+    with open(out / name) as f:
+        mse = [float(r["mse"]) for r in csv.DictReader(f)]
+    assert mse == list(np.mean((x - expected) ** 2, axis=1))
 
 
 class TestRecall:

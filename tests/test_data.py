@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -9,8 +10,7 @@ from hypothesis import strategies as st
 from pcmem.data import (
     IdxFormatError,
     RawImageSet,
-    Split,
-    batches,
+    batch_order,
     build_splits,
     load_idx,
     parse_idx,
@@ -140,6 +140,18 @@ class TestBuildSplits:
         order_c = np.lexsort(combined.T)
         np.testing.assert_allclose(filtered[order], combined[order_c])
 
+    @pytest.mark.parametrize(
+        "images, labels",
+        [(np.zeros(10, np.uint8), np.zeros(10, np.uint8)),
+         (np.zeros((10, 784), np.uint8), np.zeros(10, np.uint8)),
+         (np.zeros((10, 28, 28), np.uint8), np.zeros((10, 1), np.uint8))],
+        ids=["1-d images", "2-d images", "2-d labels"],
+    )
+    def test_bad_raw_shapes_rejected(self, images, labels):
+        shapes = f"{re.escape(str(images.shape))}.*{re.escape(str(labels.shape))}"
+        with pytest.raises(ValueError, match=shapes):
+            RawImageSet(images, labels)
+
     def test_wrong_counts_rejected(self):
         rng = np.random.default_rng(0)
         imgs = rng.integers(0, 256, size=(100, 28, 28), dtype=np.uint8)
@@ -150,29 +162,13 @@ class TestBuildSplits:
 
 
 class TestBatches:
-    @staticmethod
-    def split_of(n):
-        return Split(np.arange(n, dtype=np.float64)[:, None] / n, np.zeros(n, dtype=np.uint8))
-
-    def test_batch_sizes(self):
-        sizes = [x.shape[0] for x, _ in batches(self.split_of(130), 64)]
-        assert sizes == [64, 64, 2]
-
     def test_deterministic_given_seed(self):
-        a = [x for x, _ in batches(self.split_of(50), 16, shuffle_seed=5)]
-        b = [x for x, _ in batches(self.split_of(50), 16, shuffle_seed=5)]
-        for xa, xb in zip(a, b):
-            np.testing.assert_array_equal(xa, xb)
+        np.testing.assert_array_equal(batch_order(50, 5), batch_order(50, 5))
+        assert not np.array_equal(batch_order(50, 5), batch_order(50, 6))
 
     @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(1, 300), bs=st.integers(1, 80), seed=st.integers(0, 10))
-    def test_epoch_covers_every_example_once(self, n, bs, seed):
-        split = self.split_of(n)
-        seen = np.concatenate(
-            [np.rint(x[:, 0] * n) for x, _ in batches(split, bs, shuffle_seed=seed)]
-        )
-        assert sorted(seen.astype(int)) == list(range(n))
-
-    def test_empty_split_rejected(self):
-        with pytest.raises(ValueError):
-            next(batches(Split(np.empty((0, 1)), np.empty(0)), 4))
+    @given(n=st.integers(0, 300), seed=st.integers(0, 10))
+    def test_epoch_covers_every_example_once(self, n, seed):
+        order = batch_order(n, seed)
+        assert order.shape == (n,)
+        assert sorted(order.tolist()) == list(range(n))

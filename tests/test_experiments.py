@@ -19,6 +19,7 @@ from pcmem.experiments import (
     run_recall_suite,
     train,
 )
+from pcmem.memory import infer_latents
 from pcmem.optim import AdamState, adam_step
 
 from conftest import TOY_DIMS, direct_descent
@@ -86,7 +87,9 @@ class TestConfig:
          ({"epsilon": "1e-5"}, "epsilon"),
          ({"dims": [784, 35]}, "dims"), ({"dims": [784, 35, 2, 1]}, "dims"),
          ({"dims": [784, 0, 2]}, "dims"), ({"dims": [784, 35.0, 2]}, "dims"),
-         ({"dims": [784, True, 2]}, "dims"), ({"dims": 784}, "dims"), ({"dims": "abc"}, "dims")],
+         ({"dims": [784, True, 2]}, "dims"), ({"dims": 784}, "dims"), ({"dims": "abc"}, "dims"),
+         ({"limit_train": "x"}, "limit_train"), ({"limit_train": 0}, "limit_train"),
+         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train")],
     )
     def test_bad_values_rejected(self, override, name):
         with pytest.raises(ValueError, match=name):
@@ -114,10 +117,10 @@ class TestTrain:
         )
         result = train(config, toy_data)
 
-        params = init_params(TOY_DIMS, np.random.default_rng(config.weight_seed))
-        first = batch_order(len(toy_data.train), config.shuffle_seed)[:4]
+        params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
+        first = batch_order(len(toy_data.train), config.seed)[:4]
         x = toy_data.train.images[first]
-        rng_l = np.random.default_rng(config.latent_seed)
+        rng_l = np.random.default_rng(config.seed)
         state = direct_descent(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
@@ -204,10 +207,13 @@ class TestTrain:
 
 
 class TestEvaluateErrors:
-    def test_batch_size_invariant(self, toy_trained, toy_data):
-        full = evaluate_errors(toy_trained, toy_data.validation, n_iters=10, batch_size=1024)
-        tiny = evaluate_errors(toy_trained, toy_data.validation, n_iters=10, batch_size=3)
-        np.testing.assert_allclose(full, tiny, rtol=1e-10)
+    def test_equals_compute_errors_on_infer_latents(self, toy_trained, toy_data):
+        split = toy_data.validation
+        state = infer_latents(toy_trained, split.images, iters=10, alpha=0.02, init_seed=5)
+        expected = compute_errors(toy_trained, state, split.images).layer_energies
+        np.testing.assert_array_equal(
+            evaluate_errors(toy_trained, split, n_iters=10, alpha=0.02, seed=5), expected
+        )
 
     def test_matches_per_example_loop(self, toy_trained, toy_data):
         split = toy_data.validation
