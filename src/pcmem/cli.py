@@ -195,8 +195,9 @@ def cmd_recall(args) -> int:
     columns[1::3] = suite.recalled
     columns[2::3] = suite.originals
     write_pgm(args.out / "recall.pgm", image_grid(columns, n_cols=3))
-    write_csv(args.out / "recall.csv", ["image", "masked_mse"],
-              enumerate(map(float, suite.per_image_mse)))
+    write_csv(args.out / "recall.csv", ["image", "masked_mse", "iterations", "converged"],
+              zip(range(n), map(float, suite.per_image_mse), map(int, suite.iterations),
+                  map(bool, suite.converged)))
     print(f"mean masked MSE: {suite.mean_mse:.6f}")
     return 0
 

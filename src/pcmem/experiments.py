@@ -232,8 +232,8 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     if config.limit_train is not None:
         train_images = train_images[: config.limit_train]
     if config.scope == "single-batch":
-        first = batch_order(len(splits.train), config.seed)[: config.batch_size]
-        train_images = splits.train.images[first]
+        first = batch_order(len(train_images), config.seed)[: config.batch_size]
+        train_images = train_images[first]
 
     log = TrainLog()
     reason = "max_epochs"
@@ -295,7 +295,9 @@ class RecallSuiteResult:
     presented: np.ndarray
     recalled: np.ndarray
     originals: np.ndarray
-    iterations: list[int]
+    iterations: np.ndarray
+    converged: np.ndarray
+    last_delta: np.ndarray
 
 
 def run_recall_suite(
@@ -308,26 +310,21 @@ def run_recall_suite(
     alpha: float = 0.01,
 ) -> RecallSuiteResult:
     """Recall the first n images of the seeded training order through the
-    given mask; reports per-image and mean masked MSE. `seed` picks the
-    images and draws each recall's latent init."""
+    given mask, all in one batch; reports per-image and mean masked MSE and
+    each image's iteration count, convergence and last change. `seed`
+    picks the images and draws the latent init every image starts from."""
     if mask is None:
         mask = OcclusionMask.top_half()
     idx = batch_order(len(splits.train), seed)[:n_images]
     originals = splits.train.images[idx]
-    presented = np.where(mask.visible, originals, 0.0)
-    recalled = np.empty_like(originals)
-    mses = np.empty(n_images)
-    iterations = []
-    for k in range(n_images):
-        result = recall(params, originals[k], mask, iters=iters, alpha=alpha, init_seed=seed)
-        recalled[k] = result.images[0]
-        mses[k] = result.masked_mse[0]
-        iterations.append(result.iterations)
+    result = recall(params, originals, mask, iters=iters, alpha=alpha, init_seed=seed)
     return RecallSuiteResult(
-        per_image_mse=mses,
-        mean_mse=float(mses.mean()),
-        presented=presented,
-        recalled=recalled,
+        per_image_mse=result.masked_mse,
+        mean_mse=float(result.masked_mse.mean()),
+        presented=np.where(mask.visible, originals, 0.0),
+        recalled=result.images,
         originals=originals,
-        iterations=iterations,
+        iterations=result.iterations,
+        converged=result.converged,
+        last_delta=result.last_delta,
     )

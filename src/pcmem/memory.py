@@ -6,14 +6,15 @@ Replay then regenerates the input from its frozen top-level representation
 with the input-error pathway gated off; that gated descent has a closed
 form, which regenerate returns directly. None of these procedures changes
 the weights. Recall clamps the known pixels and runs joint gradient descent
-on the hidden pixels and both latent levels, directly on compute_errors
-and inference_gradients.
+on the hidden pixels and both latent levels. The hidden pixels stay a
+linear image r theta1_h^T of a running average r of phi2, so recall
+iterates in the latent space alone, on the whole batch at once, and each
+row stops on its own tolerance; the pixels are formed once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -25,7 +26,6 @@ from .core import (
     compute_errors,
     descend_latents,
     free_energy,
-    inference_gradients,
     init_latents,
 )
 
@@ -60,20 +60,28 @@ class OcclusionMask:
 
 @dataclass
 class MemoryTaskResult:
+    """Per-row recall outputs. last_delta is the inf-norm change of phi1 in
+    a row's last iteration (NaN if it took none); converged says whether
+    that change fell below RECALL_PHI1_TOL; final_free_energy is the batch
+    mean."""
+
     images: np.ndarray
-    iterations: int
+    iterations: np.ndarray
+    converged: np.ndarray
+    last_delta: np.ndarray
     final_free_energy: float
-    masked_mse: Optional[np.ndarray] = None
+    masked_mse: np.ndarray
 
 
-def masked_mse(a: np.ndarray, b: np.ndarray, mask: OcclusionMask) -> float:
-    """Mean squared difference over the hidden pixels only."""
+def masked_mse(a: np.ndarray, b: np.ndarray, mask: OcclusionMask) -> float | np.ndarray:
+    """Mean squared difference over the hidden pixels only: a float for
+    two images, one value per row for two batches."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
     d = a[..., mask.hidden] - b[..., mask.hidden]
-    return float(np.mean(d * d))
+    return np.mean(d * d, axis=-1)
 
 
 def infer_latents(
@@ -161,12 +169,27 @@ def recall(
     alpha: float = 0.01,
     init_seed: int = 0,
 ) -> MemoryTaskResult:
-    """Pattern-complete the hidden pixels of a partially presented image.
+    """Pattern-complete the hidden pixels of a batch of partially presented
+    images.
 
-    phi1 starts at the corrupted input (hidden pixels zeroed); each
-    iteration jointly descends phi1 (hidden coordinates only), phi2 and
-    phi3. Stops after `iters` iterations or when the inf-norm change of
-    phi1 drops below RECALL_PHI1_TOL. Visible pixels are clamped bit-exactly.
+    Each row's phi1 starts at its corrupted input (hidden pixels zeroed);
+    each iteration jointly descends the hidden pixels h along xi1, phi2 and
+    phi3. Every row starts from the same latent draw,
+    init_latents(dims, 1, default_rng(init_seed)), so a row's result does
+    not depend on its batch. A row stops after `iters` iterations or once
+    its inf-norm change of phi1 drops below RECALL_PHI1_TOL; stopped rows
+    are frozen while the others go on. Visible pixels are clamped
+    bit-exactly.
+
+    The loop runs in the d2-dimensional latent space. h starts at 0 and
+    steps h <- (1 - alpha) h + alpha phi2 theta1_h^T, so h = r theta1_h^T
+    with r <- (1 - alpha) r + alpha phi2 from r = 0, and the input term of
+    d_phi2 is xi1 theta1 = v theta1_v + r G_h - phi2 G, with
+    G = theta1^T theta1 and G_h = theta1_h^T theta1_h formed once per call.
+    The stop value is alpha * |(r - phi2) theta1_h^T|_inf per row. h is
+    formed once, at the end, and the final free energy comes from
+    compute_errors on the assembled phi1. Raises DivergenceError, naming
+    the recall iteration, on non-finite latents or stop values.
     """
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     n, d1 = target.shape
@@ -175,34 +198,57 @@ def recall(
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
 
-    phi1 = np.where(mask.visible, target, 0.0)
-    rng = np.random.default_rng(init_seed)
-    state = init_latents(params.dims, n, rng)
+    theta1, theta2 = params.theta1, params.theta2
+    theta1_h = theta1[mask.hidden]
+    gram = theta1.T @ theta1
+    gram_h = theta1_h.T @ theta1_h
+    drive = np.where(mask.visible, target, 0.0) @ theta1  # v theta1_v
+    init = init_latents(params.dims, 1, np.random.default_rng(init_seed))
+    # per-row results; a row is written once, when it stops
+    phi2 = np.repeat(init.phi2, n, axis=0)
+    phi3 = np.repeat(init.phi3, n, axis=0)
+    r = np.zeros_like(phi2)
+    iterations = np.zeros(n, dtype=np.int64)
+    last_delta = np.full(n, np.nan)
 
-    # the errors of each new state serve its divergence check, the next
-    # step and, after the last step, the final free energy
-    errors = compute_errors(params, state, phi1)
-    _, mean_f = free_energy(errors)
-    used = 0
+    # the rows still iterating, with their working copies
+    active = np.arange(n)
+    p2, p3, ra, drive_a = phi2, phi3, r, drive
     for i in range(iters):
-        d_phi2, d_phi3 = inference_gradients(params, state, errors)
-        state = LatentState(phi2=state.phi2 - alpha * d_phi2, phi3=state.phi3 - alpha * d_phi3)
-        # dF/dphi1 = xi1; only the hidden pixels move
-        new_phi1 = np.where(mask.hidden, phi1 - alpha * errors.xi1, phi1)
-        delta = np.max(np.abs(new_phi1 - phi1))
-        phi1 = new_phi1
-        used = i + 1
-        errors = compute_errors(params, state, phi1)
-        _, mean_f = free_energy(errors)
-        if not np.isfinite(mean_f):
-            raise DivergenceError(f"non-finite free energy at recall iteration {used}")
-        if delta < RECALL_PHI1_TOL:
-            break
+        pred2, fprime2 = activation_eval(params.activation, p3 @ theta2.T)
+        xi2 = p2 - pred2
+        delta = alpha * np.max(np.abs((ra - p2) @ theta1_h.T), axis=1)
+        d_phi2 = xi2 - drive_a - ra @ gram_h + p2 @ gram
+        d_phi3 = p3 - (xi2 * fprime2) @ theta2
+        ra = (1.0 - alpha) * ra + alpha * p2
+        p2 = p2 - alpha * d_phi2
+        p3 = p3 - alpha * d_phi3
+        if not (np.all(np.isfinite(p2)) and np.all(np.isfinite(p3))
+                and np.all(np.isfinite(ra)) and np.all(np.isfinite(delta))):
+            raise DivergenceError(f"non-finite latents or stop value at recall iteration {i + 1}")
+        stop = (delta < RECALL_PHI1_TOL) | (i + 1 == iters)
+        if stop.any():
+            rows = active[stop]
+            phi2[rows], phi3[rows], r[rows] = p2[stop], p3[stop], ra[stop]
+            iterations[rows] = i + 1
+            last_delta[rows] = delta[stop]
+            keep = ~stop
+            if not keep.any():
+                break
+            active, p2, p3, ra, drive_a = active[keep], p2[keep], p3[keep], ra[keep], drive_a[keep]
 
-    mses = np.array([masked_mse(phi1[k], target[k], mask) for k in range(n)])
+    images = target.copy()
+    images[:, mask.hidden] = r @ theta1_h.T
+    _, mean_f = free_energy(compute_errors(params, LatentState(phi2, phi3), images))
+    if not np.isfinite(mean_f):
+        raise DivergenceError(
+            f"non-finite free energy after recall iteration {int(iterations.max(initial=0))}"
+        )
     return MemoryTaskResult(
-        images=phi1,
-        iterations=used,
+        images=images,
+        iterations=iterations,
+        converged=last_delta < RECALL_PHI1_TOL,
+        last_delta=last_delta,
         final_free_energy=mean_f,
-        masked_mse=mses,
+        masked_mse=masked_mse(images, target, mask),
     )

@@ -8,6 +8,7 @@ import pytest
 from pcmem.checkpoint import load_checkpoint
 from pcmem.cli import main
 from pcmem.data import batch_order, build_splits, load_raw
+from pcmem.experiments import run_recall_suite
 from pcmem.images import read_pgm
 from pcmem.memory import reconstruct, replay
 from pcmem.synthetic import write_idx
@@ -168,6 +169,12 @@ class TestRecall:
         with open(out / "recall.csv") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 10
+        params, _, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
+        splits = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"])
+        suite = run_recall_suite(params, splits, seed=0, alpha=0.01)
+        assert [int(r["iterations"]) for r in rows] == list(suite.iterations)
+        assert [r["converged"] for r in rows] == [str(c) for c in suite.converged]
+        assert [float(r["masked_mse"]) for r in rows] == list(suite.per_image_mse)
 
 
 class TestExports:

@@ -170,6 +170,34 @@ class TestTrain:
         assert result.stop_reason == "max_epochs"
         assert len(result.log.rows) == 2
 
+    def test_single_batch_limit_below_batch_size_trains_on_capped_rows(self, toy_data):
+        """With limit_train=3 < batch_size the single batch is the three
+        capped images in their seeded order, nothing else."""
+        config = ExperimentConfig(
+            mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
+            batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0, limit_train=3,
+        )
+        result = train(config, toy_data)
+
+        params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
+        x = toy_data.train.images[:3][batch_order(3, config.seed)]
+        rng_l = np.random.default_rng(config.seed)
+        state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, 0.01, 5)
+        errors = compute_errors(params, state, x)
+        d_theta1, _ = learning_gradients(params, state, errors)
+        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape, 1e-3))
+        np.testing.assert_array_equal(result.params.theta1, theta1)
+        np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
+
+    @pytest.mark.parametrize("limit", [16, 100])
+    def test_single_batch_limit_at_or_above_train_size_changes_nothing(self, toy_data, limit):
+        base = dict(mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
+                    batch_size=4, n_iters=3, max_epochs=2, epsilon=0.0)
+        capped = train(ExperimentConfig(limit_train=limit, **base), toy_data)
+        uncapped = train(ExperimentConfig(**base), toy_data)
+        assert capped.params.theta1.tobytes() == uncapped.params.theta1.tobytes()
+        assert capped.params.theta2.tobytes() == uncapped.params.theta2.tobytes()
+
     def test_convergence_stops_early(self, toy_data):
         # huge epsilon: any history is "stable" once patience epochs exist
         config = ExperimentConfig(
@@ -271,3 +299,20 @@ class TestRecallSuite:
         np.testing.assert_array_equal(
             suite.presented[:, visible], suite.originals[:, visible]
         )
+
+    def test_one_batch_recall(self, toy_trained, toy_data):
+        """The suite is one recall call on its images, with per-image
+        telemetry passed through."""
+        from pcmem.memory import OcclusionMask, recall
+
+        visible = np.zeros(25, dtype=bool)
+        visible[:13] = True
+        mask = OcclusionMask(visible)
+        suite = run_recall_suite(toy_trained, toy_data, n_images=4, mask=mask, seed=2, iters=50)
+        idx = batch_order(len(toy_data.train), 2)[:4]
+        result = recall(toy_trained, toy_data.train.images[idx], mask, iters=50, init_seed=2)
+        np.testing.assert_array_equal(suite.recalled, result.images)
+        np.testing.assert_array_equal(suite.per_image_mse, result.masked_mse)
+        np.testing.assert_array_equal(suite.iterations, result.iterations)
+        np.testing.assert_array_equal(suite.converged, result.converged)
+        np.testing.assert_array_equal(suite.last_delta, result.last_delta)

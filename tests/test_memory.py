@@ -13,6 +13,7 @@ from pcmem.core import (
     init_params,
 )
 from pcmem.memory import (
+    RECALL_PHI1_TOL,
     REPLAY_REL_TOL,
     REPLAY_XI2_TOL,
     DivergenceError,
@@ -65,6 +66,14 @@ class TestMaskedMse:
         hidden = np.flatnonzero(mask.hidden)
         expected = sum((a[i] - b[i]) ** 2 for i in hidden) / len(hidden)
         assert masked_mse(a, b, mask) == pytest.approx(expected, rel=1e-15)
+
+    def test_batch_gives_one_value_per_row(self):
+        rng = np.random.default_rng(2)
+        a, b = rng.uniform(0, 1, (3, 25)), rng.uniform(0, 1, (3, 25))
+        mask = toy_mask()
+        np.testing.assert_array_equal(
+            masked_mse(a, b, mask), [masked_mse(a[k], b[k], mask) for k in range(3)]
+        )
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -170,6 +179,25 @@ class TestReplay:
         )
 
 
+def direct_recall(params, target, mask, iters, alpha=0.01, init_seed=0):
+    """Reference: the direct-form recall of one image from the n=1 seeded
+    init, compute_errors and inference_gradients once per iteration, with
+    phi1 moved along xi1 on the hidden pixels."""
+    state = init_latents(params.dims, 1, np.random.default_rng(init_seed))
+    phi1 = np.where(mask.visible, target, 0.0)[None, :]
+    used = 0
+    for i in range(iters):
+        errors = compute_errors(params, state, phi1)
+        d_phi2, d_phi3 = inference_gradients(params, state, errors)
+        state = LatentState(state.phi2 - alpha * d_phi2, state.phi3 - alpha * d_phi3)
+        new_phi1 = np.where(mask.hidden, phi1 - alpha * errors.xi1, phi1)
+        delta = np.max(np.abs(new_phi1 - phi1))
+        phi1, used = new_phi1, i + 1
+        if delta < RECALL_PHI1_TOL:
+            break
+    return state, phi1[0], used
+
+
 class TestRecall:
     def test_visible_pixels_clamped_bit_exact(self, toy_trained):
         mask = toy_mask()
@@ -196,7 +224,7 @@ class TestRecall:
         a = recall(toy_trained, target, mask, iters=200, init_seed=5)
         b = recall(toy_trained, target, mask, iters=200, init_seed=5)
         np.testing.assert_array_equal(a.images, b.images)
-        assert a.iterations == b.iterations
+        np.testing.assert_array_equal(a.iterations, b.iterations)
 
     def test_masked_mse_nonnegative_and_reported(self, toy_trained):
         mask = toy_mask()
@@ -207,31 +235,69 @@ class TestRecall:
 
     @pytest.mark.parametrize("iters", [40, 10000])
     def test_matches_inference_step_loop(self, toy_trained, iters):
-        """Bit-identical to the direct-form loop that recomputes the errors
-        before every step, both when the budget runs out (40) and when the
-        tolerance stops it (10000)."""
+        """The latent-space batch recall against the direct-form loop, run
+        one row at a time, both when the budget runs out (40) and when the
+        tolerance stops it (10000). The two differ only by rounding: 1e-10
+        on images and energy, equal per-row iteration counts."""
         mask = toy_mask()
         target = toy_patterns(2, seed=10)
         result = recall(toy_trained, target, mask, iters=iters, init_seed=3)
 
-        state = init_latents(toy_trained.dims, 2, np.random.default_rng(3))
-        phi1 = np.where(mask.visible, target, 0.0)
-        used = 0
-        for i in range(iters):
-            errors = compute_errors(toy_trained, state, phi1)
-            d_phi2, d_phi3 = inference_gradients(toy_trained, state, errors)
-            state = LatentState(state.phi2 - 0.01 * d_phi2, state.phi3 - 0.01 * d_phi3)
-            new_phi1 = np.where(mask.hidden, phi1 - 0.01 * errors.xi1, phi1)
-            delta = np.max(np.abs(new_phi1 - phi1))
-            phi1, used = new_phi1, i + 1
-            if delta < 1e-6:
-                break
+        runs = [direct_recall(toy_trained, t, mask, iters, init_seed=3) for t in target]
+        phi1 = np.stack([img for _, img, _ in runs])
+        used = np.array([u for _, _, u in runs])
+        state = LatentState(np.concatenate([s.phi2 for s, _, _ in runs]),
+                            np.concatenate([s.phi3 for s, _, _ in runs]))
         _, final_f = free_energy(compute_errors(toy_trained, state, phi1))
 
-        assert (iters == 40) == (used == iters)
-        assert result.iterations == used
-        np.testing.assert_array_equal(result.images, phi1)
-        assert result.final_free_energy == final_f
-        np.testing.assert_array_equal(
-            result.masked_mse, [masked_mse(phi1[k], target[k], mask) for k in range(2)]
+        assert np.all((used == iters) == (iters == 40))
+        np.testing.assert_array_equal(result.iterations, used)
+        np.testing.assert_array_equal(result.converged, used < iters)
+        assert np.all(result.last_delta[result.converged] < RECALL_PHI1_TOL)
+        np.testing.assert_allclose(result.images, phi1, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(result.images[:, mask.visible], target[:, mask.visible])
+        assert result.final_free_energy == pytest.approx(final_f, rel=0, abs=1e-10)
+        np.testing.assert_allclose(
+            result.masked_mse, [masked_mse(phi1[k], target[k], mask) for k in range(2)],
+            rtol=0, atol=1e-10,
         )
+
+    def test_batch_matches_sequential(self, toy_trained):
+        mask = toy_mask()
+        target = toy_patterns(5, seed=14)
+        batch = recall(toy_trained, target, mask, iters=10000, init_seed=2)
+        for k in range(5):
+            alone = recall(toy_trained, target[k], mask, iters=10000, init_seed=2)
+            np.testing.assert_array_equal(batch.iterations[k:k + 1], alone.iterations)
+            np.testing.assert_allclose(batch.images[k:k + 1], alone.images, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(
+                batch.last_delta[k:k + 1], alone.last_delta, rtol=0, atol=1e-12
+            )
+
+    def test_early_row_frozen_in_mixed_batch(self, toy_trained, toy_data):
+        """A row that converges first stops there: its output and count in a
+        batch with slower rows are those it gets alone."""
+        mask = toy_mask()
+        trained = toy_data.train.images[0]
+        noise = np.random.default_rng(15).uniform(0, 1, (2, 25))
+        target = np.vstack([noise[0], trained, noise[1]])
+        mixed = recall(toy_trained, target, mask, iters=10000, init_seed=1)
+        early = int(np.argmin(mixed.iterations))
+        assert mixed.iterations[early] < mixed.iterations.max()
+        assert mixed.converged.all()
+        alone = recall(toy_trained, target[early], mask, iters=10000, init_seed=1)
+        assert alone.iterations[0] == mixed.iterations[early]
+        np.testing.assert_allclose(mixed.images[early], alone.images[0], rtol=0, atol=1e-12)
+
+    def test_budget_stop_reported(self, toy_trained):
+        mask = toy_mask()
+        result = recall(toy_trained, toy_patterns(3, seed=16), mask, iters=5)
+        np.testing.assert_array_equal(result.iterations, [5, 5, 5])
+        assert not result.converged.any()
+        assert np.all(result.last_delta >= RECALL_PHI1_TOL)
+
+    def test_divergence_names_recall_iteration(self, toy_trained):
+        mask = toy_mask()
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"recall iteration \d+"):
+                recall(toy_trained, toy_patterns(2, seed=17), mask, iters=500, alpha=1e6)
