@@ -3,10 +3,12 @@
 Subcommands: train, reconstruct, replay, recall, export-weights,
 export-latents, gradcheck. Config precedence is CLI flags > --config file
 > preset defaults; the resolved config is frozen into the run manifest.
-`--seed` sets the config's one seed, which train uses for all four RNG
-streams (weights, latents, split, shuffle). The memory commands rebuild
-the splits with the checkpoint's seed, pick their batch or images with
-data.batch_order from their own `--seed`, and draw latents from it too.
+For train, `--seed` sets the config's one seed, which train uses for all
+four RNG streams (weights, latents, split, shuffle). The memory commands
+rebuild the splits with the checkpoint's seed and read a prefix of a
+split: reconstruct and replay its first batch_size images, recall the
+recall suite's first 10 training images. Their own `--seed` only draws
+the latent init.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, checkpoint=False, data=False):
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master seed for all RNG streams")
+        p.add_argument("--seed", type=int, default=0,
+                       help="train: the run's seed; memory commands: the latent-init seed")
         p.add_argument("--single-thread", action="store_true",
                        help="force single-threaded BLAS (deterministic mode)")
         if checkpoint:
@@ -48,6 +51,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model (PC or iPC preset)")
     common(p, data=True)
+    p.set_defaults(seed=None)  # without --seed, the preset's or --config's seed stands
     p.add_argument("--preset", choices=("exp1", "exp2"), default="exp1")
     p.add_argument("--config", type=Path, help="JSON file overriding preset fields")
     p.add_argument("--limit-train", type=int, help="desk-scale cap on training examples")
@@ -59,6 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
         common(p, checkpoint=True, data=True)
         if name == "reconstruct":
             p.add_argument("--split", choices=("train", "test"), default="train")
+        elif name == "replay":
+            p.set_defaults(split="train")
 
     p = sub.add_parser("export-weights", help="theta1 columns as a PGM tile grid")
     common(p, checkpoint=True)
@@ -82,6 +88,17 @@ def _splits(args, split_seed: int):
     return build_splits(*load_raw(args.data_dir), split_seed=split_seed)
 
 
+def _load_run(args):
+    """The checkpoint's weights and config, and the splits rebuilt with
+    the config's seed (the default 0 if the checkpoint has none); the
+    command's own --seed never reaches the splits."""
+    from .checkpoint import load_checkpoint
+
+    params, _, manifest = load_checkpoint(args.checkpoint)
+    cfg = manifest.config
+    return params, cfg, _splits(args, int(cfg.get("seed", 0)))
+
+
 def cmd_train(args) -> int:
     from .checkpoint import RunManifest, atomic_write, file_digests, save_checkpoint
     from .data import DEFAULT_FILENAMES, data_file
@@ -93,7 +110,8 @@ def cmd_train(args) -> int:
         if not isinstance(overrides, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
         cfg.update(overrides)
-    cfg["seed"] = args.seed
+    if args.seed is not None:
+        cfg["seed"] = args.seed
     if args.limit_train is not None:
         cfg["limit_train"] = args.limit_train
     if args.max_epochs is not None:
@@ -132,60 +150,38 @@ def _write_pair_grid(out_dir, name, left, right):
     write_pgm(out_dir / name, image_grid(interleaved, n_cols=2))
 
 
-def cmd_reconstruct(args) -> int:
+def cmd_reconstruct_or_replay(args) -> int:
+    """Reconstruct or replay the first batch_size images of a split; write
+    the input/output pairs as a PGM grid and each pair's MSE as CSV."""
     import numpy as np
 
-    from .checkpoint import load_checkpoint
-    from .data import batch_order
     from .experiments import write_csv
-    from .memory import reconstruct
+    from .memory import reconstruct, replay
 
-    params, _, manifest = load_checkpoint(args.checkpoint)
-    cfg = manifest.config
-    splits = _splits(args, int(cfg.get("seed", args.seed)))
-    split = splits.train if args.split == "train" else splits.test
-    x = split.images[batch_order(len(split), args.seed)[: int(cfg.get("batch_size", 64))]]
-    recon = reconstruct(params, x, iters=int(cfg.get("n_iters", 50)),
-                        alpha=float(cfg.get("alpha", 0.01)), init_seed=args.seed)
+    params, cfg, splits = _load_run(args)
+    x = getattr(splits, args.split).images[: int(cfg.get("batch_size", 64))]
+    alpha = float(cfg.get("alpha", 0.01))
+    if args.command == "reconstruct":
+        name = f"reconstruct_{args.split}"
+        out = reconstruct(params, x, iters=int(cfg.get("n_iters", 50)), alpha=alpha,
+                          init_seed=args.seed)
+    else:
+        name = "replay"
+        out = replay(params, x, alpha=alpha, init_seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_pair_grid(args.out, f"reconstruct_{args.split}.pgm", x, recon)
-    mse = np.mean((x - recon) ** 2, axis=1)
-    write_csv(args.out / f"reconstruct_{args.split}.csv",
-              ["image", "mse"], enumerate(map(float, mse)))
-    return 0
-
-
-def cmd_replay(args) -> int:
-    import numpy as np
-
-    from .checkpoint import load_checkpoint
-    from .data import batch_order
-    from .experiments import write_csv
-    from .memory import replay
-
-    params, _, manifest = load_checkpoint(args.checkpoint)
-    cfg = manifest.config
-    split = _splits(args, int(cfg.get("seed", args.seed))).train
-    x = split.images[batch_order(len(split), args.seed)[: int(cfg.get("batch_size", 64))]]
-    replayed = replay(params, x, alpha=float(cfg.get("alpha", 0.01)),
-                      init_seed=args.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
-    _write_pair_grid(args.out, "replay.pgm", x, replayed)
-    mse = np.mean((x - replayed) ** 2, axis=1)
-    write_csv(args.out / "replay.csv", ["image", "mse"], enumerate(map(float, mse)))
+    _write_pair_grid(args.out, f"{name}.pgm", x, out)
+    mse = np.mean((x - out) ** 2, axis=1)
+    write_csv(args.out / f"{name}.csv", ["image", "mse"], enumerate(map(float, mse)))
     return 0
 
 
 def cmd_recall(args) -> int:
     import numpy as np
 
-    from .checkpoint import load_checkpoint
     from .experiments import run_recall_suite, write_csv
     from .images import image_grid, write_pgm
 
-    params, _, manifest = load_checkpoint(args.checkpoint)
-    cfg = manifest.config
-    splits = _splits(args, int(cfg.get("seed", args.seed)))
+    params, cfg, splits = _load_run(args)
     suite = run_recall_suite(params, splits, seed=args.seed,
                              alpha=float(cfg.get("alpha", 0.01)))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -219,14 +215,11 @@ def cmd_export_weights(args) -> int:
 def cmd_export_latents(args) -> int:
     import numpy as np
 
-    from .checkpoint import load_checkpoint
     from .core import compute_errors
     from .experiments import write_csv
     from .memory import infer_latents
 
-    params, _, manifest = load_checkpoint(args.checkpoint)
-    cfg = manifest.config
-    splits = _splits(args, int(cfg.get("seed", args.seed)))
+    params, cfg, splits = _load_run(args)
     images = splits.test.images
     labels = splits.test.labels
     _, d2, d3 = params.dims
@@ -257,8 +250,8 @@ def cmd_gradcheck(args) -> int:
 
 _COMMANDS = {
     "train": cmd_train,
-    "reconstruct": cmd_reconstruct,
-    "replay": cmd_replay,
+    "reconstruct": cmd_reconstruct_or_replay,
+    "replay": cmd_reconstruct_or_replay,
     "recall": cmd_recall,
     "export-weights": cmd_export_weights,
     "export-latents": cmd_export_latents,

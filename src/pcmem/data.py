@@ -1,13 +1,13 @@
-"""MNIST IDX parsing, two-digit filtering, splits and example order.
+"""MNIST IDX parsing, two-digit filtering and splits.
 
 The pipeline finds the four standard MNIST files (each plain or .gz) in a
 data directory, filters them down to digits 4 and 7, shuffles the
 filtered training subset with a seed and takes the first 10097 examples as
 the training set (the remaining 2010 become validation); the filtered test
 subset (2010 examples) is the test set. Pixels are scaled to [0, 1] and
-labels mapped 4 -> 0, 7 -> 1. batch_order is the one seeded pick of
-examples: single-batch training takes its batch from it, and the memory
-commands and the recall suite take their images the same way.
+labels mapped 4 -> 0, 7 -> 1. The training split's own seeded order is
+the one pick of examples: training, the recall suite and the memory
+commands all read a prefix of it.
 """
 
 from __future__ import annotations
@@ -173,8 +173,3 @@ def build_splits(
         validation=Split(train_images[val_idx], train_labels[val_idx]),
         test=Split(test_images, test_labels),
     )
-
-
-def batch_order(n: int, shuffle_seed: int) -> np.ndarray:
-    """Epoch-wide example order: a seeded permutation of range(n)."""
-    return np.random.default_rng(shuffle_seed).permutation(n)

@@ -7,6 +7,13 @@ differ only in how often the weights move: PC updates them once, after
 all T iterations; iPC after every iteration, which keeps full-dataset
 training stable at the cost of T updates per batch.
 
+Every run trains on the first limit_train images of the training split
+(all of them when limit_train is None), in a fresh seeded order each
+epoch. The split is already a seeded permutation, so that prefix is a
+random sample, and the recall suite reads its images from the same
+prefix: a run with limit_train >= n_images has trained on every image it
+recalls.
+
 Evaluation settles a whole split through memory.infer_latents and reads
 its energies from compute_errors. write_csv is the one CSV writer, for
 the training log and the command-line metric files.
@@ -36,7 +43,7 @@ from .core import (
     init_params,
     learning_gradients,
 )
-from .data import DatasetSplits, Split, batch_order
+from .data import DatasetSplits, Split
 from .memory import OcclusionMask, infer_latents, recall
 from .optim import AdamState, adam_step
 
@@ -47,7 +54,6 @@ class ExperimentConfig:
 
     mode: str  # "pc" | "ipc"
     beta: float
-    scope: str  # "single-batch" | "full"
     dims: tuple[int, int, int] = (784, 35, 2)
     activation: Activation = Activation.TANH
     batch_size: int = 64
@@ -66,8 +72,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.mode not in ("pc", "ipc"):
             raise ValueError(f"mode must be 'pc' or 'ipc', got {self.mode!r}")
-        if self.scope not in ("single-batch", "full"):
-            raise ValueError(f"scope must be 'single-batch' or 'full', got {self.scope!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("batch_size", "n_iters", "max_epochs", "patience", "val_every"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
@@ -112,16 +118,14 @@ def _is_real(value) -> bool:
 
 
 def preset(name: str) -> ExperimentConfig:
-    """The two paper experiments: exp1 = PC on a single mini-batch,
-    exp2 = iPC on the full training set."""
+    """The two paper experiments: exp1 = PC on the first 64 training images
+    (one batch per epoch), exp2 = iPC on the full training set."""
     if name == "exp1":
         return ExperimentConfig(
-            mode="pc", beta=1e-4, scope="single-batch", max_epochs=8000, val_every=250
+            mode="pc", beta=1e-4, limit_train=64, max_epochs=8000, val_every=250
         )
     if name == "exp2":
-        return ExperimentConfig(
-            mode="ipc", beta=1e-5, scope="full", max_epochs=150, val_every=10
-        )
+        return ExperimentConfig(mode="ipc", beta=1e-5, max_epochs=150, val_every=10)
     raise ValueError(f"unknown preset {name!r}")
 
 
@@ -216,10 +220,12 @@ def _train_batch(params, x, config, adam1, adam2, rng):
 
 
 def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
-    """Train until every per-layer train energy has converged or max_epochs.
+    """Train on splits.train.images[:limit_train] until every per-layer
+    train energy has converged or max_epochs.
 
-    Fresh seeded latents every batch; Adam state persists across the whole
-    run (one state per weight matrix).
+    A fresh seeded example order every epoch and fresh seeded latents every
+    batch; Adam state persists across the whole run (one state per weight
+    matrix).
     """
     rng_w = np.random.default_rng(config.seed)
     params = init_params(config.dims, rng_w, config.activation)
@@ -228,22 +234,14 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     rng_l = np.random.default_rng(config.seed)
     rng_s = np.random.default_rng(config.seed)
 
-    train_images = splits.train.images
-    if config.limit_train is not None:
-        train_images = train_images[: config.limit_train]
-    if config.scope == "single-batch":
-        first = batch_order(len(train_images), config.seed)[: config.batch_size]
-        train_images = train_images[first]
+    train_images = splits.train.images[: config.limit_train]
 
     log = TrainLog()
     reason = "max_epochs"
     last_val = np.full(3, np.nan)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
-        if config.scope == "full":
-            order = rng_s.permutation(len(train_images))
-        else:
-            order = np.arange(len(train_images))
+        order = rng_s.permutation(len(train_images))
         weighted = np.zeros(3)
         for start in range(0, len(order), config.batch_size):
             x = train_images[order[start : start + config.batch_size]]
@@ -309,14 +307,14 @@ def run_recall_suite(
     iters: int = 5000,
     alpha: float = 0.01,
 ) -> RecallSuiteResult:
-    """Recall the first n images of the seeded training order through the
-    given mask, all in one batch; reports per-image and mean masked MSE and
-    each image's iteration count, convergence and last change. `seed`
-    picks the images and draws the latent init every image starts from."""
+    """Recall the first n training images, the ones every run with
+    limit_train >= n trained on, through the given mask, all in one batch;
+    reports per-image and mean masked MSE and each image's iteration count,
+    convergence and last change. `seed` draws the latent init every image
+    starts from."""
     if mask is None:
         mask = OcclusionMask.top_half()
-    idx = batch_order(len(splits.train), seed)[:n_images]
-    originals = splits.train.images[idx]
+    originals = splits.train.images[:n_images]
     result = recall(params, originals, mask, iters=iters, alpha=alpha, init_seed=seed)
     return RecallSuiteResult(
         per_image_mse=result.masked_mse,

@@ -67,7 +67,6 @@ def toy_trained(toy_data):
     config = ExperimentConfig(
         mode="pc",
         beta=1e-3,
-        scope="full",
         dims=TOY_DIMS,
         batch_size=16,
         max_epochs=300,

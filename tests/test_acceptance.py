@@ -26,7 +26,7 @@ from pcmem.core import (
     init_latents,
     init_params,
 )
-from pcmem.data import batch_order, build_splits
+from pcmem.data import Split, build_splits
 from pcmem.experiments import (
     ExperimentConfig,
     evaluate_errors,
@@ -114,10 +114,8 @@ def test_criterion_3_experiment_1(exp1_model, exp1_recall, splits):
     """Single-batch PC overfits (val/train input-energy ratio > 1.5) and
     recalls its batch far better than an untrained baseline."""
     params, config = exp1_model
-    first = batch_order(len(splits.train), config.seed)[: config.batch_size]
-    from pcmem.data import Split
-
-    batch_split = Split(splits.train.images[first], splits.train.labels[first])
+    n = config.limit_train
+    batch_split = Split(splits.train.images[:n], splits.train.labels[:n])
     train_e = evaluate_errors(params, batch_split, config.n_iters, config.alpha, config.seed)
     val_e = evaluate_errors(params, splits.validation, config.n_iters, config.alpha, config.seed)
     ratio = val_e[0] / train_e[0]
@@ -138,8 +136,6 @@ def test_criterion_4_experiment_2(exp2_result, exp1_recall, splits):
     recall than the episodic Experiment-1 model."""
     config, result = exp2_result
     params = result.params
-    from pcmem.data import Split
-
     train_subset = Split(
         splits.train.images[: config.limit_train],
         splits.train.labels[: config.limit_train],
@@ -172,8 +168,7 @@ def test_criterion_5_replay_contract(exp1_model, splits):
     representation is frozen and the input errors are gated."""
     t0 = time.perf_counter()
     params, config = exp1_model
-    first = batch_order(len(splits.train), config.seed)[:8]
-    x = splits.train.images[first]
+    x = splits.train.images[:8]
 
     rng = np.random.default_rng(0)
     state = init_latents(params.dims, 8, rng)

@@ -5,9 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from pcmem.checkpoint import load_checkpoint
+from pcmem.checkpoint import load_checkpoint, save_checkpoint
 from pcmem.cli import main
-from pcmem.data import batch_order, build_splits, load_raw
+from pcmem.data import build_splits, load_raw
 from pcmem.experiments import run_recall_suite
 from pcmem.images import read_pgm
 from pcmem.memory import reconstruct, replay
@@ -58,7 +58,9 @@ class TestTrain:
          ({"beta": "x"}, "beta"), ({"alpha": -1}, "alpha"), ({"epsilon": float("nan")}, "epsilon"),
          ({"dims": [784, 35]}, "dims"), ({"batch_size": True}, "batch_size"),
          ({"limit_train": "x"}, "limit_train"), ({"limit_train": 0}, "limit_train"),
-         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train")],
+         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train"),
+         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+         ({"seed": "3"}, "seed")],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, capsys, override, field):
         # the data directory does not exist: a config checked only after
@@ -72,6 +74,18 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "MNIST" not in err
+
+    @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "2"], 2)])
+    def test_config_seed_reaches_manifest_unless_flag_given(
+        self, corpus_dir, tmp_path, flags, seed
+    ):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"seed": 5, "max_epochs": 1}))
+        out = tmp_path / "run"
+        rc = main(["train", "--config", str(config), "--data-dir", str(corpus_dir),
+                   "--out", str(out), *flags])
+        assert rc == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == seed
 
     def test_truncated_gzip_data_fails_cleanly(self, corpus_dir, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -132,9 +146,10 @@ class TestReplay:
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "replay"])
-def test_mse_column_matches_api_on_batch_order_rows(trained_run, corpus_dir, tmp_path, command):
-    """The CLI takes the checkpoint's split seed and the first batch_size rows
-    of batch_order(--seed); its MSE column equals the API call on those rows."""
+def test_mse_column_matches_api_on_prefix_rows(trained_run, corpus_dir, tmp_path, command):
+    """The CLI takes the checkpoint's split seed and the first batch_size
+    training rows, and --seed draws only the latent init; its MSE column
+    equals the API call on those rows."""
     out = tmp_path / command
     rc = main([
         command, "--checkpoint", str(trained_run / "checkpoint.pcn"),
@@ -143,13 +158,32 @@ def test_mse_column_matches_api_on_batch_order_rows(trained_run, corpus_dir, tmp
     assert rc == 0
     params, _, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
     split = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"]).train
-    x = split.images[batch_order(len(split), 3)[:64]]
+    x = split.images[:64]
     if command == "reconstruct":
         expected = reconstruct(params, x, iters=50, alpha=0.01, init_seed=3)
     else:
         expected = replay(params, x, alpha=0.01, init_seed=3)
     name = "reconstruct_train.csv" if command == "reconstruct" else "replay.csv"
     with open(out / name) as f:
+        mse = [float(r["mse"]) for r in csv.DictReader(f)]
+    assert mse == list(np.mean((x - expected) ** 2, axis=1))
+
+
+def test_splits_ignore_seed_flag_without_checkpoint_config(trained_run, corpus_dir, tmp_path):
+    """A checkpoint saved without a config rebuilds the splits with seed 0;
+    the command's --seed still only draws the latent init."""
+    params, _, _ = load_checkpoint(trained_run / "checkpoint.pcn")
+    bare = tmp_path / "bare.pcn"
+    save_checkpoint(bare, params)
+    out = tmp_path / "replay"
+    rc = main([
+        "replay", "--checkpoint", str(bare), "--data-dir", str(corpus_dir),
+        "--out", str(out), "--seed", "3",
+    ])
+    assert rc == 0
+    x = build_splits(*load_raw(corpus_dir), split_seed=0).train.images[:64]
+    expected = replay(params, x, alpha=0.01, init_seed=3)
+    with open(out / "replay.csv") as f:
         mse = [float(r["mse"]) for r in csv.DictReader(f)]
     assert mse == list(np.mean((x - expected) ** 2, axis=1))
 

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from pcmem.data import (
     IdxFormatError,
     RawImageSet,
-    batch_order,
     build_splits,
     load_idx,
     parse_idx,
@@ -159,16 +158,3 @@ class TestBuildSplits:
         raw = RawImageSet(imgs, labels)
         with pytest.raises(ValueError, match="100"):
             build_splits(raw, raw)
-
-
-class TestBatches:
-    def test_deterministic_given_seed(self):
-        np.testing.assert_array_equal(batch_order(50, 5), batch_order(50, 5))
-        assert not np.array_equal(batch_order(50, 5), batch_order(50, 6))
-
-    @settings(max_examples=30, deadline=None)
-    @given(n=st.integers(0, 300), seed=st.integers(0, 10))
-    def test_epoch_covers_every_example_once(self, n, seed):
-        order = batch_order(n, seed)
-        assert order.shape == (n,)
-        assert sorted(order.tolist()) == list(range(n))

@@ -6,11 +6,11 @@ from pcmem.core import (
     DivergenceError,
     LatentState,
     compute_errors,
+    descend_latents,
     init_latents,
     init_params,
     learning_gradients,
 )
-from pcmem.data import batch_order
 from pcmem.experiments import (
     ExperimentConfig,
     convergence_check,
@@ -58,8 +58,8 @@ class TestConvergenceCheck:
 class TestConfig:
     def test_presets(self):
         e1, e2 = preset("exp1"), preset("exp2")
-        assert e1.mode == "pc" and e1.beta == 1e-4 and e1.scope == "single-batch"
-        assert e2.mode == "ipc" and e2.beta == 1e-5 and e2.scope == "full"
+        assert e1.mode == "pc" and e1.beta == 1e-4 and e1.limit_train == 64
+        assert e2.mode == "ipc" and e2.beta == 1e-5 and e2.limit_train is None
         for c in (e1, e2):
             assert c.dims == (784, 35, 2)
             assert c.batch_size == 64 and c.n_iters == 50 and c.alpha == 0.01
@@ -73,7 +73,7 @@ class TestConfig:
     )
     def test_sizes_below_one_rejected(self, name):
         with pytest.raises(ValueError, match=name):
-            ExperimentConfig(mode="pc", beta=1e-3, scope="full", **{name: 0})
+            ExperimentConfig(mode="pc", beta=1e-3, **{name: 0})
 
     @pytest.mark.parametrize(
         "override, name",
@@ -89,15 +89,17 @@ class TestConfig:
          ({"dims": [784, 0, 2]}, "dims"), ({"dims": [784, 35.0, 2]}, "dims"),
          ({"dims": [784, True, 2]}, "dims"), ({"dims": 784}, "dims"), ({"dims": "abc"}, "dims"),
          ({"limit_train": "x"}, "limit_train"), ({"limit_train": 0}, "limit_train"),
-         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train")],
+         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train"),
+         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
+         ({"seed": "3"}, "seed"), ({"scope": "full"}, "unknown config key.*scope")],
     )
     def test_bad_values_rejected(self, override, name):
         with pytest.raises(ValueError, match=name):
-            ExperimentConfig.from_dict({"mode": "pc", "beta": 1e-3, "scope": "full", **override})
+            ExperimentConfig.from_dict({"mode": "pc", "beta": 1e-3, **override})
 
     def test_edge_rates_accepted(self):
         config = ExperimentConfig.from_dict(
-            {"mode": "pc", "beta": 1, "scope": "full", "alpha": 0, "epsilon": 0.0,
+            {"mode": "pc", "beta": 1, "alpha": 0, "epsilon": 0.0,
              "dims": [25, 8, 2]}
         )
         assert config.dims == (25, 8, 2)
@@ -109,19 +111,21 @@ class TestConfig:
 
 class TestTrain:
     def test_pc_single_epoch_matches_hand_unrolled(self, toy_data):
-        """One epoch of PC on one batch equals an independently unrolled
-        inference/update loop, bit for bit."""
+        """One epoch of PC on one batch equals a hand-unrolled
+        inference/update loop, bit for bit: the batch is the first
+        limit_train images in the epoch's seeded order. The latent loop is
+        the kernel train calls, since the direct form agrees with it only
+        up to rounding (TestDescendLatents in test_core checks that)."""
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
             batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0,
         )
         result = train(config, toy_data)
 
         params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
-        first = batch_order(len(toy_data.train), config.seed)[:4]
-        x = toy_data.train.images[first]
+        x = toy_data.train.images[:4][np.random.default_rng(config.seed).permutation(4)]
         rng_l = np.random.default_rng(config.seed)
-        state = direct_descent(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
+        state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
         theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape, 1e-3))
@@ -134,7 +138,7 @@ class TestTrain:
     def test_ipc_equals_pc_at_one_iteration(self, toy_data):
         """With a single inference iteration per batch the incremental
         variant performs exactly the same updates as the batched one."""
-        base = dict(beta=1e-3, scope="full", dims=TOY_DIMS, batch_size=8,
+        base = dict(beta=1e-3, dims=TOY_DIMS, batch_size=8,
                     n_iters=1, max_epochs=3, epsilon=0.0)
         pc = train(ExperimentConfig(mode="pc", **base), toy_data)
         ipc = train(ExperimentConfig(mode="ipc", **base), toy_data)
@@ -143,7 +147,7 @@ class TestTrain:
 
     def test_training_reduces_input_energy(self, toy_data):
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, scope="full", dims=TOY_DIMS,
+            mode="pc", beta=1e-3, dims=TOY_DIMS,
             batch_size=16, max_epochs=120, epsilon=0.0, val_every=60,
         )
         result = train(config, toy_data)
@@ -153,7 +157,7 @@ class TestTrain:
 
     def test_deterministic(self, toy_data):
         config = ExperimentConfig(
-            mode="ipc", beta=1e-3, scope="full", dims=TOY_DIMS,
+            mode="ipc", beta=1e-3, dims=TOY_DIMS,
             batch_size=8, n_iters=5, max_epochs=5, epsilon=0.0,
         )
         a = train(config, toy_data)
@@ -161,26 +165,17 @@ class TestTrain:
         np.testing.assert_array_equal(a.params.theta1, b.params.theta1)
         np.testing.assert_array_equal(a.params.theta2, b.params.theta2)
 
-    def test_single_batch_scope_uses_batch_size_images(self, toy_data):
-        config = ExperimentConfig(
-            mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
-            batch_size=4, n_iters=2, max_epochs=2, epsilon=0.0,
-        )
-        result = train(config, toy_data)
-        assert result.stop_reason == "max_epochs"
-        assert len(result.log.rows) == 2
-
     def test_single_batch_limit_below_batch_size_trains_on_capped_rows(self, toy_data):
         """With limit_train=3 < batch_size the single batch is the three
         capped images in their seeded order, nothing else."""
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
+            mode="pc", beta=1e-3, dims=TOY_DIMS,
             batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0, limit_train=3,
         )
         result = train(config, toy_data)
 
         params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
-        x = toy_data.train.images[:3][batch_order(3, config.seed)]
+        x = toy_data.train.images[:3][np.random.default_rng(config.seed).permutation(3)]
         rng_l = np.random.default_rng(config.seed)
         state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
@@ -191,8 +186,9 @@ class TestTrain:
 
     @pytest.mark.parametrize("limit", [16, 100])
     def test_single_batch_limit_at_or_above_train_size_changes_nothing(self, toy_data, limit):
-        base = dict(mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
-                    batch_size=4, n_iters=3, max_epochs=2, epsilon=0.0)
+        # all 16 toy images fit in one batch, capped or not
+        base = dict(mode="pc", beta=1e-3, dims=TOY_DIMS,
+                    batch_size=16, n_iters=3, max_epochs=2, epsilon=0.0)
         capped = train(ExperimentConfig(limit_train=limit, **base), toy_data)
         uncapped = train(ExperimentConfig(**base), toy_data)
         assert capped.params.theta1.tobytes() == uncapped.params.theta1.tobytes()
@@ -201,21 +197,17 @@ class TestTrain:
     def test_convergence_stops_early(self, toy_data):
         # huge epsilon: any history is "stable" once patience epochs exist
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
             batch_size=4, n_iters=2, max_epochs=50, epsilon=1e6, patience=3,
         )
         result = train(config, toy_data)
         assert result.stop_reason == "converged"
         assert len(result.log.rows) == 3
 
-    def test_unknown_scope_rejected(self):
-        with pytest.raises(ValueError, match="scope"):
-            ExperimentConfig(mode="pc", beta=1e-3, scope="half", dims=TOY_DIMS)
-
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
     def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode):
         config = ExperimentConfig(
-            mode=mode, beta=1e-3, scope="full", dims=TOY_DIMS, batch_size=8,
+            mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8,
             alpha=1e6, max_epochs=3, epsilon=0.0,
         )
         with np.errstate(over="ignore", invalid="ignore"):
@@ -224,7 +216,7 @@ class TestTrain:
 
     def test_val_rows_carried_forward(self, toy_data):
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
             batch_size=4, n_iters=2, max_epochs=6, epsilon=0.0, val_every=3,
         )
         result = train(config, toy_data)
@@ -264,7 +256,7 @@ class TestTrainLog:
         import csv
 
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, scope="single-batch", dims=TOY_DIMS,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
             batch_size=4, n_iters=2, max_epochs=3, epsilon=0.0,
         )
         result = train(config, toy_data)
@@ -309,10 +301,39 @@ class TestRecallSuite:
         visible[:13] = True
         mask = OcclusionMask(visible)
         suite = run_recall_suite(toy_trained, toy_data, n_images=4, mask=mask, seed=2, iters=50)
-        idx = batch_order(len(toy_data.train), 2)[:4]
-        result = recall(toy_trained, toy_data.train.images[idx], mask, iters=50, init_seed=2)
+        result = recall(toy_trained, toy_data.train.images[:4], mask, iters=50, init_seed=2)
         np.testing.assert_array_equal(suite.recalled, result.images)
         np.testing.assert_array_equal(suite.per_image_mse, result.masked_mse)
         np.testing.assert_array_equal(suite.iterations, result.iterations)
         np.testing.assert_array_equal(suite.converged, result.converged)
         np.testing.assert_array_equal(suite.last_delta, result.last_delta)
+
+    def test_recalls_images_train_used(self, toy_data, monkeypatch):
+        """With limit_train >= n_images, every recalled image is one that
+        training fed to a batch step, and training fed nothing else."""
+        import pcmem.experiments as experiments
+        from pcmem.memory import OcclusionMask
+
+        fed = []
+        train_batch = experiments._train_batch
+
+        def spy(params, x, *rest):
+            fed.append(x.copy())
+            return train_batch(params, x, *rest)
+
+        monkeypatch.setattr(experiments, "_train_batch", spy)
+        config = ExperimentConfig(
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=6,
+            batch_size=4, n_iters=2, max_epochs=2, epsilon=0.0,
+        )
+        result = train(config, toy_data)
+        fed = np.concatenate(fed)
+        assert len(fed) == 2 * 6
+        assert {r.tobytes() for r in fed} == {r.tobytes() for r in toy_data.train.images[:6]}
+
+        visible = np.zeros(25, dtype=bool)
+        visible[:13] = True
+        suite = run_recall_suite(
+            result.params, toy_data, n_images=5, mask=OcclusionMask(visible), iters=10
+        )
+        assert {r.tobytes() for r in suite.originals} <= {r.tobytes() for r in fed}
