@@ -28,8 +28,8 @@ from .experiments import (
     train,
 )
 from .memory import (
-    MemoryTaskResult,
     OcclusionMask,
+    RecallResult,
     infer_latents,
     masked_mse,
     recall,

@@ -3,12 +3,14 @@
 Subcommands: train, reconstruct, replay, recall, export-weights,
 export-latents, gradcheck. Config precedence is CLI flags > --config file
 > preset defaults; the resolved config is frozen into the run manifest.
-For train, `--seed` sets the config's one seed, which train uses for all
-four RNG streams (weights, latents, split, shuffle). The memory commands
-rebuild the splits with the checkpoint's seed and read a prefix of a
-split: reconstruct and replay its first batch_size images, recall the
+For train, `--seed` sets the config's one seed, from which the weight
+init, the latent draws, the epoch order and the split each start a
+generator. The memory commands read the checkpoint's settings as an
+ExperimentConfig, rebuild the splits with its seed and read a prefix of
+a split: reconstruct and replay its first batch_size images, recall the
 recall suite's first 10 training images. Their own `--seed` only draws
-the latent init.
+the latent init. Runs are bit-reproducible with OMP_NUM_THREADS,
+OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1 before pcmem starts.
 """
 
 from __future__ import annotations
@@ -17,15 +19,21 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
+from .checkpoint import (CheckpointError, RunManifest, atomic_write, file_digests,
+                         load_checkpoint, save_checkpoint)
+from .core import compute_errors
+from .data import DEFAULT_FILENAMES, build_splits, data_file, load_raw
+from .experiments import ExperimentConfig, preset, run_recall_suite, train, write_csv
+from .gradcheck import DEFAULT_TOL, gradient_report
+from .images import image_grid, write_pgm
+from .memory import infer_latents, reconstruct, replay
+
 DATA_DIR_ENV = "PCN_DATA_DIR"
-
-
-def _single_thread_env() -> None:
-    # must happen before numpy first loads its BLAS
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ[var] = "1"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -40,8 +48,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=Path, required=True, help="output directory")
         p.add_argument("--seed", type=int, default=0,
                        help="train: the run's seed; memory commands: the latent-init seed")
-        p.add_argument("--single-thread", action="store_true",
-                       help="force single-threaded BLAS (deterministic mode)")
         if checkpoint:
             p.add_argument("--checkpoint", type=Path, required=True)
         if data:
@@ -73,51 +79,43 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, checkpoint=True, data=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--tol", type=float, default=1e-4)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     return parser
 
 
 def _splits(args, split_seed: int):
-    from .data import build_splits, load_raw
-
     if args.data_dir is None:
-        raise FileNotFoundError(
-            f"no data directory: pass --data-dir or set ${DATA_DIR_ENV}"
-        )
+        raise FileNotFoundError(f"no data directory: pass --data-dir or set ${DATA_DIR_ENV}")
     return build_splits(*load_raw(args.data_dir), split_seed=split_seed)
 
 
 def _load_run(args):
-    """The checkpoint's weights and config, and the splits rebuilt with
-    the config's seed (the default 0 if the checkpoint has none); the
-    command's own --seed never reaches the splits."""
-    from .checkpoint import load_checkpoint
-
+    """The checkpoint's weights, its settings as an ExperimentConfig, and
+    the splits rebuilt with the config's seed; the command's own --seed
+    never reaches the splits. Keys the config does not know (legacy ones
+    such as scope) are ignored."""
     params, _, manifest = load_checkpoint(args.checkpoint)
-    cfg = manifest.config
-    return params, cfg, _splits(args, int(cfg.get("seed", 0)))
+    known = {f.name for f in fields(ExperimentConfig)}
+    try:
+        config = ExperimentConfig.from_dict(
+            {k: v for k, v in manifest.config.items() if k in known}
+        )
+    except ValueError as exc:
+        raise CheckpointError(f"bad config in {args.checkpoint}: {exc}") from None
+    return params, config, _splits(args, config.seed)
 
 
 def cmd_train(args) -> int:
-    from .checkpoint import RunManifest, atomic_write, file_digests, save_checkpoint
-    from .data import DEFAULT_FILENAMES, data_file
-    from .experiments import ExperimentConfig, preset, train
-
     cfg = preset(args.preset).to_dict()
     if args.config:
         overrides = json.loads(args.config.read_text())
         if not isinstance(overrides, dict):
             raise ValueError(f"--config {args.config} must hold a JSON object")
         cfg.update(overrides)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    if args.limit_train is not None:
-        cfg["limit_train"] = args.limit_train
-    if args.max_epochs is not None:
-        cfg["max_epochs"] = args.max_epochs
-    if args.beta is not None:
-        cfg["beta"] = args.beta
+    for name in ("seed", "limit_train", "max_epochs", "beta"):
+        if getattr(args, name) is not None:
+            cfg[name] = getattr(args, name)
     config = ExperimentConfig.from_dict(cfg)
 
     result = train(config, _splits(args, config.seed))
@@ -138,72 +136,44 @@ def cmd_train(args) -> int:
     return 0
 
 
-def _write_pair_grid(out_dir, name, left, right):
-    from .images import image_grid, write_pgm
-
-    import numpy as np
-
-    n = left.shape[0]
-    interleaved = np.empty((2 * n, left.shape[1]))
-    interleaved[0::2] = left
-    interleaved[1::2] = right
-    write_pgm(out_dir / name, image_grid(interleaved, n_cols=2))
+def _write_grid(path, *columns):
+    """A PGM grid with one column per array and one row per image."""
+    tiles = np.stack(columns, axis=1).reshape(-1, columns[0].shape[1])
+    write_pgm(path, image_grid(tiles, n_cols=len(columns)))
 
 
 def cmd_reconstruct_or_replay(args) -> int:
     """Reconstruct or replay the first batch_size images of a split; write
     the input/output pairs as a PGM grid and each pair's MSE as CSV."""
-    import numpy as np
-
-    from .experiments import write_csv
-    from .memory import reconstruct, replay
-
-    params, cfg, splits = _load_run(args)
-    x = getattr(splits, args.split).images[: int(cfg.get("batch_size", 64))]
-    alpha = float(cfg.get("alpha", 0.01))
+    params, config, splits = _load_run(args)
+    x = getattr(splits, args.split).images[: config.batch_size]
     if args.command == "reconstruct":
         name = f"reconstruct_{args.split}"
-        out = reconstruct(params, x, iters=int(cfg.get("n_iters", 50)), alpha=alpha,
+        out = reconstruct(params, x, iters=config.n_iters, alpha=config.alpha,
                           init_seed=args.seed)
     else:
         name = "replay"
-        out = replay(params, x, alpha=alpha, init_seed=args.seed)
+        out = replay(params, x, alpha=config.alpha, init_seed=args.seed)
     args.out.mkdir(parents=True, exist_ok=True)
-    _write_pair_grid(args.out, f"{name}.pgm", x, out)
+    _write_grid(args.out / f"{name}.pgm", x, out)
     mse = np.mean((x - out) ** 2, axis=1)
     write_csv(args.out / f"{name}.csv", ["image", "mse"], enumerate(map(float, mse)))
     return 0
 
 
 def cmd_recall(args) -> int:
-    import numpy as np
-
-    from .experiments import run_recall_suite, write_csv
-    from .images import image_grid, write_pgm
-
-    params, cfg, splits = _load_run(args)
-    suite = run_recall_suite(params, splits, seed=args.seed,
-                             alpha=float(cfg.get("alpha", 0.01)))
+    params, config, splits = _load_run(args)
+    suite = run_recall_suite(params, splits, seed=args.seed, alpha=config.alpha)
     args.out.mkdir(parents=True, exist_ok=True)
-    n = suite.originals.shape[0]
-    columns = np.empty((3 * n, suite.originals.shape[1]))
-    columns[0::3] = suite.presented
-    columns[1::3] = suite.recalled
-    columns[2::3] = suite.originals
-    write_pgm(args.out / "recall.pgm", image_grid(columns, n_cols=3))
+    _write_grid(args.out / "recall.pgm", suite.presented, suite.recalled, suite.originals)
     write_csv(args.out / "recall.csv", ["image", "masked_mse", "iterations", "converged"],
-              zip(range(n), map(float, suite.per_image_mse), map(int, suite.iterations),
-                  map(bool, suite.converged)))
+              zip(range(len(suite.originals)), map(float, suite.masked_mse),
+                  map(int, suite.iterations), map(bool, suite.converged)))
     print(f"mean masked MSE: {suite.mean_mse:.6f}")
     return 0
 
 
 def cmd_export_weights(args) -> int:
-    import numpy as np
-
-    from .checkpoint import load_checkpoint
-    from .images import image_grid, write_pgm
-
     params, _, _ = load_checkpoint(args.checkpoint)
     tiles = params.theta1.T  # one tile per hidden unit
     n_cols = int(np.ceil(np.sqrt(tiles.shape[0])))
@@ -213,18 +183,12 @@ def cmd_export_weights(args) -> int:
 
 
 def cmd_export_latents(args) -> int:
-    import numpy as np
-
-    from .core import compute_errors
-    from .experiments import write_csv
-    from .memory import infer_latents
-
-    params, cfg, splits = _load_run(args)
+    params, config, splits = _load_run(args)
     images = splits.test.images
     labels = splits.test.labels
     _, d2, d3 = params.dims
-    state = infer_latents(params, images, iters=int(cfg.get("n_iters", 50)),
-                          alpha=float(cfg.get("alpha", 0.01)), init_seed=args.seed)
+    state = infer_latents(params, images, iters=config.n_iters, alpha=config.alpha,
+                          init_seed=args.seed)
     errors = compute_errors(params, state, images)
     e1 = 0.5 * np.sum(errors.xi1**2, axis=1)
     rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),
@@ -237,8 +201,6 @@ def cmd_export_latents(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    from .gradcheck import gradient_report
-
     report = gradient_report(seed=args.seed)
     failed = False
     for block, err in report.items():
@@ -260,9 +222,6 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if "--single-thread" in argv:
-        _single_thread_env()  # before any numpy import below
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)

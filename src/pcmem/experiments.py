@@ -26,6 +26,7 @@ import io
 import math
 import numbers
 import time
+from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -44,22 +45,25 @@ from .core import (
     learning_gradients,
 )
 from .data import DatasetSplits, Split
-from .memory import OcclusionMask, infer_latents, recall
+from .memory import OcclusionMask, RecallResult, infer_latents, recall
 from .optim import AdamState, adam_step
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Full run configuration; persisted with every checkpoint."""
+    """Full run configuration; persisted with every checkpoint. Every field
+    has a default, so a checkpoint's config that names only some of them
+    (or none) still reads as one."""
 
-    mode: str  # "pc" | "ipc"
-    beta: float
+    mode: str = "pc"  # "pc" | "ipc"
+    beta: float = 1e-4
     dims: tuple[int, int, int] = (784, 35, 2)
     activation: Activation = Activation.TANH
     batch_size: int = 64
     n_iters: int = 50
     alpha: float = 0.01
-    # weight, latent, split and shuffle streams; each gets its own generator
+    # weight init, latent draws, epoch order and split: each starts its own
+    # default_rng(seed), so all four read the same bit stream
     seed: int = 0
     epsilon: float = 1e-5
     patience: int = 5
@@ -103,7 +107,8 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         d = dict(d)
-        d["activation"] = Activation(d.get("activation", "tanh"))
+        if "activation" in d:
+            d["activation"] = Activation(d["activation"])
         if isinstance(d.get("dims"), list):
             d["dims"] = tuple(d["dims"])
         return cls(**d)
@@ -140,9 +145,6 @@ class EpochStats:
 @dataclass
 class TrainLog:
     rows: list[EpochStats] = field(default_factory=list)
-
-    def train_history(self) -> list[np.ndarray]:
-        return [r.train_energies for r in self.rows]
 
     def to_csv(self, path: str | Path) -> None:
         write_csv(
@@ -237,6 +239,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     train_images = splits.train.images[: config.limit_train]
 
     log = TrainLog()
+    recent = deque(maxlen=config.patience)  # all convergence_check looks at
     reason = "max_epochs"
     last_val = np.full(3, np.nan)
     for epoch in range(1, config.max_epochs + 1):
@@ -254,10 +257,9 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
                 raise DivergenceError(f"{where}: {exc}") from exc
             weighted += energies * x.shape[0]
         train_energies = weighted / len(order)
+        recent.append(train_energies)
         stop = (
-            convergence_check(
-                log.train_history() + [train_energies], config.epsilon, config.patience
-            )
+            convergence_check(list(recent), config.epsilon, config.patience)
             or epoch == config.max_epochs
         )
         if epoch == 1 or stop or epoch % config.val_every == 0:
@@ -286,18 +288,6 @@ def evaluate_errors(
     return compute_errors(params, state, split.images).layer_energies
 
 
-@dataclass
-class RecallSuiteResult:
-    per_image_mse: np.ndarray
-    mean_mse: float
-    presented: np.ndarray
-    recalled: np.ndarray
-    originals: np.ndarray
-    iterations: np.ndarray
-    converged: np.ndarray
-    last_delta: np.ndarray
-
-
 def run_recall_suite(
     params: ModelParams,
     splits: DatasetSplits,
@@ -306,23 +296,12 @@ def run_recall_suite(
     seed: int = 0,
     iters: int = 5000,
     alpha: float = 0.01,
-) -> RecallSuiteResult:
+) -> RecallResult:
     """Recall the first n training images, the ones every run with
-    limit_train >= n trained on, through the given mask, all in one batch;
-    reports per-image and mean masked MSE and each image's iteration count,
-    convergence and last change. `seed` draws the latent init every image
+    limit_train >= n trained on, through the given mask (top half visible
+    by default), all in one batch. `seed` draws the latent init every image
     starts from."""
     if mask is None:
         mask = OcclusionMask.top_half()
-    originals = splits.train.images[:n_images]
-    result = recall(params, originals, mask, iters=iters, alpha=alpha, init_seed=seed)
-    return RecallSuiteResult(
-        per_image_mse=result.masked_mse,
-        mean_mse=float(result.masked_mse.mean()),
-        presented=np.where(mask.visible, originals, 0.0),
-        recalled=result.images,
-        originals=originals,
-        iterations=result.iterations,
-        converged=result.converged,
-        last_delta=result.last_delta,
-    )
+    return recall(params, splits.train.images[:n_images], mask, iters=iters, alpha=alpha,
+                  init_seed=seed)

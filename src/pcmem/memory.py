@@ -59,18 +59,25 @@ class OcclusionMask:
 
 
 @dataclass
-class MemoryTaskResult:
-    """Per-row recall outputs. last_delta is the inf-norm change of phi1 in
-    a row's last iteration (NaN if it took none); converged says whether
-    that change fell below RECALL_PHI1_TOL; final_free_energy is the batch
-    mean."""
+class RecallResult:
+    """Per-row recall outputs: the originals, the presented images (hidden
+    pixels zeroed), the recalled images and their masked MSE against the
+    originals. last_delta is the inf-norm change of phi1 in a row's last
+    iteration (NaN if it took none); converged says whether that change
+    fell below RECALL_PHI1_TOL; final_free_energy is the batch mean."""
 
-    images: np.ndarray
+    originals: np.ndarray
+    presented: np.ndarray
+    recalled: np.ndarray
+    masked_mse: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     last_delta: np.ndarray
     final_free_energy: float
-    masked_mse: np.ndarray
+
+    @property
+    def mean_mse(self) -> float:
+        return float(self.masked_mse.mean())
 
 
 def masked_mse(a: np.ndarray, b: np.ndarray, mask: OcclusionMask) -> float | np.ndarray:
@@ -168,7 +175,7 @@ def recall(
     iters: int = DEFAULT_BUDGET,
     alpha: float = 0.01,
     init_seed: int = 0,
-) -> MemoryTaskResult:
+) -> RecallResult:
     """Pattern-complete the hidden pixels of a batch of partially presented
     images.
 
@@ -202,7 +209,8 @@ def recall(
     theta1_h = theta1[mask.hidden]
     gram = theta1.T @ theta1
     gram_h = theta1_h.T @ theta1_h
-    drive = np.where(mask.visible, target, 0.0) @ theta1  # v theta1_v
+    presented = np.where(mask.visible, target, 0.0)
+    drive = presented @ theta1  # v theta1_v
     init = init_latents(params.dims, 1, np.random.default_rng(init_seed))
     # per-row results; a row is written once, when it stops
     phi2 = np.repeat(init.phi2, n, axis=0)
@@ -244,11 +252,13 @@ def recall(
         raise DivergenceError(
             f"non-finite free energy after recall iteration {int(iterations.max(initial=0))}"
         )
-    return MemoryTaskResult(
-        images=images,
+    return RecallResult(
+        originals=target,
+        presented=presented,
+        recalled=images,
+        masked_mse=masked_mse(images, target, mask),
         iterations=iterations,
         converged=last_delta < RECALL_PHI1_TOL,
         last_delta=last_delta,
         final_free_energy=mean_f,
-        masked_mse=masked_mse(images, target, mask),
     )

@@ -43,12 +43,15 @@ from conftest import direct_descent
 def _cli_train(out_dir, corpus_dir):
     cmd = [
         sys.executable, "-m", "pcmem.cli", "train",
-        "--preset", "exp1", "--seed", "0", "--single-thread",
+        "--preset", "exp1", "--seed", "0",
         "--data-dir", str(corpus_dir), "--out", str(out_dir),
     ]
     # run the pcmem sources under test, installed or not
     src = str(Path(pcmem.__file__).resolve().parent.parent)
     env = dict(os.environ)
+    # single-threaded BLAS, the mode runs are bit-identical in; it must be
+    # set before the child process loads numpy
+    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     subprocess.run(cmd, check=True, capture_output=True, text=True, env=env)
     return out_dir

@@ -170,22 +170,68 @@ def test_mse_column_matches_api_on_prefix_rows(trained_run, corpus_dir, tmp_path
 
 
 def test_splits_ignore_seed_flag_without_checkpoint_config(trained_run, corpus_dir, tmp_path):
-    """A checkpoint saved without a config rebuilds the splits with seed 0;
-    the command's --seed still only draws the latent init."""
+    """A checkpoint saved without a config rebuilds the splits with seed 0
+    and runs with the config defaults (alpha 0.01, T = 50, 64 rows); the
+    command's --seed still only draws the latent init."""
     params, _, _ = load_checkpoint(trained_run / "checkpoint.pcn")
     bare = tmp_path / "bare.pcn"
     save_checkpoint(bare, params)
-    out = tmp_path / "replay"
-    rc = main([
-        "replay", "--checkpoint", str(bare), "--data-dir", str(corpus_dir),
-        "--out", str(out), "--seed", "3",
-    ])
-    assert rc == 0
     x = build_splits(*load_raw(corpus_dir), split_seed=0).train.images[:64]
-    expected = replay(params, x, alpha=0.01, init_seed=3)
-    with open(out / "replay.csv") as f:
-        mse = [float(r["mse"]) for r in csv.DictReader(f)]
-    assert mse == list(np.mean((x - expected) ** 2, axis=1))
+    expected = {
+        "replay": replay(params, x, alpha=0.01, init_seed=3),
+        "reconstruct": reconstruct(params, x, iters=50, alpha=0.01, init_seed=3),
+    }
+    for command, out_images in expected.items():
+        out = tmp_path / command
+        rc = main([
+            command, "--checkpoint", str(bare), "--data-dir", str(corpus_dir),
+            "--out", str(out), "--seed", "3",
+        ])
+        assert rc == 0
+        name = "replay.csv" if command == "replay" else "reconstruct_train.csv"
+        with open(out / name) as f:
+            mse = [float(r["mse"]) for r in csv.DictReader(f)]
+        assert mse == list(np.mean((x - out_images) ** 2, axis=1))
+
+
+def _with_config(trained_run, tmp_path, **settings):
+    """The trained checkpoint re-saved with the given settings merged into
+    its embedded config."""
+    params, adam, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
+    manifest.config = {**manifest.config, **settings}
+    path = tmp_path / "edited.pcn"
+    save_checkpoint(path, params, adam=adam, manifest=manifest)
+    return path
+
+
+@pytest.mark.parametrize("command", ["reconstruct", "replay", "recall", "export-latents"])
+@pytest.mark.parametrize(
+    "setting", [{"alpha": None}, {"batch_size": None}, {"seed": [1]}, {"n_iters": "x"}],
+    ids=lambda s: next(iter(s)),
+)
+def test_malformed_checkpoint_settings_fail_cleanly(
+    trained_run, corpus_dir, tmp_path, capsys, command, setting
+):
+    checkpoint = _with_config(trained_run, tmp_path, **setting)
+    rc = main([command, "--checkpoint", str(checkpoint), "--data-dir", str(corpus_dir),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and next(iter(setting)) in err
+    assert "Traceback" not in err
+
+
+def test_legacy_config_key_ignored(trained_run, corpus_dir, tmp_path):
+    """A checkpoint whose config names a field the config no longer has
+    (scope) still runs, with the same output as without it."""
+    checkpoint = _with_config(trained_run, tmp_path, scope="single-batch")
+    for path, out in ((checkpoint, tmp_path / "legacy"),
+                      (trained_run / "checkpoint.pcn", tmp_path / "plain")):
+        rc = main(["replay", "--checkpoint", str(path), "--data-dir", str(corpus_dir),
+                   "--out", str(out)])
+        assert rc == 0
+    assert (tmp_path / "legacy" / "replay.csv").read_bytes() == (
+        tmp_path / "plain" / "replay.csv").read_bytes()
 
 
 class TestRecall:
@@ -208,7 +254,7 @@ class TestRecall:
         suite = run_recall_suite(params, splits, seed=0, alpha=0.01)
         assert [int(r["iterations"]) for r in rows] == list(suite.iterations)
         assert [r["converged"] for r in rows] == [str(c) for c in suite.converged]
-        assert [float(r["masked_mse"]) for r in rows] == list(suite.per_image_mse)
+        assert [float(r["masked_mse"]) for r in rows] == list(suite.masked_mse)
 
 
 class TestExports:

@@ -104,6 +104,11 @@ class TestConfig:
         )
         assert config.dims == (25, 8, 2)
 
+    def test_unnamed_fields_take_the_defaults(self):
+        config = ExperimentConfig.from_dict({"alpha": 0.5})
+        assert config == ExperimentConfig(alpha=0.5)
+        assert (config.mode, config.beta, config.n_iters, config.batch_size) == ("pc", 1e-4, 50, 64)
+
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
             preset("exp3")
@@ -204,6 +209,29 @@ class TestTrain:
         assert result.stop_reason == "converged"
         assert len(result.log.rows) == 3
 
+    @pytest.mark.parametrize("patience", [1, 3])
+    def test_stops_where_full_history_check_first_passes(self, toy_data, patience):
+        """train checks only the last `patience` epochs; it stops at the
+        first epoch where the check over the whole history passes. With
+        patience 1 that is epoch 1, since one epoch is always stable."""
+        base = dict(mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
+                    batch_size=4, n_iters=2, max_epochs=30)
+        # the run's whole energy history, never stopping early
+        full = train(ExperimentConfig(epsilon=0.0, patience=1000, **base), toy_data)
+        history = [r.train_energies for r in full.log.rows]
+        # an epsilon that the median window passes, so the stop falls mid-run
+        spreads = sorted(
+            float(np.max(np.ptp(w, axis=0) / np.abs(w[-1])))
+            for w in (np.stack(history[k - patience:k]) for k in range(patience, 31))
+        )
+        epsilon = spreads[len(spreads) // 2]
+        first = next(k for k in range(1, 31) if convergence_check(history[:k], epsilon, patience))
+        assert first == 1 if patience == 1 else 1 < first < 30
+
+        result = train(ExperimentConfig(epsilon=epsilon, patience=patience, **base), toy_data)
+        assert result.stop_reason == "converged"
+        assert len(result.log.rows) == first
+
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
     def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode):
         config = ExperimentConfig(
@@ -281,9 +309,9 @@ class TestRecallSuite:
         suite = run_recall_suite(
             toy_trained, toy_data, n_images=3, mask=mask, iters=300
         )
-        assert suite.per_image_mse.shape == (3,)
+        assert suite.masked_mse.shape == (3,)
         assert suite.recalled.shape == (3, 25)
-        assert suite.mean_mse == pytest.approx(suite.per_image_mse.mean())
+        assert suite.mean_mse == pytest.approx(suite.masked_mse.mean())
         # presented images hide exactly the masked pixels
         np.testing.assert_array_equal(
             suite.presented[:, ~visible], np.zeros((3, 12))
@@ -302,8 +330,8 @@ class TestRecallSuite:
         mask = OcclusionMask(visible)
         suite = run_recall_suite(toy_trained, toy_data, n_images=4, mask=mask, seed=2, iters=50)
         result = recall(toy_trained, toy_data.train.images[:4], mask, iters=50, init_seed=2)
-        np.testing.assert_array_equal(suite.recalled, result.images)
-        np.testing.assert_array_equal(suite.per_image_mse, result.masked_mse)
+        np.testing.assert_array_equal(suite.recalled, result.recalled)
+        np.testing.assert_array_equal(suite.masked_mse, result.masked_mse)
         np.testing.assert_array_equal(suite.iterations, result.iterations)
         np.testing.assert_array_equal(suite.converged, result.converged)
         np.testing.assert_array_equal(suite.last_delta, result.last_delta)

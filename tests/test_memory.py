@@ -204,7 +204,7 @@ class TestRecall:
         target = toy_patterns(1, seed=6)[0]
         result = recall(toy_trained, target, mask, iters=500)
         np.testing.assert_array_equal(
-            result.images[0][mask.visible], target[mask.visible]
+            result.recalled[0][mask.visible], target[mask.visible]
         )
 
     def test_free_energy_decreases(self, toy_trained):
@@ -223,7 +223,7 @@ class TestRecall:
         target = toy_patterns(1, seed=8)[0]
         a = recall(toy_trained, target, mask, iters=200, init_seed=5)
         b = recall(toy_trained, target, mask, iters=200, init_seed=5)
-        np.testing.assert_array_equal(a.images, b.images)
+        np.testing.assert_array_equal(a.recalled, b.recalled)
         np.testing.assert_array_equal(a.iterations, b.iterations)
 
     def test_masked_mse_nonnegative_and_reported(self, toy_trained):
@@ -254,8 +254,8 @@ class TestRecall:
         np.testing.assert_array_equal(result.iterations, used)
         np.testing.assert_array_equal(result.converged, used < iters)
         assert np.all(result.last_delta[result.converged] < RECALL_PHI1_TOL)
-        np.testing.assert_allclose(result.images, phi1, rtol=0, atol=1e-10)
-        np.testing.assert_array_equal(result.images[:, mask.visible], target[:, mask.visible])
+        np.testing.assert_allclose(result.recalled, phi1, rtol=0, atol=1e-10)
+        np.testing.assert_array_equal(result.recalled[:, mask.visible], target[:, mask.visible])
         assert result.final_free_energy == pytest.approx(final_f, rel=0, abs=1e-10)
         np.testing.assert_allclose(
             result.masked_mse, [masked_mse(phi1[k], target[k], mask) for k in range(2)],
@@ -269,7 +269,7 @@ class TestRecall:
         for k in range(5):
             alone = recall(toy_trained, target[k], mask, iters=10000, init_seed=2)
             np.testing.assert_array_equal(batch.iterations[k:k + 1], alone.iterations)
-            np.testing.assert_allclose(batch.images[k:k + 1], alone.images, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(batch.recalled[k:k + 1], alone.recalled, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 batch.last_delta[k:k + 1], alone.last_delta, rtol=0, atol=1e-12
             )
@@ -287,7 +287,7 @@ class TestRecall:
         assert mixed.converged.all()
         alone = recall(toy_trained, target[early], mask, iters=10000, init_seed=1)
         assert alone.iterations[0] == mixed.iterations[early]
-        np.testing.assert_allclose(mixed.images[early], alone.images[0], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mixed.recalled[early], alone.recalled[0], rtol=0, atol=1e-12)
 
     def test_budget_stop_reported(self, toy_trained):
         mask = toy_mask()
