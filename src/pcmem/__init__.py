@@ -2,12 +2,10 @@
 inference and learning, replay, and auto-associative recall."""
 
 from .core import (
-    Activation,
     DivergenceError,
     ErrorState,
     LatentState,
     ModelParams,
-    activation_eval,
     compute_errors,
     descend_latents,
     free_energy,

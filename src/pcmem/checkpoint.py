@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Activation, ModelParams
+from .core import ModelParams
 from .optim import AdamState
 
 MAGIC = b"PCN1"
@@ -44,7 +44,6 @@ class RunManifest:
     config: dict
     data_digests: dict = field(default_factory=dict)
     artifact_version: str = ARTIFACT_VERSION
-    created: Optional[str] = None
 
     def to_json(self, include_timestamp: bool = False) -> str:
         d = {
@@ -53,7 +52,7 @@ class RunManifest:
             "data_digests": self.data_digests,
         }
         if include_timestamp:
-            d["created"] = self.created or time.strftime("%Y-%m-%dT%H:%M:%S%z")
+            d["created"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
         return json.dumps(d, sort_keys=True)
 
     @classmethod
@@ -65,7 +64,6 @@ class RunManifest:
             config=d.get("config", {}),
             data_digests=d.get("data_digests", {}),
             artifact_version=d.get("artifact_version", "unknown"),
-            created=d.get("created"),
         )
 
 
@@ -115,7 +113,7 @@ def load_checkpoint(
     """Read a checkpoint written by save_checkpoint.
 
     Raises CheckpointError, naming the offset, on any file that does not
-    hold exactly one well-formed checkpoint.
+    hold exactly one well-formed checkpoint of the tanh model.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -169,16 +167,19 @@ def load_checkpoint(
         raise CheckpointError(f"{len(raw) - offset} trailing bytes at offset {offset}")
     try:
         manifest = RunManifest.from_json(blob.decode("utf-8"))
-        activation = Activation(manifest.config.get("activation", "tanh"))
-        beta = float(manifest.config.get("beta", 1e-4))
-    except (ValueError, TypeError) as exc:
+    except ValueError as exc:
         raise CheckpointError(f"bad manifest at offset {start}: {exc}") from None
+    activation = manifest.config.get("activation", "tanh")
+    if activation != "tanh":
+        raise CheckpointError(
+            f"bad manifest at offset {start}: activation {activation!r}, the model is tanh"
+        )
     try:
-        params = ModelParams(theta1, theta2, activation)
+        params = ModelParams(theta1, theta2)
     except ValueError as exc:
         raise CheckpointError(f"bad weights: {exc}") from None
 
     adam = None
     if adam_raw:
-        adam = tuple(AdamState(m=m, v=v, t=t, rate=beta) for m, v, t in adam_raw)
+        adam = tuple(AdamState(m=m, v=v, t=t) for m, v, t in adam_raw)
     return params, adam, manifest

@@ -94,7 +94,8 @@ def _load_run(args):
     """The checkpoint's weights, its settings as an ExperimentConfig, and
     the splits rebuilt with the config's seed; the command's own --seed
     never reaches the splits. Keys the config does not know (legacy ones
-    such as scope) are ignored."""
+    such as scope, or activation, which load_checkpoint has checked) are
+    ignored."""
     params, _, manifest = load_checkpoint(args.checkpoint)
     known = {f.name for f in fields(ExperimentConfig)}
     try:

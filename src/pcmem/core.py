@@ -4,11 +4,12 @@ and the hand-derived inference/learning gradients.
 The generative model is
 
     u    ~ N(theta1 @ phi2, I)      (input layer, identity activation)
-    phi2 ~ N(f(theta2 @ phi3), I)
+    phi2 ~ N(tanh(theta2 @ phi3), I)
     phi3 ~ N(0, I)
 
 so the free energy per example is l = 1/2 (|xi1|^2 + |xi2|^2 + |xi3|^2)
-with xi1 = u - theta1 @ phi2, xi2 = phi2 - f(theta2 @ phi3), xi3 = phi3.
+with xi1 = u - theta1 @ phi2, xi2 = phi2 - tanh(theta2 @ phi3), xi3 = phi3.
+The activation is fixed: f = tanh, f' = 1 - tanh^2, computed inline.
 
 All functions are pure: they take value state and return new values.
 Arrays are float64, batch-major (batch x dim). "diag[f']" is always an
@@ -19,9 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
+
+# inference step size alpha and number of inference steps T per batch
+DEFAULT_ALPHA = 0.01
+DEFAULT_ITERS = 50
 
 
 class DivergenceError(RuntimeError):
@@ -29,31 +34,14 @@ class DivergenceError(RuntimeError):
 
 
 class Activation(Enum):
-    """Activation for the layer-2 prediction (layer 1 is always identity)."""
+    """The layer-2 activation, always tanh (layer 1 is always identity)."""
 
-    IDENTITY = "identity"
     TANH = "tanh"
-
-
-def activation_eval(kind: Activation, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate f(x) and f'(x) element-wise.
-
-    Raises ValueError on non-finite input.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(x)):
-        raise ValueError("activation input contains non-finite values")
-    if kind is Activation.TANH:
-        value = np.tanh(x)
-        return value, 1.0 - value * value
-    if kind is Activation.IDENTITY:
-        return x, np.ones_like(x)
-    raise ValueError(f"unknown activation {kind!r}")
 
 
 @dataclass(frozen=True)
 class ModelParams:
-    """The learned generative model: two weight matrices and the activation.
+    """The learned generative model: two weight matrices.
 
     theta1 has shape (d1, d2), theta2 has shape (d2, d3). Shapes are fixed
     at construction.
@@ -61,7 +49,8 @@ class ModelParams:
 
     theta1: np.ndarray
     theta2: np.ndarray
-    activation: Activation = Activation.TANH
+    # fixed, not a setting; perfbench reads params.activation.value
+    activation: ClassVar[Activation] = Activation.TANH
 
     def __post_init__(self):
         if self.theta1.ndim != 2 or self.theta2.ndim != 2:
@@ -78,11 +67,7 @@ class ModelParams:
         return (self.theta1.shape[0], self.theta1.shape[1], self.theta2.shape[1])
 
 
-def init_params(
-    dims: tuple[int, int, int],
-    rng: np.random.Generator,
-    activation: Activation = Activation.TANH,
-) -> ModelParams:
+def init_params(dims: tuple[int, int, int], rng: np.random.Generator) -> ModelParams:
     """Seeded uniform weight init in [-1/sqrt(fan_in), +1/sqrt(fan_in)].
 
     fan_in is the input dimension of each linear map (d2 for theta1,
@@ -93,7 +78,7 @@ def init_params(
     b2 = 1.0 / np.sqrt(d3)
     theta1 = rng.uniform(-b1, b1, size=(d1, d2))
     theta2 = rng.uniform(-b2, b2, size=(d2, d3))
-    return ModelParams(theta1=theta1, theta2=theta2, activation=activation)
+    return ModelParams(theta1=theta1, theta2=theta2)
 
 
 @dataclass(frozen=True)
@@ -177,7 +162,7 @@ def compute_errors(
         xi1 = x - state.phi2 @ params.theta1.T
     else:
         xi1 = np.zeros((state.batch, d1))
-    pred2, fprime2 = activation_eval(params.activation, state.phi3 @ params.theta2.T)
+    pred2 = np.tanh(state.phi3 @ params.theta2.T)
     xi2 = state.phi2 - pred2
     xi3 = state.phi3
     energies = np.array(
@@ -187,7 +172,8 @@ def compute_errors(
             0.5 * np.mean(np.sum(xi3 * xi3, axis=1)),
         ]
     )
-    return ErrorState(xi1=xi1, xi2=xi2, xi3=xi3, layer_energies=energies, fprime2=fprime2)
+    return ErrorState(xi1=xi1, xi2=xi2, xi3=xi3, layer_energies=energies,
+                      fprime2=1.0 - pred2 * pred2)
 
 
 def free_energy(errors: ErrorState) -> tuple[np.ndarray, float]:
@@ -267,7 +253,7 @@ def descend_latents(
     phi2, phi3 = state.phi2, state.phi3
     prev = None
     for i in range(n_iters):
-        pred2, fprime2 = activation_eval(params.activation, phi3 @ theta2.T)
+        pred2 = np.tanh(phi3 @ theta2.T)
         xi2 = phi2 - pred2
         if rel_tol is not None:
             xi1 = x - phi2 @ theta1.T
@@ -281,7 +267,7 @@ def descend_latents(
                 break
             prev = mean_f
         d_phi2 = xi2 - drive + phi2 @ gram
-        d_phi3 = phi3 - (xi2 * fprime2) @ theta2
+        d_phi3 = phi3 - (xi2 * (1.0 - pred2 * pred2)) @ theta2
         phi2 = phi2 - alpha * d_phi2
         phi3 = phi3 - alpha * d_phi3
         if not (np.all(np.isfinite(phi2)) and np.all(np.isfinite(phi3))):

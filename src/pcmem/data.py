@@ -23,6 +23,7 @@ import numpy as np
 
 IDX_UBYTE = 0x08
 
+DIGITS = (4, 7)  # the kept labels; the second one is label 1
 TRAIN_SIZE = 10097
 VAL_SIZE = 2010
 TEST_SIZE = 2010
@@ -136,27 +137,26 @@ class DatasetSplits:
     test: Split
 
 
-def _filter_and_scale(raw: RawImageSet, digits: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    mask = np.isin(raw.labels, digits)
+def _filter_and_scale(raw: RawImageSet) -> tuple[np.ndarray, np.ndarray]:
+    mask = np.isin(raw.labels, DIGITS)
     images = raw.images[mask].reshape(-1, raw.images.shape[1] * raw.images.shape[2])
     images = images.astype(np.float64) / 255.0
-    labels = (raw.labels[mask] == digits[1]).astype(np.uint8)
+    labels = (raw.labels[mask] == DIGITS[1]).astype(np.uint8)
     return images, labels
 
 
 def build_splits(
     train_raw: RawImageSet,
     test_raw: RawImageSet,
-    digits: tuple[int, int] = (4, 7),
     split_seed: int = 0,
 ) -> DatasetSplits:
-    """Filter to the two digits and produce the fixed-size splits.
+    """Filter to DIGITS and produce the fixed-size splits.
 
     Fails hard (naming the observed counts) if the filtered subsets do not
     have the standard-MNIST sizes 12107 (train side) and 2010 (test side).
     """
-    train_images, train_labels = _filter_and_scale(train_raw, digits)
-    test_images, test_labels = _filter_and_scale(test_raw, digits)
+    train_images, train_labels = _filter_and_scale(train_raw)
+    test_images, test_labels = _filter_and_scale(test_raw)
 
     n_train_side = train_images.shape[0]
     if n_train_side != TRAIN_SIZE + VAL_SIZE:

@@ -35,7 +35,8 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .core import (
-    Activation,
+    DEFAULT_ALPHA,
+    DEFAULT_ITERS,
     DivergenceError,
     ModelParams,
     compute_errors,
@@ -45,7 +46,7 @@ from .core import (
     learning_gradients,
 )
 from .data import DatasetSplits, Split
-from .memory import OcclusionMask, RecallResult, infer_latents, recall
+from .memory import DEFAULT_BUDGET, OcclusionMask, RecallResult, infer_latents, recall
 from .optim import AdamState, adam_step
 
 
@@ -58,10 +59,9 @@ class ExperimentConfig:
     mode: str = "pc"  # "pc" | "ipc"
     beta: float = 1e-4
     dims: tuple[int, int, int] = (784, 35, 2)
-    activation: Activation = Activation.TANH
     batch_size: int = 64
-    n_iters: int = 50
-    alpha: float = 0.01
+    n_iters: int = DEFAULT_ITERS
+    alpha: float = DEFAULT_ALPHA
     # weight init, latent draws, epoch order and split: each starts its own
     # default_rng(seed), so all four read the same bit stream
     seed: int = 0
@@ -97,7 +97,6 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["activation"] = self.activation.value
         d["dims"] = list(self.dims)
         return d
 
@@ -107,8 +106,6 @@ class ExperimentConfig:
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
         d = dict(d)
-        if "activation" in d:
-            d["activation"] = Activation(d["activation"])
         if isinstance(d.get("dims"), list):
             d["dims"] = tuple(d["dims"])
         return cls(**d)
@@ -215,9 +212,9 @@ def _train_batch(params, x, config, adam1, adam2, rng):
                 f"non-finite free energy at inference iteration {(update + 1) * steps - 1}"
             )
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
-        theta1, adam1 = adam_step(params.theta1, d_theta1, adam1)
-        theta2, adam2 = adam_step(params.theta2, d_theta2, adam2)
-        params = ModelParams(theta1, theta2, params.activation)
+        theta1, adam1 = adam_step(params.theta1, d_theta1, adam1, config.beta)
+        theta2, adam2 = adam_step(params.theta2, d_theta2, adam2, config.beta)
+        params = ModelParams(theta1, theta2)
     return params, adam1, adam2, errors.layer_energies
 
 
@@ -230,9 +227,9 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     matrix).
     """
     rng_w = np.random.default_rng(config.seed)
-    params = init_params(config.dims, rng_w, config.activation)
-    adam1 = AdamState.fresh(params.theta1.shape, config.beta)
-    adam2 = AdamState.fresh(params.theta2.shape, config.beta)
+    params = init_params(config.dims, rng_w)
+    adam1 = AdamState.fresh(params.theta1.shape)
+    adam2 = AdamState.fresh(params.theta2.shape)
     rng_l = np.random.default_rng(config.seed)
     rng_s = np.random.default_rng(config.seed)
 
@@ -278,8 +275,8 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
 def evaluate_errors(
     params: ModelParams,
     split: Split,
-    n_iters: int = 50,
-    alpha: float = 0.01,
+    n_iters: int = DEFAULT_ITERS,
+    alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
 ) -> np.ndarray:
     """Mean per-layer energies over a split after seeded inference
@@ -294,8 +291,8 @@ def run_recall_suite(
     n_images: int = 10,
     mask: Optional[OcclusionMask] = None,
     seed: int = 0,
-    iters: int = 5000,
-    alpha: float = 0.01,
+    iters: int = DEFAULT_BUDGET,
+    alpha: float = DEFAULT_ALPHA,
 ) -> RecallResult:
     """Recall the first n training images, the ones every run with
     limit_train >= n trained on, through the given mask (top half visible

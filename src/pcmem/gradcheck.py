@@ -10,9 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import (
-    Activation,
     LatentState,
-    activation_eval,
     compute_errors,
     inference_gradients,
     init_params,
@@ -23,10 +21,9 @@ DEFAULT_TOL = 1e-4
 DEFAULT_H = 1e-5
 
 
-def _per_example_energy(theta1, theta2, activation, phi1, phi2, phi3):
+def _per_example_energy(theta1, theta2, phi1, phi2, phi3):
     xi1 = phi1 - phi2 @ theta1.T
-    pred2, _ = activation_eval(activation, phi3 @ theta2.T)
-    xi2 = phi2 - pred2
+    xi2 = phi2 - np.tanh(phi3 @ theta2.T)
     xi3 = phi3
     return 0.5 * (
         np.sum(xi1 * xi1, axis=1) + np.sum(xi2 * xi2, axis=1) + np.sum(xi3 * xi3, axis=1)
@@ -45,7 +42,7 @@ def gradient_report(
 ) -> dict[str, float]:
     """Max relative error per gradient block on a random instance."""
     rng = np.random.default_rng(seed)
-    params = init_params(dims, rng, Activation.TANH)
+    params = init_params(dims, rng)
     d1, d2, d3 = dims
     phi1 = rng.uniform(0.0, 1.0, size=(batch, d1))
     phi2 = rng.standard_normal((batch, d2))
@@ -57,7 +54,7 @@ def gradient_report(
     d_theta1, d_theta2 = learning_gradients(params, state, errors)
 
     def energy(p1=phi1, p2=phi2, p3=phi3, t1=params.theta1, t2=params.theta2):
-        return _per_example_energy(t1, t2, params.activation, p1, p2, p3)
+        return _per_example_energy(t1, t2, p1, p2, p3)
 
     report: dict[str, float] = {}
 

@@ -19,10 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_ALPHA,
+    DEFAULT_ITERS,
     DivergenceError,
     LatentState,
     ModelParams,
-    activation_eval,
     compute_errors,
     descend_latents,
     free_energy,
@@ -94,8 +95,8 @@ def masked_mse(a: np.ndarray, b: np.ndarray, mask: OcclusionMask) -> float | np.
 def infer_latents(
     params: ModelParams,
     x: np.ndarray,
-    iters: int = 50,
-    alpha: float = 0.01,
+    iters: int = DEFAULT_ITERS,
+    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> LatentState:
     """Seeded random latent init followed by `iters` inference steps."""
@@ -110,8 +111,8 @@ def infer_latents(
 def reconstruct(
     params: ModelParams,
     x: np.ndarray,
-    iters: int = 50,
-    alpha: float = 0.01,
+    iters: int = DEFAULT_ITERS,
+    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> np.ndarray:
     """Layer-1 prediction theta1 @ phi2 after inferring latents for x."""
@@ -123,7 +124,7 @@ def regenerate(
     params: ModelParams,
     phi3: np.ndarray,
     phi2_init: np.ndarray,
-    alpha: float = 0.01,
+    alpha: float = DEFAULT_ALPHA,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-down regeneration from a frozen phi3 with input errors gated off.
@@ -136,7 +137,7 @@ def regenerate(
     budget. Takes no input at all, so the result is trivially invariant to
     input perturbations. Returns (images, phi2).
     """
-    target, _ = activation_eval(params.activation, phi3 @ params.theta2.T)
+    target = np.tanh(phi3 @ params.theta2.T)
     gap = phi2_init - target
     decay = (1.0 - alpha) ** np.arange(budget + 1)
     below = np.abs(decay) * np.max(np.abs(gap)) < REPLAY_XI2_TOL
@@ -148,7 +149,7 @@ def regenerate(
 def replay(
     params: ModelParams,
     x: np.ndarray,
-    alpha: float = 0.01,
+    alpha: float = DEFAULT_ALPHA,
     budget: int = DEFAULT_BUDGET,
     init_seed: int = 0,
 ) -> np.ndarray:
@@ -173,7 +174,7 @@ def recall(
     target: np.ndarray,
     mask: OcclusionMask,
     iters: int = DEFAULT_BUDGET,
-    alpha: float = 0.01,
+    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> RecallResult:
     """Pattern-complete the hidden pixels of a batch of partially presented
@@ -202,6 +203,8 @@ def recall(
     n, d1 = target.shape
     if d1 != mask.visible.shape[0]:
         raise ValueError("mask length does not match image size")
+    if params.dims[0] != d1:
+        raise ValueError(f"model input size {params.dims[0]} != image size {d1}")
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
 
@@ -223,11 +226,11 @@ def recall(
     active = np.arange(n)
     p2, p3, ra, drive_a = phi2, phi3, r, drive
     for i in range(iters):
-        pred2, fprime2 = activation_eval(params.activation, p3 @ theta2.T)
+        pred2 = np.tanh(p3 @ theta2.T)
         xi2 = p2 - pred2
         delta = alpha * np.max(np.abs((ra - p2) @ theta1_h.T), axis=1)
         d_phi2 = xi2 - drive_a - ra @ gram_h + p2 @ gram
-        d_phi3 = p3 - (xi2 * fprime2) @ theta2
+        d_phi3 = p3 - (xi2 * (1.0 - pred2 * pred2)) @ theta2
         ra = (1.0 - alpha) * ra + alpha * p2
         p2 = p2 - alpha * d_phi2
         p3 = p3 - alpha * d_phi3

@@ -2,7 +2,9 @@
 
 Adam (standard bias-corrected form, fixed decays 0.9 / 0.999 and
 epsilon 1e-8) drives weight learning; it is pure value-in/value-out and
-bit-deterministic. Inference descends the latents with plain gradient
+bit-deterministic. The state holds only the moments and the step count:
+the learning rate is the caller's, and training passes the run config's
+beta on every step. Inference descends the latents with plain gradient
 steps inside core.descend_latents and memory.recall.
 """
 
@@ -28,15 +30,14 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    rate: float = 1e-4
 
     @classmethod
-    def fresh(cls, shape: tuple[int, ...], rate: float) -> "AdamState":
-        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0, rate=rate)
+    def fresh(cls, shape: tuple[int, ...]) -> "AdamState":
+        return cls(m=np.zeros(shape), v=np.zeros(shape), t=0)
 
 
 def adam_step(
-    param: np.ndarray, grad: np.ndarray, state: AdamState
+    param: np.ndarray, grad: np.ndarray, state: AdamState, rate: float
 ) -> tuple[np.ndarray, AdamState]:
     """One bias-corrected Adam update; returns the new parameter and state.
 
@@ -52,5 +53,5 @@ def adam_step(
     v = ADAM_DECAY2 * state.v + (1.0 - ADAM_DECAY2) * grad * grad
     m_hat = m / (1.0 - ADAM_DECAY1**t)
     v_hat = v / (1.0 - ADAM_DECAY2**t)
-    new_param = param - state.rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    return new_param, AdamState(m=m, v=v, t=t, rate=state.rate)
+    new_param = param - rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return new_param, AdamState(m=m, v=v, t=t)

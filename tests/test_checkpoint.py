@@ -15,7 +15,7 @@ from pcmem.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from pcmem.core import Activation, ModelParams, init_params
+from pcmem.core import ModelParams, init_params
 from pcmem.experiments import preset
 from pcmem.optim import AdamState
 
@@ -26,15 +26,15 @@ def small_params(seed=0, dims=(6, 4, 2)):
 
 def small_adam(params, rate=1e-4, steps=3):
     rng = np.random.default_rng(1)
-    a1 = AdamState.fresh(params.theta1.shape, rate)
-    a2 = AdamState.fresh(params.theta2.shape, rate)
+    a1 = AdamState.fresh(params.theta1.shape)
+    a2 = AdamState.fresh(params.theta2.shape)
     from pcmem.optim import adam_step
 
     t1, t2 = params.theta1, params.theta2
     for _ in range(steps):
-        t1, a1 = adam_step(t1, rng.standard_normal(t1.shape), a1)
-        t2, a2 = adam_step(t2, rng.standard_normal(t2.shape), a2)
-    return ModelParams(t1, t2, params.activation), (a1, a2)
+        t1, a1 = adam_step(t1, rng.standard_normal(t1.shape), a1, rate)
+        t2, a2 = adam_step(t2, rng.standard_normal(t2.shape), a2, rate)
+    return ModelParams(t1, t2), (a1, a2)
 
 
 class TestRoundTrip:
@@ -58,19 +58,17 @@ class TestRoundTrip:
             np.testing.assert_array_equal(saved.m, loaded.m)
             np.testing.assert_array_equal(saved.v, loaded.v)
             assert saved.t == loaded.t
-            assert loaded.rate == config.beta
 
-    def test_activation_restored_from_manifest(self, tmp_path):
-        dims = (6, 4, 2)
-        params = ModelParams(
-            np.ones((6, 4)), np.ones((4, 2)), activation=Activation.IDENTITY
-        )
-        config = preset("exp1").to_dict()
-        config["activation"] = "identity"
+    def test_legacy_tanh_manifest_loads(self, tmp_path):
+        # manifests written before the activation left the config name it
+        params, adam = small_adam(small_params())
+        config = {**preset("exp1").to_dict(), "activation": "tanh", "beta": 1e-4}
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params, manifest=RunManifest(config=config))
-        loaded, _, _ = load_checkpoint(path)
-        assert loaded.activation is Activation.IDENTITY
+        save_checkpoint(path, params, adam=adam, manifest=RunManifest(config=config))
+        loaded, loaded_adam, manifest = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.theta1, params.theta1)
+        assert loaded_adam[0].t == adam[0].t
+        assert manifest.config == config
 
     def test_manifest_config_round_trip(self, tmp_path):
         config = preset("exp2")
@@ -178,7 +176,8 @@ class TestFormat:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "blob", [b"\xff", b"{", b"[]", b'{"config": {"activation": "relu"}}']
+        "blob", [b"\xff", b"{", b"[]", b'{"config": {"activation": "relu"}}',
+                 b'{"config": {"activation": "identity"}}']
     )
     def test_bad_manifest_rejected(self, tmp_path, blob):
         path = tmp_path / "model.pcn"

@@ -7,6 +7,7 @@ import pytest
 
 from pcmem.checkpoint import load_checkpoint, save_checkpoint
 from pcmem.cli import main
+from pcmem.core import init_params
 from pcmem.data import build_splits, load_raw
 from pcmem.experiments import run_recall_suite
 from pcmem.images import read_pgm
@@ -60,7 +61,7 @@ class TestTrain:
          ({"limit_train": "x"}, "limit_train"), ({"limit_train": 0}, "limit_train"),
          ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train"),
          ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
-         ({"seed": "3"}, "seed")],
+         ({"seed": "3"}, "seed"), ({"activation": "tanh"}, "activation")],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, capsys, override, field):
         # the data directory does not exist: a config checked only after
@@ -206,7 +207,8 @@ def _with_config(trained_run, tmp_path, **settings):
 
 @pytest.mark.parametrize("command", ["reconstruct", "replay", "recall", "export-latents"])
 @pytest.mark.parametrize(
-    "setting", [{"alpha": None}, {"batch_size": None}, {"seed": [1]}, {"n_iters": "x"}],
+    "setting", [{"alpha": None}, {"batch_size": None}, {"seed": [1]}, {"n_iters": "x"},
+                {"activation": "identity"}],
     ids=lambda s: next(iter(s)),
 )
 def test_malformed_checkpoint_settings_fail_cleanly(
@@ -222,16 +224,37 @@ def test_malformed_checkpoint_settings_fail_cleanly(
 
 
 def test_legacy_config_key_ignored(trained_run, corpus_dir, tmp_path):
-    """A checkpoint whose config names a field the config no longer has
-    (scope) still runs, with the same output as without it."""
-    checkpoint = _with_config(trained_run, tmp_path, scope="single-batch")
-    for path, out in ((checkpoint, tmp_path / "legacy"),
-                      (trained_run / "checkpoint.pcn", tmp_path / "plain")):
-        rc = main(["replay", "--checkpoint", str(path), "--data-dir", str(corpus_dir),
-                   "--out", str(out)])
-        assert rc == 0
-    assert (tmp_path / "legacy" / "replay.csv").read_bytes() == (
-        tmp_path / "plain" / "replay.csv").read_bytes()
+    """A checkpoint whose config names fields the config no longer has
+    (scope, and activation as checkpoints wrote it while it was a field)
+    gives every memory command the same bytes as without them."""
+    legacy = _with_config(trained_run, tmp_path, scope="single-batch", activation="tanh")
+    outputs = {
+        "reconstruct": ["reconstruct_train.csv", "reconstruct_train.pgm"],
+        "replay": ["replay.csv", "replay.pgm"],
+        "recall": ["recall.csv", "recall.pgm"],
+        "export-weights": ["weights.pgm"],
+        "export-latents": ["latents.csv"],
+    }
+    for command, names in outputs.items():
+        for path, out in ((legacy, tmp_path / "legacy"),
+                          (trained_run / "checkpoint.pcn", tmp_path / "plain")):
+            data = [] if command == "export-weights" else ["--data-dir", str(corpus_dir)]
+            rc = main([command, "--checkpoint", str(path), *data, "--out", str(out / command)])
+            assert rc == 0
+        for name in names:
+            assert (tmp_path / "legacy" / command / name).read_bytes() == (
+                tmp_path / "plain" / command / name).read_bytes()
+
+
+def test_recall_on_wrong_input_size_fails_cleanly(corpus_dir, tmp_path, capsys):
+    """A 25-8-2 checkpoint cannot recall 28x28 images."""
+    path = tmp_path / "toy.pcn"
+    save_checkpoint(path, init_params((25, 8, 2), np.random.default_rng(0)))
+    rc = main(["recall", "--checkpoint", str(path), "--data-dir", str(corpus_dir),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "25" in err and "784" in err
 
 
 class TestRecall:

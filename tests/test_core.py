@@ -4,11 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pcmem.core import (
-    Activation,
     DivergenceError,
     LatentState,
     ModelParams,
-    activation_eval,
     compute_errors,
     descend_latents,
     free_energy,
@@ -48,25 +46,26 @@ def scalar_free_energy(params, phi1, phi2, phi3):
     return out
 
 
+def tanh_layer(pre: float):
+    """compute_errors' layer-2 prediction and fprime2 at one pre-activation,
+    from a 1-1-1 model with theta2 = 1 and phi2 = 0."""
+    params = ModelParams(np.ones((1, 1)), np.ones((1, 1)))
+    state = LatentState(phi2=np.zeros((1, 1)), phi3=np.array([[pre]]))
+    errors = compute_errors(params, state, np.zeros((1, 1)))
+    return -errors.xi2[0, 0], errors.fprime2[0, 0]
+
+
 class TestActivation:
     def test_tanh_at_zero(self):
-        v, d = activation_eval(Activation.TANH, np.array([0.0]))
-        assert v[0] == 0.0 and d[0] == 1.0
-
-    def test_identity(self):
-        v, d = activation_eval(Activation.IDENTITY, np.array([3.7]))
-        assert v[0] == 3.7 and d[0] == 1.0
+        v, d = tanh_layer(0.0)
+        assert v == 0.0 and d == 1.0
 
     def test_tanh_derivative_finite_difference(self):
-        x = np.array([0.5])
         h = 1e-6
-        _, d = activation_eval(Activation.TANH, x)
-        numeric = (np.tanh(x + h) - np.tanh(x - h)) / (2 * h)
-        assert abs(d[0] - numeric[0]) / abs(numeric[0]) < 1e-6
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            activation_eval(Activation.TANH, np.array([np.nan]))
+        v, d = tanh_layer(0.5)
+        assert v == np.tanh(0.5)
+        numeric = (np.tanh(0.5 + h) - np.tanh(0.5 - h)) / (2 * h)
+        assert abs(d - numeric) / abs(numeric) < 1e-6
 
 
 class TestComputeErrors:
@@ -200,10 +199,10 @@ class TestGradients:
                     plus, minus = base.copy(), base.copy()
                     plus[i, j] += h
                     minus[i, j] -= h
-                    pp = ModelParams(**{**{"theta1": params.theta1, "theta2": params.theta2,
-                                           "activation": params.activation}, name: plus})
-                    pm = ModelParams(**{**{"theta1": params.theta1, "theta2": params.theta2,
-                                           "activation": params.activation}, name: minus})
+                    pp = ModelParams(**{"theta1": params.theta1, "theta2": params.theta2,
+                                        name: plus})
+                    pm = ModelParams(**{"theta1": params.theta1, "theta2": params.theta2,
+                                        name: minus})
                     fp = np.mean(scalar_free_energy(pp, x, state.phi2, state.phi3))
                     fm = np.mean(scalar_free_energy(pm, x, state.phi2, state.phi3))
                     numeric = (fp - fm) / (2 * h)
@@ -223,16 +222,12 @@ class TestDescendLatents:
     @given(
         batch=st.integers(1, 70),
         n_iters=st.integers(1, 60),
-        activation=st.sampled_from([Activation.TANH, Activation.IDENTITY]),
         trained=st.booleans(),
         seed=st.integers(0, 2**16),
     )
-    def test_matches_direct_form(self, toy_trained, batch, n_iters, activation, trained, seed):
+    def test_matches_direct_form(self, toy_trained, batch, n_iters, trained, seed):
         rng = np.random.default_rng(seed)
-        if trained:
-            params = ModelParams(toy_trained.theta1, toy_trained.theta2, activation)
-        else:
-            params = init_params((784, 35, 2), rng, activation)
+        params = toy_trained if trained else init_params((784, 35, 2), rng)
         x = rng.uniform(0, 1, size=(batch, params.dims[0]))
         state = init_latents(params.dims, batch, rng)
         got = descend_latents(params, state, x, 0.01, n_iters)
@@ -310,6 +305,19 @@ class TestDescendLatents:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"iteration \d+"):
                 descend_latents(params, state, x, 1e6, 500)
+
+    def test_non_finite_phi3_diverges_at_iteration_0(self):
+        # the kernel's after-step check is what stops a non-finite phi3;
+        # with rel_tol the free-energy check stops it before the step
+        params, state, x = small_instance()
+        for value in (np.nan, np.inf, -np.inf):
+            phi3 = state.phi3.copy()
+            phi3[1, 0] = value
+            bad = LatentState(phi2=state.phi2, phi3=phi3)
+            for rel_tol in (None, 1e-8):
+                with np.errstate(invalid="ignore"):
+                    with pytest.raises(DivergenceError, match=r"iteration 0$"):
+                        descend_latents(params, bad, x, 0.01, 5, rel_tol=rel_tol)
 
 
 class TestModelParams:

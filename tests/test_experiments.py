@@ -133,8 +133,8 @@ class TestTrain:
         state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
-        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape, 1e-3))
-        theta2, _ = adam_step(params.theta2, d_theta2, AdamState.fresh(params.theta2.shape, 1e-3))
+        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape), 1e-3)
+        theta2, _ = adam_step(params.theta2, d_theta2, AdamState.fresh(params.theta2.shape), 1e-3)
 
         np.testing.assert_array_equal(result.params.theta1, theta1)
         np.testing.assert_array_equal(result.params.theta2, theta2)
@@ -185,7 +185,7 @@ class TestTrain:
         state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
         d_theta1, _ = learning_gradients(params, state, errors)
-        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape, 1e-3))
+        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape), 1e-3)
         np.testing.assert_array_equal(result.params.theta1, theta1)
         np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
 

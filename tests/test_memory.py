@@ -4,7 +4,6 @@ import pytest
 from pcmem.core import (
     LatentState,
     ModelParams,
-    activation_eval,
     compute_errors,
     descend_latents,
     free_energy,
@@ -130,9 +129,7 @@ class TestReplay:
         state = init_latents(toy_trained.dims, 4, rng)
         settled = descend_latents(toy_trained, state, x, 0.01, 5000, rel_tol=REPLAY_REL_TOL)
         _, phi2 = regenerate(toy_trained, settled.phi3, settled.phi2)
-        target, _ = activation_eval(
-            toy_trained.activation, settled.phi3 @ toy_trained.theta2.T
-        )
+        target = np.tanh(settled.phi3 @ toy_trained.theta2.T)
         assert np.max(np.abs(phi2 - target)) < 1e-4
 
     def test_consolidate_off_leaves_params(self, toy_trained):
@@ -162,7 +159,7 @@ class TestReplay:
         state = init_latents(params.dims, 6, rng)
         images, phi2 = regenerate(params, state.phi3, state.phi2, alpha=alpha, budget=budget)
 
-        target, _ = activation_eval(params.activation, state.phi3 @ params.theta2.T)
+        target = np.tanh(state.phi3 @ params.theta2.T)
         ref = state.phi2
         for _ in range(budget):
             xi2 = ref - target
@@ -301,3 +298,8 @@ class TestRecall:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"recall iteration \d+"):
                 recall(toy_trained, toy_patterns(2, seed=17), mask, iters=500, alpha=1e6)
+
+    def test_model_input_size_must_match_image(self, toy_trained):
+        # a 25-8-2 model asked to recall 28x28 images
+        with pytest.raises(ValueError, match="model input size 25 != image size 784"):
+            recall(toy_trained, np.zeros(784), OcclusionMask.top_half(), iters=5)

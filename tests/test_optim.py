@@ -7,8 +7,8 @@ from pcmem.optim import AdamState, adam_step
 class TestAdam:
     def test_zero_grad_fresh_state(self):
         p = np.ones((3, 2))
-        state = AdamState.fresh(p.shape, rate=1e-3)
-        out, new = adam_step(p, np.zeros_like(p), state)
+        state = AdamState.fresh(p.shape)
+        out, new = adam_step(p, np.zeros_like(p), state, rate=1e-3)
         np.testing.assert_array_equal(out, p)
         assert np.all(new.m == 0) and np.all(new.v == 0) and new.t == 1
 
@@ -16,7 +16,7 @@ class TestAdam:
         # bias correction makes |m_hat/sqrt(v_hat)| ~ 1 when eps << |g|
         g = np.array([[1.0, -1.0]])
         p = np.zeros_like(g)
-        out, _ = adam_step(p, g, AdamState.fresh(g.shape, rate=1e-4))
+        out, _ = adam_step(p, g, AdamState.fresh(g.shape), rate=1e-4)
         delta = out - p
         assert np.all(np.abs(delta + 1e-4 * np.sign(g)) < 1e-4 * 1e-3)
 
@@ -37,18 +37,18 @@ class TestAdam:
             trace.append(p_ref.copy())
 
         p = np.zeros_like(target)
-        state = AdamState.fresh(target.shape, rate=rate)
+        state = AdamState.fresh(target.shape)
         for t in range(10):
-            p, state = adam_step(p, p - target, state)
+            p, state = adam_step(p, p - target, state, rate=rate)
             np.testing.assert_allclose(p, trace[t], rtol=1e-12)
 
     def test_determinism_bitwise(self):
         rng = np.random.default_rng(1)
         p = rng.standard_normal((3, 3))
         g = rng.standard_normal((3, 3))
-        s = AdamState.fresh(p.shape, rate=1e-3)
-        out1, s1 = adam_step(p, g, s)
-        out2, s2 = adam_step(p, g, AdamState.fresh(p.shape, rate=1e-3))
+        s = AdamState.fresh(p.shape)
+        out1, s1 = adam_step(p, g, s, rate=1e-3)
+        out2, s2 = adam_step(p, g, AdamState.fresh(p.shape), rate=1e-3)
         np.testing.assert_array_equal(out1, out2)
         np.testing.assert_array_equal(s1.m, s2.m)
         np.testing.assert_array_equal(s1.v, s2.v)
@@ -56,12 +56,12 @@ class TestAdam:
     def test_v_nonnegative_and_t_counts(self):
         rng = np.random.default_rng(2)
         p = rng.standard_normal((2, 2))
-        state = AdamState.fresh(p.shape, rate=1e-3)
+        state = AdamState.fresh(p.shape)
         for expected_t in range(1, 6):
-            p, state = adam_step(p, rng.standard_normal((2, 2)), state)
+            p, state = adam_step(p, rng.standard_normal((2, 2)), state, rate=1e-3)
             assert state.t == expected_t
             assert np.all(state.v >= 0)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            adam_step(np.zeros((2, 2)), np.zeros((2, 3)), AdamState.fresh((2, 2), 1e-3))
+            adam_step(np.zeros((2, 2)), np.zeros((2, 3)), AdamState.fresh((2, 2)), 1e-3)
