@@ -176,6 +176,8 @@ def cmd_recall(args) -> int:
 
 def cmd_export_weights(args) -> int:
     params, _, _ = load_checkpoint(args.checkpoint)
+    if params.dims[0] != 28 * 28:  # each tile is a 28x28 image
+        raise ValueError(f"model input size {params.dims[0]} != image size {28 * 28}")
     tiles = params.theta1.T  # one tile per hidden unit
     n_cols = int(np.ceil(np.sqrt(tiles.shape[0])))
     args.out.mkdir(parents=True, exist_ok=True)

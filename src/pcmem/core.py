@@ -13,13 +13,16 @@ The activation is fixed: f = tanh, f' = 1 - tanh^2, computed inline.
 
 All functions are pure: they take value state and return new values.
 Arrays are float64, batch-major (batch x dim). "diag[f']" is always an
-element-wise product, never a materialized diagonal matrix.
+element-wise product, never a materialized diagonal matrix. The per-layer
+energies of an ErrorState are computed when first read, so callers that
+only need the errors do not pay for them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import cached_property
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -44,7 +47,7 @@ class ModelParams:
     """The learned generative model: two weight matrices.
 
     theta1 has shape (d1, d2), theta2 has shape (d2, d3). Shapes are fixed
-    at construction.
+    at construction; training moves the values of both arrays in place.
     """
 
     theta1: np.ndarray
@@ -128,15 +131,26 @@ def init_latents(
 class ErrorState:
     """Per-example prediction errors and derived per-layer energies.
 
-    layer_energies[i] is the batch mean of 1/2 |xi_{i+1}|^2. fprime2 caches
-    f'(theta2 @ phi3) for reuse by the gradient computations.
+    fprime2 caches f'(theta2 @ phi3) for reuse by the gradient
+    computations.
     """
 
     xi1: np.ndarray
     xi2: np.ndarray
     xi3: np.ndarray
-    layer_energies: np.ndarray
     fprime2: np.ndarray
+
+    @cached_property
+    def layer_energies(self) -> np.ndarray:
+        """[i] is the batch mean of 1/2 |xi_{i+1}|^2; computed on first read."""
+        xi1, xi2, xi3 = self.xi1, self.xi2, self.xi3
+        return np.array(
+            [
+                0.5 * np.mean(np.sum(xi1 * xi1, axis=1)),
+                0.5 * np.mean(np.sum(xi2 * xi2, axis=1)),
+                0.5 * np.mean(np.sum(xi3 * xi3, axis=1)),
+            ]
+        )
 
 
 def compute_errors(
@@ -159,21 +173,15 @@ def compute_errors(
         raise ValueError("latent shapes do not match model dims")
 
     if input_gate:
-        xi1 = x - state.phi2 @ params.theta1.T
+        # xi1 = x - phi2 theta1^T, written over the product: one batch x d1 array
+        xi1 = state.phi2 @ params.theta1.T
+        np.subtract(x, xi1, out=xi1)
     else:
         xi1 = np.zeros((state.batch, d1))
     pred2 = np.tanh(state.phi3 @ params.theta2.T)
     xi2 = state.phi2 - pred2
     xi3 = state.phi3
-    energies = np.array(
-        [
-            0.5 * np.mean(np.sum(xi1 * xi1, axis=1)),
-            0.5 * np.mean(np.sum(xi2 * xi2, axis=1)),
-            0.5 * np.mean(np.sum(xi3 * xi3, axis=1)),
-        ]
-    )
-    return ErrorState(xi1=xi1, xi2=xi2, xi3=xi3, layer_energies=energies,
-                      fprime2=1.0 - pred2 * pred2)
+    return ErrorState(xi1=xi1, xi2=xi2, xi3=xi3, fprime2=1.0 - pred2 * pred2)
 
 
 def free_energy(errors: ErrorState) -> tuple[np.ndarray, float]:
@@ -211,7 +219,10 @@ def learning_gradients(
     the mini-batch mean.
     """
     b = state.batch
-    d_theta1 = -(errors.xi1.T @ state.phi2) / b
+    # -(xi1^T phi2) / b, negated and divided in place on the product
+    d_theta1 = errors.xi1.T @ state.phi2
+    np.negative(d_theta1, out=d_theta1)
+    d_theta1 /= b
     d_theta2 = -((errors.xi2 * errors.fprime2).T @ state.phi3) / b
     return d_theta1, d_theta2
 

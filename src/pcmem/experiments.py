@@ -189,14 +189,17 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     """One mini-batch of PC or iPC from fresh latents.
 
     Both run config.n_iters inference iterations; PC updates the weights
-    once after all of them, iPC after each one. Raises DivergenceError,
-    naming the batch's inference iteration, before any update from
-    non-finite errors. Returns the new weights and Adam states and the
-    per-layer energies of the last update.
+    once after all of them, iPC after each one. adam_step moves
+    params.theta1, params.theta2 and both Adam states in place. Raises
+    DivergenceError, naming the batch's inference iteration, before any
+    update from non-finite errors. Returns the per-layer energies of the
+    last update, the only ones it forms: earlier updates check the summed
+    squared errors for finiteness instead.
     """
     steps = config.n_iters if config.mode == "pc" else 1
+    n_updates = config.n_iters // steps
     state = init_latents(params.dims, x.shape[0], rng)
-    for update in range(config.n_iters // steps):
+    for update in range(n_updates):
         try:
             state = descend_latents(params, state, x, config.alpha, steps)
         except DivergenceError:
@@ -206,16 +209,20 @@ def _train_batch(params, x, config, adam1, adam2, rng):
                 ) from None
             raise
         errors = compute_errors(params, state, x)
-        if not np.all(np.isfinite(errors.layer_energies)):
+        if update == n_updates - 1:
+            finite = np.all(np.isfinite(errors.layer_energies))
+        else:
+            xi1, xi2, xi3 = errors.xi1, errors.xi2, errors.xi3
+            finite = np.isfinite(np.vdot(xi1, xi1) + np.vdot(xi2, xi2) + np.vdot(xi3, xi3))
+        if not finite:
             # overflowing errors would turn the weights non-finite next
             raise DivergenceError(
                 f"non-finite free energy at inference iteration {(update + 1) * steps - 1}"
             )
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
-        theta1, adam1 = adam_step(params.theta1, d_theta1, adam1, config.beta)
-        theta2, adam2 = adam_step(params.theta2, d_theta2, adam2, config.beta)
-        params = ModelParams(theta1, theta2)
-    return params, adam1, adam2, errors.layer_energies
+        adam_step(params.theta1, d_theta1, adam1, config.beta)
+        adam_step(params.theta2, d_theta2, adam2, config.beta)
+    return errors.layer_energies
 
 
 def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
@@ -224,7 +231,8 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
 
     A fresh seeded example order every epoch and fresh seeded latents every
     batch; Adam state persists across the whole run (one state per weight
-    matrix).
+    matrix). The run builds one ModelParams, and every update writes its
+    weights and the Adam states in place; the result holds those objects.
     """
     rng_w = np.random.default_rng(config.seed)
     params = init_params(config.dims, rng_w)
@@ -246,9 +254,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         for start in range(0, len(order), config.batch_size):
             x = train_images[order[start : start + config.batch_size]]
             try:
-                params, adam1, adam2, energies = _train_batch(
-                    params, x, config, adam1, adam2, rng_l
-                )
+                energies = _train_batch(params, x, config, adam1, adam2, rng_l)
             except DivergenceError as exc:
                 where = f"epoch {epoch}, batch {start // config.batch_size}"
                 raise DivergenceError(f"{where}: {exc}") from exc

@@ -5,6 +5,7 @@ from pcmem import synthetic
 from pcmem.core import LatentState, compute_errors, inference_gradients, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
+from pcmem.optim import ADAM_DECAY1, ADAM_DECAY2, ADAM_EPSILON, AdamState
 
 
 @pytest.fixture(scope="session")
@@ -83,3 +84,16 @@ def direct_descent(params, state, x, alpha, n_iters):
         d_phi2, d_phi3 = inference_gradients(params, state, compute_errors(params, state, x))
         state = LatentState(phi2=state.phi2 - alpha * d_phi2, phi3=state.phi3 - alpha * d_phi3)
     return state
+
+
+def value_form_adam_step(param, grad, state, rate):
+    """Reference: Adam written as fresh-array expressions, in
+    optim.adam_step's operation order; returns the new parameter and state
+    and changes none of its arguments."""
+    t = state.t + 1
+    m = ADAM_DECAY1 * state.m + (1.0 - ADAM_DECAY1) * grad
+    v = ADAM_DECAY2 * state.v + (1.0 - ADAM_DECAY2) * grad * grad
+    m_hat = m / (1.0 - ADAM_DECAY1**t)
+    v_hat = v / (1.0 - ADAM_DECAY2**t)
+    new_param = param - rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    return new_param, AdamState(m=m, v=v, t=t)

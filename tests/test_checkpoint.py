@@ -30,10 +30,10 @@ def small_adam(params, rate=1e-4, steps=3):
     a2 = AdamState.fresh(params.theta2.shape)
     from pcmem.optim import adam_step
 
-    t1, t2 = params.theta1, params.theta2
+    t1, t2 = params.theta1.copy(), params.theta2.copy()
     for _ in range(steps):
-        t1, a1 = adam_step(t1, rng.standard_normal(t1.shape), a1, rate)
-        t2, a2 = adam_step(t2, rng.standard_normal(t2.shape), a2, rate)
+        adam_step(t1, rng.standard_normal(t1.shape), a1, rate)
+        adam_step(t2, rng.standard_normal(t2.shape), a2, rate)
     return ModelParams(t1, t2), (a1, a2)
 
 

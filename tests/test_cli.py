@@ -257,6 +257,15 @@ def test_recall_on_wrong_input_size_fails_cleanly(corpus_dir, tmp_path, capsys):
     assert err.startswith("error:") and "25" in err and "784" in err
 
 
+def test_export_weights_on_wrong_input_size_fails_cleanly(tmp_path, capsys):
+    """A 25-8-2 checkpoint's theta1 columns are not 28x28 tiles."""
+    path = tmp_path / "toy.pcn"
+    save_checkpoint(path, init_params((25, 8, 2), np.random.default_rng(0)))
+    rc = main(["export-weights", "--checkpoint", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: model input size 25 != image size 784\n"
+
+
 class TestRecall:
     def test_outputs(self, trained_run, corpus_dir, tmp_path, capsys):
         out = tmp_path / "recall"

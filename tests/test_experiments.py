@@ -5,6 +5,7 @@ from pcmem.core import (
     LATENT_INIT_SCALE,
     DivergenceError,
     LatentState,
+    ModelParams,
     compute_errors,
     descend_latents,
     init_latents,
@@ -22,7 +23,7 @@ from pcmem.experiments import (
 from pcmem.memory import infer_latents
 from pcmem.optim import AdamState, adam_step
 
-from conftest import TOY_DIMS, direct_descent
+from conftest import TOY_DIMS, direct_descent, value_form_adam_step
 
 
 class TestConvergenceCheck:
@@ -133,12 +134,52 @@ class TestTrain:
         state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
-        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape), 1e-3)
-        theta2, _ = adam_step(params.theta2, d_theta2, AdamState.fresh(params.theta2.shape), 1e-3)
+        theta1, theta2 = params.theta1.copy(), params.theta2.copy()
+        adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
+        adam_step(theta2, d_theta2, AdamState.fresh(theta2.shape), 1e-3)
 
         np.testing.assert_array_equal(result.params.theta1, theta1)
         np.testing.assert_array_equal(result.params.theta2, theta2)
         np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
+
+    def test_ipc_batches_match_hand_unrolled(self, toy_data):
+        """Two batches of iPC at T=5 equal a hand-unrolled loop, bit for
+        bit: one kernel step, then the errors, the weight gradients and a
+        fresh-array Adam update, five times per batch."""
+        config = ExperimentConfig(
+            mode="ipc", beta=1e-3, dims=TOY_DIMS, limit_train=8,
+            batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0,
+        )
+        result = train(config, toy_data)
+
+        params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
+        theta1, theta2 = params.theta1, params.theta2
+        adam1 = AdamState.fresh(theta1.shape)
+        adam2 = AdamState.fresh(theta2.shape)
+        images = toy_data.train.images[:8]
+        order = np.random.default_rng(config.seed).permutation(8)
+        rng_l = np.random.default_rng(config.seed)
+        weighted = np.zeros(3)
+        for batch in (order[:4], order[4:]):
+            x = images[batch]
+            state = init_latents(TOY_DIMS, 4, rng_l)
+            for _ in range(5):
+                params = ModelParams(theta1, theta2)
+                state = descend_latents(params, state, x, 0.01, 1)
+                errors = compute_errors(params, state, x)
+                d_theta1, d_theta2 = learning_gradients(params, state, errors)
+                theta1, adam1 = value_form_adam_step(theta1, d_theta1, adam1, 1e-3)
+                theta2, adam2 = value_form_adam_step(theta2, d_theta2, adam2, 1e-3)
+            weighted += errors.layer_energies * 4
+        train_energies = weighted / 8
+
+        np.testing.assert_array_equal(result.params.theta1, theta1)
+        np.testing.assert_array_equal(result.params.theta2, theta2)
+        for got, want in ((result.adam1, adam1), (result.adam2, adam2)):
+            np.testing.assert_array_equal(got.m, want.m)
+            np.testing.assert_array_equal(got.v, want.v)
+            assert got.t == want.t == 10
+        np.testing.assert_array_equal(result.log.rows[0].train_energies, train_energies)
 
     def test_ipc_equals_pc_at_one_iteration(self, toy_data):
         """With a single inference iteration per batch the incremental
@@ -185,7 +226,8 @@ class TestTrain:
         state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, 0.01, 5)
         errors = compute_errors(params, state, x)
         d_theta1, _ = learning_gradients(params, state, errors)
-        theta1, _ = adam_step(params.theta1, d_theta1, AdamState.fresh(params.theta1.shape), 1e-3)
+        theta1 = params.theta1.copy()
+        adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
         np.testing.assert_array_equal(result.params.theta1, theta1)
         np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
 
@@ -234,13 +276,19 @@ class TestTrain:
 
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
     def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode):
+        message = {
+            "pc": "epoch 1, batch 0: non-finite latents after inference iteration 47",
+            # latents stay finite while the squared errors overflow mid-batch
+            "ipc": "epoch 1, batch 0: non-finite free energy at inference iteration 23",
+        }[mode]
         config = ExperimentConfig(
             mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8,
             alpha=1e6, max_epochs=3, epsilon=0.0,
         )
         with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match=r"epoch 1, batch 0: .* iteration \d+"):
+            with pytest.raises(DivergenceError) as excinfo:
                 train(config, toy_data)
+        assert str(excinfo.value) == message
 
     def test_val_rows_carried_forward(self, toy_data):
         config = ExperimentConfig(
