@@ -86,6 +86,24 @@ def direct_descent(params, state, x, alpha, n_iters):
     return state
 
 
+def value_form_descent(params, state, x, alpha, n_iters):
+    """Reference: the Gram-form latent loop written as fresh-array
+    expressions, in core.descend_latents's operation order (no rel_tol);
+    changes none of its arguments."""
+    theta1, theta2 = params.theta1, params.theta2
+    gram = theta1.T @ theta1
+    drive = x @ theta1
+    phi2, phi3 = state.phi2, state.phi3
+    for _ in range(n_iters):
+        pred2 = np.tanh(phi3 @ theta2.T)
+        xi2 = phi2 - pred2
+        d_phi2 = xi2 - drive + phi2 @ gram
+        d_phi3 = phi3 - (xi2 * (1.0 - pred2 * pred2)) @ theta2
+        phi2 = phi2 - alpha * d_phi2
+        phi3 = phi3 - alpha * d_phi3
+    return LatentState(phi2=phi2, phi3=phi3)
+
+
 def value_form_adam_step(param, grad, state, rate):
     """Reference: Adam written as fresh-array expressions, in
     optim.adam_step's operation order; returns the new parameter and state

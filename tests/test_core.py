@@ -16,7 +16,7 @@ from pcmem.core import (
     learning_gradients,
 )
 
-from conftest import direct_descent
+from conftest import direct_descent, value_form_descent
 
 DIMS = (6, 4, 2)
 
@@ -235,6 +235,20 @@ class TestDescendLatents:
         np.testing.assert_allclose(got.phi2, want.phi2, rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(got.phi3, want.phi3, rtol=0, atol=KERNEL_ATOL)
 
+    @pytest.mark.parametrize("n_iters", [1, 50])
+    @pytest.mark.parametrize("batch", [1, 64, 2010])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_in_place_equals_value_form_bitwise(self, toy_trained, batch, n_iters, trained):
+        """The in-place steps do the fresh-array loop's arithmetic in its order."""
+        rng = np.random.default_rng(batch + n_iters)
+        params = toy_trained if trained else init_params((784, 35, 2), rng)
+        x = rng.uniform(0, 1, size=(batch, params.dims[0]))
+        state = init_latents(params.dims, batch, rng)
+        got = descend_latents(params, state, x, 0.01, n_iters)
+        want = value_form_descent(params, state, x, 0.01, n_iters)
+        np.testing.assert_array_equal(got.phi2, want.phi2)
+        np.testing.assert_array_equal(got.phi3, want.phi3)
+
     def test_rel_tol_stops_before_stepping(self, toy_trained):
         rng = np.random.default_rng(2)
         x = rng.uniform(0, 1, size=(4, 25))
@@ -283,10 +297,11 @@ class TestDescendLatents:
     def test_input_is_not_modified(self):
         params, state, x = small_instance(seed=5)
         phi2, phi3, x0 = state.phi2.copy(), state.phi3.copy(), x.copy()
-        descend_latents(params, state, x, 0.01, 10)
-        np.testing.assert_array_equal(state.phi2, phi2)
-        np.testing.assert_array_equal(state.phi3, phi3)
-        np.testing.assert_array_equal(x, x0)
+        for rel_tol in (None, 1e-8):
+            descend_latents(params, state, x, 0.01, 10, rel_tol=rel_tol)
+            np.testing.assert_array_equal(state.phi2, phi2)
+            np.testing.assert_array_equal(state.phi3, phi3)
+            np.testing.assert_array_equal(x, x0)
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 6), (3, 6, 1), (6,)])
     def test_wrong_input_shape_rejected(self, shape):
@@ -305,6 +320,16 @@ class TestDescendLatents:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"iteration \d+"):
                 descend_latents(params, state, x, 1e6, 500)
+
+    def test_finite_latents_with_overflowing_squares_pass(self):
+        # |phi2|^2 overflows to inf, so the summed check falls back to the
+        # element scan, which finds every latent finite
+        params, state, x = small_instance(seed=6)
+        big = LatentState(phi2=np.full_like(state.phi2, 1e200), phi3=state.phi3)
+        assert not np.isfinite(np.vdot(big.phi2, big.phi2))
+        out = descend_latents(params, big, x, 0.0, 3)
+        np.testing.assert_array_equal(out.phi2, big.phi2)
+        np.testing.assert_array_equal(out.phi3, big.phi3)
 
     def test_non_finite_phi3_diverges_at_iteration_0(self):
         # the kernel's after-step check is what stops a non-finite phi3;
