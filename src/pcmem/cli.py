@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import fields
@@ -27,7 +28,7 @@ import numpy as np
 from .checkpoint import (CheckpointError, RunManifest, atomic_write, file_digests,
                          load_checkpoint, save_checkpoint)
 from .core import compute_errors
-from .data import DEFAULT_FILENAMES, build_splits, data_file, load_raw
+from .data import DEFAULT_FILENAMES, IMAGE_SIDE, build_splits, data_file, load_raw
 from .experiments import ExperimentConfig, preset, run_recall_suite, train, write_csv
 from .gradcheck import DEFAULT_TOL, gradient_report
 from .images import image_grid, write_pgm
@@ -176,8 +177,8 @@ def cmd_recall(args) -> int:
 
 def cmd_export_weights(args) -> int:
     params, _, _ = load_checkpoint(args.checkpoint)
-    if params.dims[0] != 28 * 28:  # each tile is a 28x28 image
-        raise ValueError(f"model input size {params.dims[0]} != image size {28 * 28}")
+    if params.dims[0] != IMAGE_SIDE**2:  # each tile is one image
+        raise ValueError(f"model input size {params.dims[0]} != image size {IMAGE_SIDE**2}")
     tiles = params.theta1.T  # one tile per hidden unit
     n_cols = int(np.ceil(np.sqrt(tiles.shape[0])))
     args.out.mkdir(parents=True, exist_ok=True)
@@ -204,12 +205,13 @@ def cmd_export_latents(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    report = gradient_report(seed=args.seed)
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        raise ValueError(f"--tol must be a finite number > 0, got {args.tol!r}")
     failed = False
-    for block, err in report.items():
-        status = "ok" if err < args.tol else "FAIL"
-        print(f"{block}: max rel err {err:.3e} [{status}]")
-        failed |= err >= args.tol
+    for block, err in gradient_report(seed=args.seed).items():
+        ok = err < args.tol
+        print(f"{block}: max rel err {err:.3e} [{'ok' if ok else 'FAIL'}]")
+        failed |= not ok
     return 1 if failed else 0
 
 

@@ -46,8 +46,8 @@ class Activation(Enum):
 class ModelParams:
     """The learned generative model: two weight matrices.
 
-    theta1 has shape (d1, d2), theta2 has shape (d2, d3). Shapes are fixed
-    at construction; training moves the values of both arrays in place.
+    theta1 has shape (d1, d2), theta2 has shape (d2, d3), all dims >= 1.
+    Shapes are fixed at construction; training moves both arrays in place.
     """
 
     theta1: np.ndarray
@@ -58,6 +58,8 @@ class ModelParams:
     def __post_init__(self):
         if self.theta1.ndim != 2 or self.theta2.ndim != 2:
             raise ValueError("weight matrices must be 2-D")
+        if 0 in self.theta1.shape or 0 in self.theta2.shape:
+            raise ValueError(f"model dims {self.dims} must all be >= 1")
         if self.theta1.shape[1] != self.theta2.shape[0]:
             raise ValueError(
                 f"incompatible weight shapes {self.theta1.shape} and {self.theta2.shape}"
@@ -153,31 +155,27 @@ class ErrorState:
         )
 
 
-def compute_errors(
-    params: ModelParams,
-    state: LatentState,
-    x: np.ndarray,
-    input_gate: bool = True,
-) -> ErrorState:
-    """Compute the three prediction errors for a batch of inputs.
-
-    When input_gate is False the input-layer precision is gated to zero, so
-    xi1 is exactly the zero matrix regardless of the input (the mechanism
-    behind replay).
-    """
+def _check_batch(params: ModelParams, state: LatentState, x: np.ndarray) -> np.ndarray:
+    """x as a float64 array, checked against the batch and the model dims."""
     x = np.asarray(x, dtype=np.float64)
     d1, d2, d3 = params.dims
     if x.ndim != 2 or x.shape != (state.batch, d1):
         raise ValueError(f"input shape {x.shape} != ({state.batch}, {d1})")
     if state.phi2.shape[1] != d2 or state.phi3.shape[1] != d3:
         raise ValueError("latent shapes do not match model dims")
+    return x
 
-    if input_gate:
-        # xi1 = x - phi2 theta1^T, written over the product: one batch x d1 array
-        xi1 = state.phi2 @ params.theta1.T
-        np.subtract(x, xi1, out=xi1)
-    else:
-        xi1 = np.zeros((state.batch, d1))
+
+def compute_errors(params: ModelParams, state: LatentState, x: np.ndarray) -> ErrorState:
+    """Compute the three prediction errors for a batch of inputs.
+
+    Replay's gated pathway, where the input errors are switched off, has a
+    closed form and never calls this (see memory.regenerate).
+    """
+    x = _check_batch(params, state, x)
+    # xi1 = x - phi2 theta1^T, written over the product: one batch x d1 array
+    xi1 = state.phi2 @ params.theta1.T
+    np.subtract(x, xi1, out=xi1)
     pred2 = np.tanh(state.phi3 @ params.theta2.T)
     xi2 = state.phi2 - pred2
     xi3 = state.phi3
@@ -261,12 +259,7 @@ def descend_latents(
     |phi2|^2 + |phi3|^2 and scans the elements only when that sum is not
     finite, so finite latents whose squares overflow pass.
     """
-    x = np.asarray(x, dtype=np.float64)
-    d1, d2, d3 = params.dims
-    if x.ndim != 2 or x.shape != (state.batch, d1):
-        raise ValueError(f"input shape {x.shape} != ({state.batch}, {d1})")
-    if state.phi2.shape[1] != d2 or state.phi3.shape[1] != d3:
-        raise ValueError("latent shapes do not match model dims")
+    x = _check_batch(params, state, x)
     if alpha < 0:
         raise ValueError("alpha must be nonnegative")
     theta1, theta2 = params.theta1, params.theta2

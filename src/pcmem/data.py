@@ -24,6 +24,7 @@ import numpy as np
 IDX_UBYTE = 0x08
 
 DIGITS = (4, 7)  # the kept labels; the second one is label 1
+IMAGE_SIDE = 28  # every image is IMAGE_SIDE x IMAGE_SIDE pixels
 TRAIN_SIZE = 10097
 VAL_SIZE = 2010
 TEST_SIZE = 2010

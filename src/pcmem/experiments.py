@@ -192,9 +192,9 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     once after all of them, iPC after each one. adam_step moves
     params.theta1, params.theta2 and both Adam states in place. Raises
     DivergenceError, naming the batch's inference iteration, before any
-    update from non-finite errors. Returns the per-layer energies of the
-    last update, the only ones it forms: earlier updates check the summed
-    squared errors for finiteness instead.
+    update from non-finite errors: every update checks the summed squared
+    errors for finiteness. Returns the per-layer energies of the last
+    update, the only ones it forms.
     """
     steps = config.n_iters if config.mode == "pc" else 1
     n_updates = config.n_iters // steps
@@ -209,12 +209,8 @@ def _train_batch(params, x, config, adam1, adam2, rng):
                 ) from None
             raise
         errors = compute_errors(params, state, x)
-        if update == n_updates - 1:
-            finite = np.all(np.isfinite(errors.layer_energies))
-        else:
-            xi1, xi2, xi3 = errors.xi1, errors.xi2, errors.xi3
-            finite = np.isfinite(np.vdot(xi1, xi1) + np.vdot(xi2, xi2) + np.vdot(xi3, xi3))
-        if not finite:
+        xi1, xi2, xi3 = errors.xi1, errors.xi2, errors.xi3
+        if not np.isfinite(np.vdot(xi1, xi1) + np.vdot(xi2, xi2) + np.vdot(xi3, xi3)):
             # overflowing errors would turn the weights non-finite next
             raise DivergenceError(
                 f"non-finite free energy at inference iteration {(update + 1) * steps - 1}"

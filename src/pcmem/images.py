@@ -7,6 +7,7 @@ are separated by 2-pixel gray gutters.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,12 +26,15 @@ def rescale_tile(tile: np.ndarray) -> np.ndarray:
     return np.rint((tile - lo) / (hi - lo) * 255.0).astype(np.uint8)
 
 
-def image_grid(images: np.ndarray, n_cols: int, side: int = 28) -> np.ndarray:
-    """Tile (n, side*side) or (n, side, side) images row-major into one raster."""
+def image_grid(images: np.ndarray, n_cols: int) -> np.ndarray:
+    """Tile (n, side*side) images row-major into one raster, n_cols wide;
+    side is the square root of the row length, which must be a square."""
     images = np.asarray(images)
-    if images.ndim == 2:
-        images = images.reshape(-1, side, side)
-    n = images.shape[0]
+    n, length = images.shape
+    side = math.isqrt(length)
+    if side * side != length:
+        raise ValueError(f"row length {length} is not a square")
+    images = images.reshape(n, side, side)
     n_rows = -(-n // n_cols)
     h = n_rows * side + (n_rows - 1) * SEPARATOR
     w = n_cols * side + (n_cols - 1) * SEPARATOR

@@ -29,6 +29,7 @@ from .core import (
     free_energy,
     init_latents,
 )
+from .data import IMAGE_SIDE
 
 DEFAULT_BUDGET = 5000
 REPLAY_REL_TOL = 1e-8
@@ -38,7 +39,7 @@ RECALL_PHI1_TOL = 1e-6
 
 @dataclass(frozen=True)
 class OcclusionMask:
-    """Boolean visibility over the 784 pixels; True = clamped/known."""
+    """Boolean visibility over the pixels; True = clamped/known."""
 
     visible: np.ndarray
 
@@ -53,9 +54,10 @@ class OcclusionMask:
         return ~self.visible
 
     @classmethod
-    def top_half(cls, side: int = 28) -> "OcclusionMask":
-        visible = np.zeros((side, side), dtype=bool)
-        visible[: side // 2] = True
+    def top_half(cls) -> "OcclusionMask":
+        """The top IMAGE_SIDE // 2 rows of an IMAGE_SIDE x IMAGE_SIDE image visible."""
+        visible = np.zeros((IMAGE_SIDE, IMAGE_SIDE), dtype=bool)
+        visible[: IMAGE_SIDE // 2] = True
         return cls(visible=visible.ravel())
 
 
@@ -125,7 +127,6 @@ def regenerate(
     phi3: np.ndarray,
     phi2_init: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
-    budget: int = DEFAULT_BUDGET,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-down regeneration from a frozen phi3 with input errors gated off.
 
@@ -134,14 +135,14 @@ def regenerate(
     phi2_k = f(theta2 phi3) + (1 - alpha)^k (phi2_init - f(theta2 phi3)).
     k is where that descent stops: the first step with xi2 inf-norm below
     REPLAY_XI2_TOL (the free-energy change can flatten out first), or
-    budget. Takes no input at all, so the result is trivially invariant to
-    input perturbations. Returns (images, phi2).
+    DEFAULT_BUDGET. Takes no input at all, so the result is trivially
+    invariant to input perturbations. Returns (images, phi2).
     """
     target = np.tanh(phi3 @ params.theta2.T)
     gap = phi2_init - target
-    decay = (1.0 - alpha) ** np.arange(budget + 1)
+    decay = (1.0 - alpha) ** np.arange(DEFAULT_BUDGET + 1)
     below = np.abs(decay) * np.max(np.abs(gap)) < REPLAY_XI2_TOL
-    k = int(np.argmax(below)) if below.any() else budget
+    k = int(np.argmax(below)) if below.any() else DEFAULT_BUDGET
     phi2 = target + decay[k] * gap
     return phi2 @ params.theta1.T, phi2
 
@@ -150,22 +151,22 @@ def replay(
     params: ModelParams,
     x: np.ndarray,
     alpha: float = DEFAULT_ALPHA,
-    budget: int = DEFAULT_BUDGET,
     init_seed: int = 0,
 ) -> np.ndarray:
     """Replay inputs through the gated top-down pathway.
 
-    1. full inference to convergence; 2. freeze phi3 and gate the input
-    errors off; 3. re-infer phi2 alone (fixpoint phi2 = f(theta2 phi3));
-    4. read out and return the replayed images theta1 @ phi2. The weights
-    are left untouched.
+    1. full inference until the free energy settles (REPLAY_REL_TOL) or
+    DEFAULT_BUDGET steps; 2. freeze phi3 and gate the input errors off;
+    3. re-infer phi2 alone (fixpoint phi2 = f(theta2 phi3)) through
+    regenerate's closed form; 4. read out and return the replayed images
+    theta1 @ phi2. The weights are left untouched.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    state = descend_latents(params, state, x, alpha, budget, rel_tol=REPLAY_REL_TOL)
+    state = descend_latents(params, state, x, alpha, DEFAULT_BUDGET, rel_tol=REPLAY_REL_TOL)
 
-    images, _ = regenerate(params, state.phi3, state.phi2, alpha=alpha, budget=budget)
+    images, _ = regenerate(params, state.phi3, state.phi2, alpha=alpha)
     return images
 
 

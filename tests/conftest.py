@@ -1,7 +1,10 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pcmem import synthetic
+from pcmem.checkpoint import save_checkpoint
 from pcmem.core import LatentState, compute_errors, inference_gradients, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
@@ -115,3 +118,11 @@ def value_form_adam_step(param, grad, state, rate):
     v_hat = v / (1.0 - ADAM_DECAY2**t)
     new_param = param - rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     return new_param, AdamState(m=m, v=v, t=t)
+
+
+def save_zero_width_checkpoint(path, dims):
+    """save_checkpoint's file for `dims` with a zero among them, written from
+    a stand-in for ModelParams, which rejects such dims."""
+    d1, d2, d3 = dims
+    stand_in = SimpleNamespace(dims=dims, theta1=np.zeros((d1, d2)), theta2=np.zeros((d2, d3)))
+    save_checkpoint(path, stand_in)

@@ -19,6 +19,8 @@ from pcmem.core import ModelParams, init_params
 from pcmem.experiments import preset
 from pcmem.optim import AdamState
 
+from conftest import save_zero_width_checkpoint
+
 
 def small_params(seed=0, dims=(6, 4, 2)):
     return init_params(dims, np.random.default_rng(seed))
@@ -158,6 +160,13 @@ class TestFormat:
             load_checkpoint(path)
         except CheckpointError:
             pass
+
+    @pytest.mark.parametrize("dims", [(0, 4, 2), (784, 0, 2), (784, 35, 0)])
+    def test_zero_dim_rejected(self, tmp_path, dims):
+        path = tmp_path / "model.pcn"
+        save_zero_width_checkpoint(path, dims)
+        with pytest.raises(CheckpointError, match=r"bad weights: model dims .* must all be >= 1"):
+            load_checkpoint(path)
 
     def test_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "model.pcn"

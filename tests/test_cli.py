@@ -14,6 +14,8 @@ from pcmem.images import read_pgm
 from pcmem.memory import reconstruct, replay
 from pcmem.synthetic import write_idx
 
+from conftest import save_zero_width_checkpoint
+
 
 @pytest.fixture(scope="module")
 def trained_run(corpus_dir, tmp_path_factory):
@@ -266,6 +268,17 @@ def test_export_weights_on_wrong_input_size_fails_cleanly(tmp_path, capsys):
     assert capsys.readouterr().err == "error: model input size 25 != image size 784\n"
 
 
+@pytest.mark.parametrize("dims", [(0, 4, 2), (784, 0, 2), (784, 35, 0)])
+def test_zero_width_checkpoint_fails_cleanly(tmp_path, capsys, dims):
+    path = tmp_path / "zero.pcn"
+    save_zero_width_checkpoint(path, dims)
+    rc = main(["export-weights", "--checkpoint", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad weights: model dims") and err.count("\n") == 1
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 class TestRecall:
     def test_outputs(self, trained_run, corpus_dir, tmp_path, capsys):
         out = tmp_path / "recall"
@@ -330,6 +343,14 @@ class TestGradcheckCommand:
         rc = main(["gradcheck", "--tol", "1e-18"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
+        rc = main(["gradcheck", f"--tol={tol}"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --tol must be a finite number > 0, got {float(tol)!r}\n"
 
 
 class TestParser:

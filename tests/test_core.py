@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,14 +78,6 @@ class TestComputeErrors:
         assert np.all(errors.xi1 == 0) and np.all(errors.xi2 == 0) and np.all(errors.xi3 == 0)
         assert np.all(errors.layer_energies == 0)
 
-    def test_gate_zeroes_xi1(self):
-        params, state, x = small_instance()
-        errors = compute_errors(params, state, x, input_gate=False)
-        assert np.all(errors.xi1 == 0)
-        # the other errors are unaffected by the input
-        errors2 = compute_errors(params, state, x + 5.0, input_gate=False)
-        np.testing.assert_array_equal(errors.xi2, errors2.xi2)
-
     def test_xi3_is_phi3(self):
         params, state, x = small_instance(seed=5)
         errors = compute_errors(params, state, x)
@@ -99,9 +93,14 @@ class TestComputeErrors:
             assert errors.layer_energies[i] == pytest.approx(expected, rel=1e-14)
 
     def test_shape_mismatch_rejected(self):
+        """The kernel's batch-input check, with its messages."""
         params, state, _ = small_instance()
-        with pytest.raises(ValueError):
-            compute_errors(params, state, np.zeros((3, 7)))
+        for shape in [(3, 7), (2, 6), (3, 6, 1), (6,)]:
+            with pytest.raises(ValueError, match=r"input shape \(.*\) != \(3, 6\)$"):
+                compute_errors(params, state, np.zeros(shape))
+        wrong = LatentState(phi2=np.zeros((3, 5)), phi3=np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="^latent shapes do not match model dims$"):
+            compute_errors(params, wrong, np.zeros((3, 6)))
 
 
 class TestFreeEnergy:
@@ -118,8 +117,6 @@ class TestFreeEnergy:
         # build an ErrorState by hand through compute_errors on zeros, then patch
         state = LatentState(phi2=np.zeros((1, 4)), phi3=np.zeros((1, 2)))
         base = compute_errors(params, state, np.zeros((1, 6)))
-        from dataclasses import replace
-
         patched = replace(base, xi1=errors_xi1)
         per, mean_f = free_energy(patched)
         assert per[0] == 0.5 and mean_f == 0.5
@@ -147,7 +144,8 @@ class TestGradients:
 
     def test_gated_phi2_gradient_is_xi2(self):
         params, state, x = small_instance(seed=3)
-        errors = compute_errors(params, state, x, input_gate=False)
+        errors = compute_errors(params, state, x)
+        errors = replace(errors, xi1=np.zeros_like(errors.xi1))  # input errors gated off
         d_phi2, _ = inference_gradients(params, state, errors)
         np.testing.assert_array_equal(d_phi2, errors.xi2)
 
@@ -354,6 +352,12 @@ class TestModelParams:
     def test_rejects_incompatible_shapes(self):
         with pytest.raises(ValueError):
             ModelParams(np.zeros((6, 4)), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("dims", [(0, 4, 2), (6, 0, 2), (6, 4, 0)])
+    def test_rejects_zero_dims(self, dims):
+        d1, d2, d3 = dims
+        with pytest.raises(ValueError, match=r"must all be >= 1"):
+            ModelParams(np.zeros((d1, d2)), np.zeros((d2, d3)))
 
     def test_init_bounds(self):
         params = init_params((784, 35, 2), np.random.default_rng(0))

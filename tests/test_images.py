@@ -32,31 +32,36 @@ class TestRescaleTile:
 class TestImageGrid:
     def test_dimensions(self):
         imgs = np.random.default_rng(0).uniform(0, 1, (6, 16))
-        grid = image_grid(imgs, n_cols=3, side=4)
+        grid = image_grid(imgs, n_cols=3)
         assert grid.shape == (2 * 4 + SEPARATOR, 3 * 4 + 2 * SEPARATOR)
 
     def test_gutters_are_gray(self):
         imgs = np.zeros((4, 4))  # 4 constant tiles -> all-black tiles
-        grid = image_grid(imgs, n_cols=2, side=2)
+        grid = image_grid(imgs, n_cols=2)
         assert grid[2, 0] == GUTTER_VALUE  # horizontal gutter row
         assert grid[0, 2] == GUTTER_VALUE  # vertical gutter column
 
     def test_tiles_rescaled_independently(self):
         a = np.full(4, 0.1)
         b = np.array([0.0, 0.0, 0.0, 10.0])
-        grid = image_grid(np.stack([a, b]), n_cols=2, side=2)
+        grid = image_grid(np.stack([a, b]), n_cols=2)
         assert grid[0, 0] == 0  # constant tile -> black
         assert grid[1, 5] == 255  # max of second tile
 
     def test_ragged_last_row_filled_with_gutter(self):
         imgs = np.ones((3, 4))
-        grid = image_grid(imgs, n_cols=2, side=2)
+        grid = image_grid(imgs, n_cols=2)
         # position of missing 4th tile
         assert np.all(grid[4:6, 4:6] == GUTTER_VALUE)
 
-    def test_accepts_square_input(self):
-        imgs = np.zeros((2, 5, 5))
-        assert image_grid(imgs, n_cols=2, side=5).shape == (5, 12)
+    def test_side_is_the_square_root_of_the_row_length(self):
+        assert image_grid(np.zeros((2, 25)), n_cols=2).shape == (5, 12)
+        assert image_grid(np.zeros((1, 784)), n_cols=1).shape == (28, 28)
+
+    @pytest.mark.parametrize("length", [2, 24, 783])
+    def test_non_square_row_length_rejected(self, length):
+        with pytest.raises(ValueError, match=f"row length {length} is not a square"):
+            image_grid(np.zeros((3, length)), n_cols=2)
 
 
 class TestPgm:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcmem import memory
 from pcmem.core import (
     LatentState,
     ModelParams,
@@ -12,6 +13,7 @@ from pcmem.core import (
     init_params,
 )
 from pcmem.memory import (
+    DEFAULT_BUDGET,
     RECALL_PHI1_TOL,
     REPLAY_REL_TOL,
     REPLAY_XI2_TOL,
@@ -150,14 +152,17 @@ class TestReplay:
         img_b, _ = regenerate(toy_trained, settled.phi3.copy(), settled.phi2.copy())
         np.testing.assert_array_equal(img_a, img_b)
 
-    @pytest.mark.parametrize("budget", [0, 7, 5000])
+    @pytest.mark.parametrize("budget", [0, 7, DEFAULT_BUDGET])
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.5, 1.0, 1.5])
-    def test_regenerate_matches_loop(self, alpha, budget):
-        """The closed form against the gated descent loop it replaces."""
+    def test_regenerate_matches_loop(self, alpha, budget, monkeypatch):
+        """The closed form against the gated descent loop it replaces. Every
+        alpha runs at the fixed DEFAULT_BUDGET; the constant is also patched
+        to 0 and 7 so that a budget that runs out is checked at every alpha."""
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", budget)
         rng = np.random.default_rng(4)
         params = init_params((784, 35, 2), rng)
         state = init_latents(params.dims, 6, rng)
-        images, phi2 = regenerate(params, state.phi3, state.phi2, alpha=alpha, budget=budget)
+        images, phi2 = regenerate(params, state.phi3, state.phi2, alpha=alpha)
 
         target = np.tanh(state.phi3 @ params.theta2.T)
         ref = state.phi2
