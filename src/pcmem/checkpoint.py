@@ -4,7 +4,7 @@ Layout (little-endian):
 
     magic "PCN1" | version u32 | layer count u32 | dims u32 x 3
     theta1 float64 row-major | theta2 float64 row-major
-    adam flag u8 [ | m, v float64 arrays + t u64, per matrix ]
+    adam flag u8 (always 1) | m, v float64 arrays + t u64, per matrix
     manifest length u32 | manifest UTF-8 JSON
 
 The embedded manifest is deterministic (no timestamps) so identical runs
@@ -20,7 +20,6 @@ import struct
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -81,9 +80,10 @@ def atomic_write(path: Path, payload: bytes) -> None:
 def save_checkpoint(
     path: str | Path,
     params: ModelParams,
-    adam: Optional[tuple[AdamState, AdamState]] = None,
-    manifest: Optional[RunManifest] = None,
+    adam: tuple[AdamState, AdamState],
+    manifest: RunManifest,
 ) -> None:
+    """Write the weights, both Adam states and the manifest as one checkpoint, atomically."""
     path = Path(path)
     d1, d2, d3 = params.dims
     out = bytearray()
@@ -92,16 +92,12 @@ def save_checkpoint(
     out += struct.pack("<III", d1, d2, d3)
     out += np.ascontiguousarray(params.theta1, dtype="<f8").tobytes()
     out += np.ascontiguousarray(params.theta2, dtype="<f8").tobytes()
-    if adam is None:
-        out += struct.pack("<B", 0)
-    else:
-        out += struct.pack("<B", 1)
-        for state in adam:
-            out += np.ascontiguousarray(state.m, dtype="<f8").tobytes()
-            out += np.ascontiguousarray(state.v, dtype="<f8").tobytes()
-            out += struct.pack("<Q", state.t)
-    manifest_text = (manifest or RunManifest(config={})).to_json()
-    blob = manifest_text.encode("utf-8")
+    out += struct.pack("<B", 1)
+    for state in adam:
+        out += np.ascontiguousarray(state.m, dtype="<f8").tobytes()
+        out += np.ascontiguousarray(state.v, dtype="<f8").tobytes()
+        out += struct.pack("<Q", state.t)
+    blob = manifest.to_json().encode("utf-8")
     out += struct.pack("<I", len(blob))
     out += blob
     atomic_write(path, bytes(out))
@@ -109,11 +105,13 @@ def save_checkpoint(
 
 def load_checkpoint(
     path: str | Path,
-) -> tuple[ModelParams, Optional[tuple[AdamState, AdamState]], RunManifest]:
-    """Read a checkpoint written by save_checkpoint.
+) -> tuple[ModelParams, tuple[AdamState, AdamState], RunManifest]:
+    """Read a checkpoint written by save_checkpoint: the weights, the Adam
+    state of theta1 and theta2, and the manifest.
 
     Raises CheckpointError, naming the offset, on any file that does not
-    hold exactly one well-formed checkpoint of the tanh model.
+    hold exactly one well-formed checkpoint of the tanh model, Adam flag 1
+    included.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -145,20 +143,18 @@ def load_checkpoint(
     theta1 = read_matrix(d1, d2, "theta1")
     theta2 = read_matrix(d2, d3, "theta2")
     (flag,) = unpack("<B", "adam flag")
-    if flag not in (0, 1):
+    if flag != 1:
         raise CheckpointError(f"bad adam flag {flag} at offset {offset - 1}")
-
-    adam_raw = []
-    if flag == 1:
-        for name, rows, cols in (("theta1", d1, d2), ("theta2", d2, d3)):
-            m = read_matrix(rows, cols, f"adam m of {name}")
-            v = read_matrix(rows, cols, f"adam v of {name}")
-            (t,) = unpack("<Q", f"adam step of {name}")
-            if not np.all(np.isfinite(m)):
-                raise CheckpointError(f"non-finite adam m of {name}")
-            if not (np.all(np.isfinite(v)) and np.all(v >= 0)):
-                raise CheckpointError(f"non-finite or negative adam v of {name}")
-            adam_raw.append((m, v, t))
+    adam = []
+    for name, rows, cols in (("theta1", d1, d2), ("theta2", d2, d3)):
+        m = read_matrix(rows, cols, f"adam m of {name}")
+        v = read_matrix(rows, cols, f"adam v of {name}")
+        (t,) = unpack("<Q", f"adam step of {name}")
+        if not np.all(np.isfinite(m)):
+            raise CheckpointError(f"non-finite adam m of {name}")
+        if not (np.all(np.isfinite(v)) and np.all(v >= 0)):
+            raise CheckpointError(f"non-finite or negative adam v of {name}")
+        adam.append(AdamState(m=m, v=v, t=t))
 
     (mlen,) = unpack("<I", "manifest length")
     start = offset
@@ -178,8 +174,4 @@ def load_checkpoint(
         params = ModelParams(theta1, theta2)
     except ValueError as exc:
         raise CheckpointError(f"bad weights: {exc}") from None
-
-    adam = None
-    if adam_raw:
-        adam = tuple(AdamState(m=m, v=v, t=t) for m, v, t in adam_raw)
-    return params, adam, manifest
+    return params, tuple(adam), manifest

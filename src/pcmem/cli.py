@@ -119,10 +119,10 @@ def cmd_train(args) -> int:
         if getattr(args, name) is not None:
             cfg[name] = getattr(args, name)
     config = ExperimentConfig.from_dict(cfg)
-
-    result = train(config, _splits(args, config.seed))
-
+    splits = _splits(args, config.seed)
+    # before training, so an unusable --out fails before any epoch runs
     args.out.mkdir(parents=True, exist_ok=True)
+    result = train(config, splits)
     manifest = RunManifest(
         config=config.to_dict(),
         data_digests=file_digests(
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
         ),
     )
     save_checkpoint(args.out / "checkpoint.pcn", result.params,
-                    adam=(result.adam1, result.adam2), manifest=manifest)
+                    (result.adam1, result.adam2), manifest)
     atomic_write(args.out / "manifest.json",
                  manifest.to_json(include_timestamp=True).encode("utf-8"))
     result.log.to_csv(args.out / "trainlog.csv")
@@ -168,9 +168,11 @@ def cmd_recall(args) -> int:
     suite = run_recall_suite(params, splits, seed=args.seed, alpha=config.alpha)
     args.out.mkdir(parents=True, exist_ok=True)
     _write_grid(args.out / "recall.pgm", suite.presented, suite.recalled, suite.originals)
-    write_csv(args.out / "recall.csv", ["image", "masked_mse", "iterations", "converged"],
+    write_csv(args.out / "recall.csv",
+              ["image", "masked_mse", "iterations", "converged", "last_delta"],
               zip(range(len(suite.originals)), map(float, suite.masked_mse),
-                  map(int, suite.iterations), map(bool, suite.converged)))
+                  map(int, suite.iterations), map(bool, suite.converged),
+                  map(float, suite.last_delta)))
     print(f"mean masked MSE: {suite.mean_mse:.6f}")
     return 0
 

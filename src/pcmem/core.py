@@ -156,11 +156,14 @@ class ErrorState:
 
 
 def _check_batch(params: ModelParams, state: LatentState, x: np.ndarray) -> np.ndarray:
-    """x as a float64 array, checked against the batch and the model dims."""
+    """x as a float64 array, checked against the batch and the model dims;
+    an empty batch is rejected."""
     x = np.asarray(x, dtype=np.float64)
     d1, d2, d3 = params.dims
     if x.ndim != 2 or x.shape != (state.batch, d1):
         raise ValueError(f"input shape {x.shape} != ({state.batch}, {d1})")
+    if state.batch == 0:
+        raise ValueError(f"empty batch: input shape {x.shape}")
     if state.phi2.shape[1] != d2 or state.phi3.shape[1] != d3:
         raise ValueError("latent shapes do not match model dims")
     return x

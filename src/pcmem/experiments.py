@@ -46,7 +46,7 @@ from .core import (
     learning_gradients,
 )
 from .data import DatasetSplits, Split
-from .memory import DEFAULT_BUDGET, OcclusionMask, RecallResult, infer_latents, recall
+from .memory import OcclusionMask, RecallResult, infer_latents, recall
 from .optim import AdamState, adam_step
 
 
@@ -293,14 +293,13 @@ def run_recall_suite(
     n_images: int = 10,
     mask: Optional[OcclusionMask] = None,
     seed: int = 0,
-    iters: int = DEFAULT_BUDGET,
     alpha: float = DEFAULT_ALPHA,
 ) -> RecallResult:
     """Recall the first n training images, the ones every run with
     limit_train >= n trained on, through the given mask (top half visible
-    by default), all in one batch. `seed` draws the latent init every image
-    starts from."""
+    by default), all in one batch, with recall's budget
+    memory.DEFAULT_BUDGET. `seed` draws the latent init every image starts
+    from."""
     if mask is None:
         mask = OcclusionMask.top_half()
-    return recall(params, splits.train.images[:n_images], mask, iters=iters, alpha=alpha,
-                  init_seed=seed)
+    return recall(params, splits.train.images[:n_images], mask, alpha=alpha, init_seed=seed)

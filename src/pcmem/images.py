@@ -54,22 +54,3 @@ def write_pgm(path: str | Path, raster: np.ndarray) -> None:
     h, w = raster.shape
     atomic_write(Path(path), f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
 
-
-def read_pgm(path: str | Path) -> np.ndarray:
-    """Read a binary P5 PGM written by write_pgm."""
-    raw = Path(path).read_bytes()
-    # header is exactly "P5\n{w} {h}\n255\n"; locate the third newline so
-    # payload bytes that happen to be whitespace are not swallowed
-    third = -1
-    for _ in range(3):
-        third = raw.index(b"\n", third + 1)
-    magic, size, maxval = raw[:third].split(b"\n")
-    if magic != b"P5":
-        raise ValueError("not a binary PGM file")
-    w, h = (int(v) for v in size.split())
-    if int(maxval) != 255:
-        raise ValueError("only maxval 255 supported")
-    pixels = raw[third + 1 :]
-    if len(pixels) != w * h:
-        raise ValueError("truncated PGM payload")
-    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)

@@ -174,7 +174,6 @@ def recall(
     params: ModelParams,
     target: np.ndarray,
     mask: OcclusionMask,
-    iters: int = DEFAULT_BUDGET,
     alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> RecallResult:
@@ -185,10 +184,10 @@ def recall(
     each iteration jointly descends the hidden pixels h along xi1, phi2 and
     phi3. Every row starts from the same latent draw,
     init_latents(dims, 1, default_rng(init_seed)), so a row's result does
-    not depend on its batch. A row stops after `iters` iterations or once
-    its inf-norm change of phi1 drops below RECALL_PHI1_TOL; stopped rows
-    are frozen while the others go on. Visible pixels are clamped
-    bit-exactly.
+    not depend on its batch. A row stops after DEFAULT_BUDGET iterations
+    (the module constant as it stands when recall is called) or once its
+    inf-norm change of phi1 drops below RECALL_PHI1_TOL; stopped rows are
+    frozen while the others go on. Visible pixels are clamped bit-exactly.
 
     The loop runs in the d2-dimensional latent space. h starts at 0 and
     steps h <- (1 - alpha) h + alpha phi2 theta1_h^T, so h = r theta1_h^T
@@ -197,11 +196,14 @@ def recall(
     G = theta1^T theta1 and G_h = theta1_h^T theta1_h formed once per call.
     The stop value is alpha * |(r - phi2) theta1_h^T|_inf per row. h is
     formed once, at the end, and the final free energy comes from
-    compute_errors on the assembled phi1. Raises DivergenceError, naming
-    the recall iteration, on non-finite latents or stop values.
+    compute_errors on the assembled phi1. Raises ValueError on an empty
+    batch and DivergenceError, naming the recall iteration, on non-finite
+    latents or stop values.
     """
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     n, d1 = target.shape
+    if n == 0:
+        raise ValueError(f"empty batch: target shape {target.shape}")
     if d1 != mask.visible.shape[0]:
         raise ValueError("mask length does not match image size")
     if params.dims[0] != d1:
@@ -226,7 +228,7 @@ def recall(
     # the rows still iterating, with their working copies
     active = np.arange(n)
     p2, p3, ra, drive_a = phi2, phi3, r, drive
-    for i in range(iters):
+    for i in range(DEFAULT_BUDGET):
         pred2 = np.tanh(p3 @ theta2.T)
         xi2 = p2 - pred2
         delta = alpha * np.max(np.abs((ra - p2) @ theta1_h.T), axis=1)
@@ -238,7 +240,7 @@ def recall(
         if not (np.all(np.isfinite(p2)) and np.all(np.isfinite(p3))
                 and np.all(np.isfinite(ra)) and np.all(np.isfinite(delta))):
             raise DivergenceError(f"non-finite latents or stop value at recall iteration {i + 1}")
-        stop = (delta < RECALL_PHI1_TOL) | (i + 1 == iters)
+        stop = (delta < RECALL_PHI1_TOL) | (i + 1 == DEFAULT_BUDGET)
         if stop.any():
             rows = active[stop]
             phi2[rows], phi3[rows], r[rows] = p2[stop], p3[stop], ra[stop]
@@ -254,7 +256,7 @@ def recall(
     _, mean_f = free_energy(compute_errors(params, LatentState(phi2, phi3), images))
     if not np.isfinite(mean_f):
         raise DivergenceError(
-            f"non-finite free energy after recall iteration {int(iterations.max(initial=0))}"
+            f"non-finite free energy after recall iteration {int(iterations.max())}"
         )
     return RecallResult(
         originals=target,

@@ -1,10 +1,11 @@
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pcmem import synthetic
-from pcmem.checkpoint import save_checkpoint
+from pcmem.checkpoint import RunManifest, save_checkpoint
 from pcmem.core import LatentState, compute_errors, inference_gradients, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
@@ -120,9 +121,39 @@ def value_form_adam_step(param, grad, state, rate):
     return new_param, AdamState(m=m, v=v, t=t)
 
 
+def checkpoint_extras(params):
+    """Fresh Adam states for params' two weight matrices and a manifest
+    with an empty config: the rest of a checkpoint for tests that need
+    only its weights."""
+    adam = (AdamState.fresh(params.theta1.shape), AdamState.fresh(params.theta2.shape))
+    return adam, RunManifest(config={})
+
+
 def save_zero_width_checkpoint(path, dims):
     """save_checkpoint's file for `dims` with a zero among them, written from
-    a stand-in for ModelParams, which rejects such dims."""
+    a stand-in for ModelParams, which rejects such dims; its Adam states
+    are zero-size too."""
     d1, d2, d3 = dims
     stand_in = SimpleNamespace(dims=dims, theta1=np.zeros((d1, d2)), theta2=np.zeros((d2, d3)))
-    save_checkpoint(path, stand_in)
+    save_checkpoint(path, stand_in, *checkpoint_extras(stand_in))
+
+
+def read_pgm(path):
+    """Oracle for the PGM files pcmem writes: read a binary P5 PGM with
+    maxval 255, rejecting any other magic and a short payload."""
+    raw = Path(path).read_bytes()
+    # header is exactly "P5\n{w} {h}\n255\n"; locate the third newline so
+    # payload bytes that happen to be whitespace are not swallowed
+    third = -1
+    for _ in range(3):
+        third = raw.index(b"\n", third + 1)
+    magic, size, maxval = raw[:third].split(b"\n")
+    if magic != b"P5":
+        raise ValueError("not a binary PGM file")
+    w, h = (int(v) for v in size.split())
+    if int(maxval) != 255:
+        raise ValueError("only maxval 255 supported")
+    pixels = raw[third + 1 :]
+    if len(pixels) != w * h:
+        raise ValueError("truncated PGM payload")
+    return np.frombuffer(pixels, dtype=np.uint8).reshape(h, w)

@@ -19,7 +19,7 @@ from pcmem.core import ModelParams, init_params
 from pcmem.experiments import preset
 from pcmem.optim import AdamState
 
-from conftest import save_zero_width_checkpoint
+from conftest import checkpoint_extras, read_pgm, save_zero_width_checkpoint
 
 
 def small_params(seed=0, dims=(6, 4, 2)):
@@ -43,18 +43,22 @@ class TestRoundTrip:
     def test_weights_bit_exact(self, tmp_path):
         params = small_params()
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params)
+        saved_adam, manifest = checkpoint_extras(params)
+        save_checkpoint(path, params, saved_adam, manifest)
         loaded, adam, _ = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.theta1, params.theta1)
         np.testing.assert_array_equal(loaded.theta2, params.theta2)
-        assert adam is None
+        for saved, got in zip(saved_adam, adam):
+            np.testing.assert_array_equal(got.m, saved.m)
+            np.testing.assert_array_equal(got.v, saved.v)
+            assert got.t == saved.t
 
     def test_adam_state_round_trip(self, tmp_path):
         config = preset("exp1")
         params, (a1, a2) = small_adam(small_params(), rate=config.beta)
         manifest = RunManifest(config=config.to_dict())
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params, adam=(a1, a2), manifest=manifest)
+        save_checkpoint(path, params, (a1, a2), manifest)
         _, adam, _ = load_checkpoint(path)
         for saved, loaded in zip((a1, a2), adam):
             np.testing.assert_array_equal(saved.m, loaded.m)
@@ -66,7 +70,7 @@ class TestRoundTrip:
         params, adam = small_adam(small_params())
         config = {**preset("exp1").to_dict(), "activation": "tanh", "beta": 1e-4}
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params, adam=adam, manifest=RunManifest(config=config))
+        save_checkpoint(path, params, adam, RunManifest(config=config))
         loaded, loaded_adam, manifest = load_checkpoint(path)
         np.testing.assert_array_equal(loaded.theta1, params.theta1)
         assert loaded_adam[0].t == adam[0].t
@@ -75,7 +79,9 @@ class TestRoundTrip:
     def test_manifest_config_round_trip(self, tmp_path):
         config = preset("exp2")
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, small_params(), manifest=RunManifest(config=config.to_dict()))
+        params = small_params()
+        adam, _ = checkpoint_extras(params)
+        save_checkpoint(path, params, adam, RunManifest(config=config.to_dict()))
         _, _, manifest = load_checkpoint(path)
         from pcmem.experiments import ExperimentConfig
 
@@ -88,14 +94,15 @@ def toy_checkpoint(tmp_path_factory):
     out = tmp_path_factory.mktemp("toy_checkpoint")
     params, adam = small_adam(small_params(dims=(25, 8, 2)))
     path = out / "model.pcn"
-    save_checkpoint(path, params, adam=adam, manifest=RunManifest(config=preset("exp1").to_dict()))
+    save_checkpoint(path, params, adam, RunManifest(config=preset("exp1").to_dict()))
     return out, path.read_bytes()
 
 
 class TestFormat:
     def test_magic_and_version_header(self, tmp_path):
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, small_params())
+        params = small_params()
+        save_checkpoint(path, params, *checkpoint_extras(params))
         raw = path.read_bytes()
         assert raw[:4] == MAGIC
         version, n_layers = struct.unpack_from("<II", raw, 4)
@@ -106,7 +113,7 @@ class TestFormat:
     def test_weights_stored_row_major_float64(self, tmp_path):
         params = small_params(seed=2)
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params)
+        save_checkpoint(path, params, *checkpoint_extras(params))
         raw = path.read_bytes()
         n1 = 6 * 4 * 8
         theta1 = np.frombuffer(raw[24 : 24 + n1], dtype="<f8").reshape(6, 4)
@@ -120,7 +127,8 @@ class TestFormat:
 
     def test_bad_version_rejected(self, tmp_path):
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, small_params())
+        params = small_params()
+        save_checkpoint(path, params, *checkpoint_extras(params))
         raw = bytearray(path.read_bytes())
         raw[4] = 99
         path.write_bytes(bytes(raw))
@@ -131,14 +139,14 @@ class TestFormat:
         params, adam = small_adam(small_params())
         manifest = RunManifest(config=preset("exp1").to_dict())
         a, b = tmp_path / "a.pcn", tmp_path / "b.pcn"
-        save_checkpoint(a, params, adam=adam, manifest=manifest)
-        save_checkpoint(b, params, adam=adam, manifest=manifest)
+        save_checkpoint(a, params, adam, manifest)
+        save_checkpoint(b, params, adam, manifest)
         assert a.read_bytes() == b.read_bytes()
 
     def test_every_truncation_rejected(self, tmp_path):
         params, adam = small_adam(small_params(dims=(25, 8, 2)))
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params, adam=adam, manifest=RunManifest(config=preset("exp1").to_dict()))
+        save_checkpoint(path, params, adam, RunManifest(config=preset("exp1").to_dict()))
         raw = path.read_bytes()
         cut = tmp_path / "cut.pcn"
         for n in range(len(raw)):
@@ -170,18 +178,33 @@ class TestFormat:
 
     def test_trailing_byte_rejected(self, tmp_path):
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, small_params())
+        params = small_params()
+        save_checkpoint(path, params, *checkpoint_extras(params))
         path.write_bytes(path.read_bytes() + b"\x00")
         with pytest.raises(CheckpointError, match="trailing"):
             load_checkpoint(path)
 
     def test_bad_adam_flag_rejected(self, tmp_path):
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, small_params())
+        params = small_params()
+        save_checkpoint(path, params, *checkpoint_extras(params))
         raw = bytearray(path.read_bytes())
         raw[24 + 8 * (6 * 4 + 4 * 2)] = 7
         path.write_bytes(bytes(raw))
         with pytest.raises(CheckpointError, match="adam flag 7"):
+            load_checkpoint(path)
+
+    def test_adam_flag_zero_rejected(self, tmp_path):
+        # pcmem writes no checkpoint without Adam state, and reads none
+        path = tmp_path / "model.pcn"
+        params, adam = small_adam(small_params())
+        save_checkpoint(path, params, adam, RunManifest(config=preset("exp1").to_dict()))
+        raw = bytearray(path.read_bytes())
+        flag = 24 + 8 * (6 * 4 + 4 * 2)
+        assert raw[flag] == 1
+        raw[flag] = 0
+        path.write_bytes(bytes(raw))
+        with pytest.raises(CheckpointError, match=f"bad adam flag 0 at offset {flag}"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
@@ -190,8 +213,11 @@ class TestFormat:
     )
     def test_bad_manifest_rejected(self, tmp_path, blob):
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, small_params())
-        head = path.read_bytes()[: 24 + 8 * (6 * 4 + 4 * 2) + 1]  # through the adam flag
+        params = small_params()
+        adam, manifest = checkpoint_extras(params)
+        save_checkpoint(path, params, adam, manifest)
+        raw = path.read_bytes()
+        head = raw[: len(raw) - 4 - len(manifest.to_json())]  # through the adam state
         path.write_bytes(head + struct.pack("<I", len(blob)) + blob)
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(path)
@@ -205,13 +231,15 @@ class TestFormat:
         adam = list(adam)
         adam[matrix] = replace(adam[matrix], **{moment: bad})
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params, adam=tuple(adam))
+        _, manifest = checkpoint_extras(params)
+        save_checkpoint(path, params, tuple(adam), manifest)
         with pytest.raises(CheckpointError, match=f"adam {moment} of theta{matrix + 1}"):
             load_checkpoint(path)
 
     def test_no_leftover_tmp_file(self, tmp_path):
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, small_params())
+        params = small_params()
+        save_checkpoint(path, params, *checkpoint_extras(params))
         assert list(tmp_path.iterdir()) == [path]
 
 
@@ -219,7 +247,7 @@ class TestAtomicWriters:
     @pytest.mark.parametrize("writer", ["pgm", "idx", "csv", "trainlog"])
     def test_no_leftover_tmp_file(self, tmp_path, writer):
         from pcmem.experiments import EpochStats, TrainLog, write_csv
-        from pcmem.images import read_pgm, write_pgm
+        from pcmem.images import write_pgm
         from pcmem.synthetic import write_idx
 
         path = tmp_path / "out"

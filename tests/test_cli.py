@@ -5,16 +5,16 @@ import json
 import numpy as np
 import pytest
 
+from pcmem import cli
 from pcmem.checkpoint import load_checkpoint, save_checkpoint
 from pcmem.cli import main
 from pcmem.core import init_params
 from pcmem.data import build_splits, load_raw
 from pcmem.experiments import run_recall_suite
-from pcmem.images import read_pgm
 from pcmem.memory import reconstruct, replay
 from pcmem.synthetic import write_idx
 
-from conftest import save_zero_width_checkpoint
+from conftest import checkpoint_extras, read_pgm, save_zero_width_checkpoint
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +77,7 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "MNIST" not in err
+        assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "2"], 2)])
     def test_config_seed_reaches_manifest_unless_flag_given(
@@ -99,6 +100,7 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "train-images-idx3-ubyte.gz" in err
+        assert not (tmp_path / "x").exists()
 
     def test_one_dimensional_images_fail_cleanly(self, corpus_dir, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -110,12 +112,23 @@ class TestTrain:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "(10,)" in err and "(60000,)" in err
+        assert not (tmp_path / "x").exists()
 
     def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("PCN_DATA_DIR", raising=False)
         rc = main(["train", "--out", str(tmp_path / "x")])
         assert rc == 1
         assert "error" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_out_is_a_file_fails_before_training(self, corpus_dir, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train ran"))
+        out = tmp_path / "taken"
+        out.write_bytes(b"")
+        rc = main(["train", "--data-dir", str(corpus_dir), "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestReconstruct:
@@ -178,7 +191,7 @@ def test_splits_ignore_seed_flag_without_checkpoint_config(trained_run, corpus_d
     command's --seed still only draws the latent init."""
     params, _, _ = load_checkpoint(trained_run / "checkpoint.pcn")
     bare = tmp_path / "bare.pcn"
-    save_checkpoint(bare, params)
+    save_checkpoint(bare, params, *checkpoint_extras(params))
     x = build_splits(*load_raw(corpus_dir), split_seed=0).train.images[:64]
     expected = {
         "replay": replay(params, x, alpha=0.01, init_seed=3),
@@ -203,7 +216,7 @@ def _with_config(trained_run, tmp_path, **settings):
     params, adam, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
     manifest.config = {**manifest.config, **settings}
     path = tmp_path / "edited.pcn"
-    save_checkpoint(path, params, adam=adam, manifest=manifest)
+    save_checkpoint(path, params, adam, manifest)
     return path
 
 
@@ -251,7 +264,8 @@ def test_legacy_config_key_ignored(trained_run, corpus_dir, tmp_path):
 def test_recall_on_wrong_input_size_fails_cleanly(corpus_dir, tmp_path, capsys):
     """A 25-8-2 checkpoint cannot recall 28x28 images."""
     path = tmp_path / "toy.pcn"
-    save_checkpoint(path, init_params((25, 8, 2), np.random.default_rng(0)))
+    params = init_params((25, 8, 2), np.random.default_rng(0))
+    save_checkpoint(path, params, *checkpoint_extras(params))
     rc = main(["recall", "--checkpoint", str(path), "--data-dir", str(corpus_dir),
                "--out", str(tmp_path / "o")])
     assert rc == 1
@@ -262,7 +276,8 @@ def test_recall_on_wrong_input_size_fails_cleanly(corpus_dir, tmp_path, capsys):
 def test_export_weights_on_wrong_input_size_fails_cleanly(tmp_path, capsys):
     """A 25-8-2 checkpoint's theta1 columns are not 28x28 tiles."""
     path = tmp_path / "toy.pcn"
-    save_checkpoint(path, init_params((25, 8, 2), np.random.default_rng(0)))
+    params = init_params((25, 8, 2), np.random.default_rng(0))
+    save_checkpoint(path, params, *checkpoint_extras(params))
     rc = main(["export-weights", "--checkpoint", str(path), "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == "error: model input size 25 != image size 784\n"
@@ -300,6 +315,7 @@ class TestRecall:
         assert [int(r["iterations"]) for r in rows] == list(suite.iterations)
         assert [r["converged"] for r in rows] == [str(c) for c in suite.converged]
         assert [float(r["masked_mse"]) for r in rows] == list(suite.masked_mse)
+        assert [float(r["last_delta"]) for r in rows] == list(suite.last_delta)
 
 
 class TestExports:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pcmem import memory
 from pcmem.core import (
     LATENT_INIT_SCALE,
     DivergenceError,
@@ -348,15 +349,14 @@ class TestTrainLog:
 
 
 class TestRecallSuite:
-    def test_shapes_and_mse(self, toy_trained, toy_data):
+    def test_shapes_and_mse(self, toy_trained, toy_data, monkeypatch):
         from pcmem.memory import OcclusionMask
 
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 300)
         visible = np.zeros(25, dtype=bool)
         visible[:13] = True
         mask = OcclusionMask(visible)
-        suite = run_recall_suite(
-            toy_trained, toy_data, n_images=3, mask=mask, iters=300
-        )
+        suite = run_recall_suite(toy_trained, toy_data, n_images=3, mask=mask)
         assert suite.masked_mse.shape == (3,)
         assert suite.recalled.shape == (3, 25)
         assert suite.mean_mse == pytest.approx(suite.masked_mse.mean())
@@ -368,16 +368,17 @@ class TestRecallSuite:
             suite.presented[:, visible], suite.originals[:, visible]
         )
 
-    def test_one_batch_recall(self, toy_trained, toy_data):
+    def test_one_batch_recall(self, toy_trained, toy_data, monkeypatch):
         """The suite is one recall call on its images, with per-image
         telemetry passed through."""
         from pcmem.memory import OcclusionMask, recall
 
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 50)
         visible = np.zeros(25, dtype=bool)
         visible[:13] = True
         mask = OcclusionMask(visible)
-        suite = run_recall_suite(toy_trained, toy_data, n_images=4, mask=mask, seed=2, iters=50)
-        result = recall(toy_trained, toy_data.train.images[:4], mask, iters=50, init_seed=2)
+        suite = run_recall_suite(toy_trained, toy_data, n_images=4, mask=mask, seed=2)
+        result = recall(toy_trained, toy_data.train.images[:4], mask, init_seed=2)
         np.testing.assert_array_equal(suite.recalled, result.recalled)
         np.testing.assert_array_equal(suite.masked_mse, result.masked_mse)
         np.testing.assert_array_equal(suite.iterations, result.iterations)
@@ -390,6 +391,7 @@ class TestRecallSuite:
         import pcmem.experiments as experiments
         from pcmem.memory import OcclusionMask
 
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 10)
         fed = []
         train_batch = experiments._train_batch
 
@@ -409,7 +411,5 @@ class TestRecallSuite:
 
         visible = np.zeros(25, dtype=bool)
         visible[:13] = True
-        suite = run_recall_suite(
-            result.params, toy_data, n_images=5, mask=OcclusionMask(visible), iters=10
-        )
+        suite = run_recall_suite(result.params, toy_data, n_images=5, mask=OcclusionMask(visible))
         assert {r.tobytes() for r in suite.originals} <= {r.tobytes() for r in fed}

@@ -5,10 +5,11 @@ from pcmem.images import (
     GUTTER_VALUE,
     SEPARATOR,
     image_grid,
-    read_pgm,
     rescale_tile,
     write_pgm,
 )
+
+from conftest import read_pgm
 
 
 class TestRescaleTile:

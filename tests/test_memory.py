@@ -201,15 +201,17 @@ def direct_recall(params, target, mask, iters, alpha=0.01, init_seed=0):
 
 
 class TestRecall:
-    def test_visible_pixels_clamped_bit_exact(self, toy_trained):
+    def test_visible_pixels_clamped_bit_exact(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 500)
         mask = toy_mask()
         target = toy_patterns(1, seed=6)[0]
-        result = recall(toy_trained, target, mask, iters=500)
+        result = recall(toy_trained, target, mask)
         np.testing.assert_array_equal(
             result.recalled[0][mask.visible], target[mask.visible]
         )
 
-    def test_free_energy_decreases(self, toy_trained):
+    def test_free_energy_decreases(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 2000)
         mask = toy_mask()
         target = toy_patterns(1, seed=7)[0]
         # initial state: corrupted phi1, fresh random latents
@@ -217,33 +219,36 @@ class TestRecall:
         rng = np.random.default_rng(0)
         init = init_latents(toy_trained.dims, 1, rng)
         _, f_init = free_energy(compute_errors(toy_trained, init, phi1))
-        result = recall(toy_trained, target, mask, iters=2000, init_seed=0)
+        result = recall(toy_trained, target, mask, init_seed=0)
         assert result.final_free_energy < f_init
 
-    def test_deterministic(self, toy_trained):
+    def test_deterministic(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 200)
         mask = toy_mask()
         target = toy_patterns(1, seed=8)[0]
-        a = recall(toy_trained, target, mask, iters=200, init_seed=5)
-        b = recall(toy_trained, target, mask, iters=200, init_seed=5)
+        a = recall(toy_trained, target, mask, init_seed=5)
+        b = recall(toy_trained, target, mask, init_seed=5)
         np.testing.assert_array_equal(a.recalled, b.recalled)
         np.testing.assert_array_equal(a.iterations, b.iterations)
 
-    def test_masked_mse_nonnegative_and_reported(self, toy_trained):
+    def test_masked_mse_nonnegative_and_reported(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 300)
         mask = toy_mask()
         target = toy_patterns(1, seed=9)[0]
-        result = recall(toy_trained, target, mask, iters=300)
+        result = recall(toy_trained, target, mask)
         assert result.masked_mse.shape == (1,)
         assert result.masked_mse[0] >= 0
 
     @pytest.mark.parametrize("iters", [40, 10000])
-    def test_matches_inference_step_loop(self, toy_trained, iters):
+    def test_matches_inference_step_loop(self, toy_trained, iters, monkeypatch):
         """The latent-space batch recall against the direct-form loop, run
         one row at a time, both when the budget runs out (40) and when the
         tolerance stops it (10000). The two differ only by rounding: 1e-10
         on images and energy, equal per-row iteration counts."""
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", iters)
         mask = toy_mask()
         target = toy_patterns(2, seed=10)
-        result = recall(toy_trained, target, mask, iters=iters, init_seed=3)
+        result = recall(toy_trained, target, mask, init_seed=3)
 
         runs = [direct_recall(toy_trained, t, mask, iters, init_seed=3) for t in target]
         phi1 = np.stack([img for _, img, _ in runs])
@@ -264,47 +269,70 @@ class TestRecall:
             rtol=0, atol=1e-10,
         )
 
-    def test_batch_matches_sequential(self, toy_trained):
+    def test_batch_matches_sequential(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 10000)
         mask = toy_mask()
         target = toy_patterns(5, seed=14)
-        batch = recall(toy_trained, target, mask, iters=10000, init_seed=2)
+        batch = recall(toy_trained, target, mask, init_seed=2)
         for k in range(5):
-            alone = recall(toy_trained, target[k], mask, iters=10000, init_seed=2)
+            alone = recall(toy_trained, target[k], mask, init_seed=2)
             np.testing.assert_array_equal(batch.iterations[k:k + 1], alone.iterations)
             np.testing.assert_allclose(batch.recalled[k:k + 1], alone.recalled, rtol=0, atol=1e-12)
             np.testing.assert_allclose(
                 batch.last_delta[k:k + 1], alone.last_delta, rtol=0, atol=1e-12
             )
 
-    def test_early_row_frozen_in_mixed_batch(self, toy_trained, toy_data):
+    def test_early_row_frozen_in_mixed_batch(self, toy_trained, toy_data, monkeypatch):
         """A row that converges first stops there: its output and count in a
         batch with slower rows are those it gets alone."""
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 10000)
         mask = toy_mask()
         trained = toy_data.train.images[0]
         noise = np.random.default_rng(15).uniform(0, 1, (2, 25))
         target = np.vstack([noise[0], trained, noise[1]])
-        mixed = recall(toy_trained, target, mask, iters=10000, init_seed=1)
+        mixed = recall(toy_trained, target, mask, init_seed=1)
         early = int(np.argmin(mixed.iterations))
         assert mixed.iterations[early] < mixed.iterations.max()
         assert mixed.converged.all()
-        alone = recall(toy_trained, target[early], mask, iters=10000, init_seed=1)
+        alone = recall(toy_trained, target[early], mask, init_seed=1)
         assert alone.iterations[0] == mixed.iterations[early]
         np.testing.assert_allclose(mixed.recalled[early], alone.recalled[0], rtol=0, atol=1e-12)
 
-    def test_budget_stop_reported(self, toy_trained):
+    def test_budget_stop_reported(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 5)
         mask = toy_mask()
-        result = recall(toy_trained, toy_patterns(3, seed=16), mask, iters=5)
+        result = recall(toy_trained, toy_patterns(3, seed=16), mask)
         np.testing.assert_array_equal(result.iterations, [5, 5, 5])
         assert not result.converged.any()
         assert np.all(result.last_delta >= RECALL_PHI1_TOL)
 
-    def test_divergence_names_recall_iteration(self, toy_trained):
+    def test_divergence_names_recall_iteration(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 500)
         mask = toy_mask()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"recall iteration \d+"):
-                recall(toy_trained, toy_patterns(2, seed=17), mask, iters=500, alpha=1e6)
+                recall(toy_trained, toy_patterns(2, seed=17), mask, alpha=1e6)
 
-    def test_model_input_size_must_match_image(self, toy_trained):
+    def test_model_input_size_must_match_image(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 5)
         # a 25-8-2 model asked to recall 28x28 images
         with pytest.raises(ValueError, match="model input size 25 != image size 784"):
-            recall(toy_trained, np.zeros(784), OcclusionMask.top_half(), iters=5)
+            recall(toy_trained, np.zeros(784), OcclusionMask.top_half())
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda params, x: recall(params, x, toy_mask()),
+        lambda params, x: replay(params, x),
+        lambda params, x: infer_latents(params, x),
+        lambda params, x: compute_errors(
+            params, init_latents(params.dims, 0, np.random.default_rng(0)), x
+        ),
+    ],
+    ids=["recall", "replay", "infer_latents", "compute_errors"],
+)
+def test_empty_batch_rejected(toy_trained, call):
+    """Zero rows are bad input, not a divergence."""
+    with pytest.raises(ValueError, match=r"empty batch: .* \(0, 25\)"):
+        call(toy_trained, np.zeros((0, 25)))
