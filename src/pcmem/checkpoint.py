@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import core
 from .core import ModelParams
 from .optim import AdamState
 
@@ -111,7 +112,8 @@ def load_checkpoint(
 
     Raises CheckpointError, naming the offset, on any file that does not
     hold exactly one well-formed checkpoint of the tanh model, Adam flag 1
-    included.
+    included. Older configs that name "activation" or "alpha" load only at
+    the values the model fixes, "tanh" and core.ALPHA.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -165,11 +167,10 @@ def load_checkpoint(
         manifest = RunManifest.from_json(blob.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"bad manifest at offset {start}: {exc}") from None
-    activation = manifest.config.get("activation", "tanh")
-    if activation != "tanh":
-        raise CheckpointError(
-            f"bad manifest at offset {start}: activation {activation!r}, the model is tanh"
-        )
+    for key, fixed in (("activation", ModelParams.activation.value), ("alpha", core.ALPHA)):
+        if manifest.config.get(key, fixed) != fixed:
+            raise CheckpointError(f"bad manifest at offset {start}: {key} "
+                                  f"{manifest.config[key]!r}, the model has {fixed!r}")
     try:
         params = ModelParams(theta1, theta2)
     except ValueError as exc:

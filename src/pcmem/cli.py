@@ -9,7 +9,9 @@ generator. The memory commands read the checkpoint's settings as an
 ExperimentConfig, rebuild the splits with its seed and read a prefix of
 a split: reconstruct and replay its first batch_size images, recall the
 recall suite's first 10 training images. Their own `--seed` only draws
-the latent init. Runs are bit-reproducible with OMP_NUM_THREADS,
+the latent init. Every inference step has size core.ALPHA; no config sets it.
+Every command creates --out before its work, so an unusable --out fails
+first. Runs are bit-reproducible with OMP_NUM_THREADS,
 OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1 before pcmem starts.
 """
 
@@ -95,8 +97,9 @@ def _load_run(args):
     """The checkpoint's weights, its settings as an ExperimentConfig, and
     the splits rebuilt with the config's seed; the command's own --seed
     never reaches the splits. Keys the config does not know (legacy ones
-    such as scope, or activation, which load_checkpoint has checked) are
-    ignored."""
+    such as scope, or activation and alpha, which load_checkpoint has
+    checked) are ignored. Creates --out once all three have loaded, so an
+    unusable --out fails before the command's work."""
     params, _, manifest = load_checkpoint(args.checkpoint)
     known = {f.name for f in fields(ExperimentConfig)}
     try:
@@ -105,7 +108,9 @@ def _load_run(args):
         )
     except ValueError as exc:
         raise CheckpointError(f"bad config in {args.checkpoint}: {exc}") from None
-    return params, config, _splits(args, config.seed)
+    splits = _splits(args, config.seed)
+    args.out.mkdir(parents=True, exist_ok=True)
+    return params, config, splits
 
 
 def cmd_train(args) -> int:
@@ -120,6 +125,9 @@ def cmd_train(args) -> int:
             cfg[name] = getattr(args, name)
     config = ExperimentConfig.from_dict(cfg)
     splits = _splits(args, config.seed)
+    width = splits.train.images.shape[1]
+    if config.dims[0] != width:
+        raise ValueError(f"config dims[0] {config.dims[0]} != image size {width}")
     # before training, so an unusable --out fails before any epoch runs
     args.out.mkdir(parents=True, exist_ok=True)
     result = train(config, splits)
@@ -151,12 +159,10 @@ def cmd_reconstruct_or_replay(args) -> int:
     x = getattr(splits, args.split).images[: config.batch_size]
     if args.command == "reconstruct":
         name = f"reconstruct_{args.split}"
-        out = reconstruct(params, x, iters=config.n_iters, alpha=config.alpha,
-                          init_seed=args.seed)
+        out = reconstruct(params, x, iters=config.n_iters, init_seed=args.seed)
     else:
         name = "replay"
-        out = replay(params, x, alpha=config.alpha, init_seed=args.seed)
-    args.out.mkdir(parents=True, exist_ok=True)
+        out = replay(params, x, init_seed=args.seed)
     _write_grid(args.out / f"{name}.pgm", x, out)
     mse = np.mean((x - out) ** 2, axis=1)
     write_csv(args.out / f"{name}.csv", ["image", "mse"], enumerate(map(float, mse)))
@@ -165,8 +171,7 @@ def cmd_reconstruct_or_replay(args) -> int:
 
 def cmd_recall(args) -> int:
     params, config, splits = _load_run(args)
-    suite = run_recall_suite(params, splits, seed=args.seed, alpha=config.alpha)
-    args.out.mkdir(parents=True, exist_ok=True)
+    suite = run_recall_suite(params, splits, seed=args.seed)
     _write_grid(args.out / "recall.pgm", suite.presented, suite.recalled, suite.originals)
     write_csv(args.out / "recall.csv",
               ["image", "masked_mse", "iterations", "converged", "last_delta"],
@@ -181,9 +186,9 @@ def cmd_export_weights(args) -> int:
     params, _, _ = load_checkpoint(args.checkpoint)
     if params.dims[0] != IMAGE_SIDE**2:  # each tile is one image
         raise ValueError(f"model input size {params.dims[0]} != image size {IMAGE_SIDE**2}")
+    args.out.mkdir(parents=True, exist_ok=True)
     tiles = params.theta1.T  # one tile per hidden unit
     n_cols = int(np.ceil(np.sqrt(tiles.shape[0])))
-    args.out.mkdir(parents=True, exist_ok=True)
     write_pgm(args.out / "weights.pgm", image_grid(tiles, n_cols=n_cols))
     return 0
 
@@ -193,15 +198,13 @@ def cmd_export_latents(args) -> int:
     images = splits.test.images
     labels = splits.test.labels
     _, d2, d3 = params.dims
-    state = infer_latents(params, images, iters=config.n_iters, alpha=config.alpha,
-                          init_seed=args.seed)
+    state = infer_latents(params, images, iters=config.n_iters, init_seed=args.seed)
     errors = compute_errors(params, state, images)
     e1 = 0.5 * np.sum(errors.xi1**2, axis=1)
     rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),
              float(e1[k])] for k in range(state.batch)]
     header = (["label"] + [f"phi3_{j}" for j in range(d3)]
               + [f"phi2_{j}" for j in range(d2)] + ["input_energy"])
-    args.out.mkdir(parents=True, exist_ok=True)
     write_csv(args.out / "latents.csv", header, rows)
     return 0
 

@@ -27,8 +27,8 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-# inference step size alpha and number of inference steps T per batch
-DEFAULT_ALPHA = 0.01
+# the inference step size alpha (read at call time) and default steps T per batch
+ALPHA = 0.01
 DEFAULT_ITERS = 50
 
 
@@ -232,11 +232,10 @@ def descend_latents(
     params: ModelParams,
     state: LatentState,
     x: np.ndarray,
-    alpha: float,
     n_iters: int,
     rel_tol: Optional[float] = None,
 ) -> LatentState:
-    """Up to n_iters gradient-descent steps on phi2 and phi3 with theta1 fixed.
+    """Up to n_iters descent steps of size ALPHA on phi2 and phi3, theta1 fixed.
 
     While theta1 is fixed, d_phi2 = xi2 - x theta1 + phi2 theta1^T theta1,
     so the Gram matrix G = theta1^T theta1 (d2 x d2) and the drive
@@ -263,8 +262,6 @@ def descend_latents(
     finite, so finite latents whose squares overflow pass.
     """
     x = _check_batch(params, state, x)
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
     theta1, theta2 = params.theta1, params.theta2
     gram = theta1.T @ theta1
     drive = x @ theta1
@@ -300,9 +297,9 @@ def descend_latents(
         np.multiply(xi2, pred2, out=pred2)
         np.matmul(pred2, theta2, out=step3)
         np.subtract(phi3, step3, out=step3)
-        np.multiply(step2, alpha, out=step2)
+        np.multiply(step2, ALPHA, out=step2)
         np.subtract(phi2, step2, out=phi2)
-        np.multiply(step3, alpha, out=step3)
+        np.multiply(step3, ALPHA, out=step3)
         np.subtract(phi3, step3, out=phi3)
         if not np.isfinite(np.vdot(phi2, phi2) + np.vdot(phi3, phi3)) and not (
             np.all(np.isfinite(phi2)) and np.all(np.isfinite(phi3))

@@ -35,7 +35,6 @@ import numpy as np
 
 from .checkpoint import atomic_write
 from .core import (
-    DEFAULT_ALPHA,
     DEFAULT_ITERS,
     DivergenceError,
     ModelParams,
@@ -54,14 +53,13 @@ from .optim import AdamState, adam_step
 class ExperimentConfig:
     """Full run configuration; persisted with every checkpoint. Every field
     has a default, so a checkpoint's config that names only some of them
-    (or none) still reads as one."""
+    (or none) still reads as one. The inference step size is core.ALPHA."""
 
     mode: str = "pc"  # "pc" | "ipc"
     beta: float = 1e-4
     dims: tuple[int, int, int] = (784, 35, 2)
     batch_size: int = 64
     n_iters: int = DEFAULT_ITERS
-    alpha: float = DEFAULT_ALPHA
     # weight init, latent draws, epoch order and split: each starts its own
     # default_rng(seed), so all four read the same bit stream
     seed: int = 0
@@ -90,10 +88,9 @@ class ExperimentConfig:
             raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
         if not (_is_real(self.beta) and math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be a finite number > 0, got {self.beta!r}")
-        for name in ("alpha", "epsilon"):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        eps = self.epsilon
+        if not (_is_real(eps) and math.isfinite(eps) and eps >= 0):
+            raise ValueError(f"epsilon must be a finite number >= 0, got {eps!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -201,7 +198,7 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     state = init_latents(params.dims, x.shape[0], rng)
     for update in range(n_updates):
         try:
-            state = descend_latents(params, state, x, config.alpha, steps)
+            state = descend_latents(params, state, x, steps)
         except DivergenceError:
             if steps == 1:  # the kernel's own count restarts at 0 on every call
                 raise DivergenceError(
@@ -262,9 +259,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
             or epoch == config.max_epochs
         )
         if epoch == 1 or stop or epoch % config.val_every == 0:
-            last_val = evaluate_errors(
-                params, splits.validation, config.n_iters, config.alpha, config.seed
-            )
+            last_val = evaluate_errors(params, splits.validation, config.n_iters, config.seed)
         log.rows.append(
             EpochStats(epoch, train_energies, last_val, time.perf_counter() - t0)
         )
@@ -278,12 +273,11 @@ def evaluate_errors(
     params: ModelParams,
     split: Split,
     n_iters: int = DEFAULT_ITERS,
-    alpha: float = DEFAULT_ALPHA,
     seed: int = 0,
 ) -> np.ndarray:
     """Mean per-layer energies over a split after seeded inference
     (memory.infer_latents on all rows at once). Never updates weights."""
-    state = infer_latents(params, split.images, n_iters, alpha, seed)
+    state = infer_latents(params, split.images, n_iters, seed)
     return compute_errors(params, state, split.images).layer_energies
 
 
@@ -293,7 +287,6 @@ def run_recall_suite(
     n_images: int = 10,
     mask: Optional[OcclusionMask] = None,
     seed: int = 0,
-    alpha: float = DEFAULT_ALPHA,
 ) -> RecallResult:
     """Recall the first n training images, the ones every run with
     limit_train >= n trained on, through the given mask (top half visible
@@ -302,4 +295,4 @@ def run_recall_suite(
     from."""
     if mask is None:
         mask = OcclusionMask.top_half()
-    return recall(params, splits.train.images[:n_images], mask, alpha=alpha, init_seed=seed)
+    return recall(params, splits.train.images[:n_images], mask, init_seed=seed)

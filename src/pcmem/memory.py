@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import core
 from .core import (
-    DEFAULT_ALPHA,
     DEFAULT_ITERS,
     DivergenceError,
     LatentState,
@@ -98,27 +98,25 @@ def infer_latents(
     params: ModelParams,
     x: np.ndarray,
     iters: int = DEFAULT_ITERS,
-    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> LatentState:
-    """Seeded random latent init followed by `iters` inference steps."""
+    """Seeded random latent init, then `iters` inference steps of size core.ALPHA."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    return descend_latents(params, state, x, alpha, iters)
+    return descend_latents(params, state, x, iters)
 
 
 def reconstruct(
     params: ModelParams,
     x: np.ndarray,
     iters: int = DEFAULT_ITERS,
-    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> np.ndarray:
     """Layer-1 prediction theta1 @ phi2 after inferring latents for x."""
-    state = infer_latents(params, x, iters=iters, alpha=alpha, init_seed=init_seed)
+    state = infer_latents(params, x, iters=iters, init_seed=init_seed)
     return state.phi2 @ params.theta1.T
 
 
@@ -126,11 +124,11 @@ def regenerate(
     params: ModelParams,
     phi3: np.ndarray,
     phi2_init: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-down regeneration from a frozen phi3 with input errors gated off.
 
-    The gated phi2 update phi2 -= alpha*xi2 scales xi2 = phi2 - f(theta2 phi3)
+    The gated phi2 update phi2 -= alpha*xi2, with alpha = core.ALPHA as it
+    stands when regenerate is called, scales xi2 = phi2 - f(theta2 phi3)
     by (1 - alpha) per step, so k steps give the closed form
     phi2_k = f(theta2 phi3) + (1 - alpha)^k (phi2_init - f(theta2 phi3)).
     k is where that descent stops: the first step with xi2 inf-norm below
@@ -140,7 +138,7 @@ def regenerate(
     """
     target = np.tanh(phi3 @ params.theta2.T)
     gap = phi2_init - target
-    decay = (1.0 - alpha) ** np.arange(DEFAULT_BUDGET + 1)
+    decay = (1.0 - core.ALPHA) ** np.arange(DEFAULT_BUDGET + 1)
     below = np.abs(decay) * np.max(np.abs(gap)) < REPLAY_XI2_TOL
     k = int(np.argmax(below)) if below.any() else DEFAULT_BUDGET
     phi2 = target + decay[k] * gap
@@ -150,7 +148,6 @@ def regenerate(
 def replay(
     params: ModelParams,
     x: np.ndarray,
-    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> np.ndarray:
     """Replay inputs through the gated top-down pathway.
@@ -164,9 +161,9 @@ def replay(
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    state = descend_latents(params, state, x, alpha, DEFAULT_BUDGET, rel_tol=REPLAY_REL_TOL)
+    state = descend_latents(params, state, x, DEFAULT_BUDGET, rel_tol=REPLAY_REL_TOL)
 
-    images, _ = regenerate(params, state.phi3, state.phi2, alpha=alpha)
+    images, _ = regenerate(params, state.phi3, state.phi2)
     return images
 
 
@@ -174,7 +171,6 @@ def recall(
     params: ModelParams,
     target: np.ndarray,
     mask: OcclusionMask,
-    alpha: float = DEFAULT_ALPHA,
     init_seed: int = 0,
 ) -> RecallResult:
     """Pattern-complete the hidden pixels of a batch of partially presented
@@ -189,7 +185,8 @@ def recall(
     inf-norm change of phi1 drops below RECALL_PHI1_TOL; stopped rows are
     frozen while the others go on. Visible pixels are clamped bit-exactly.
 
-    The loop runs in the d2-dimensional latent space. h starts at 0 and
+    The loop runs in the d2-dimensional latent space, with step size
+    alpha = core.ALPHA as it stands when recall is called. h starts at 0 and
     steps h <- (1 - alpha) h + alpha phi2 theta1_h^T, so h = r theta1_h^T
     with r <- (1 - alpha) r + alpha phi2 from r = 0, and the input term of
     d_phi2 is xi1 theta1 = v theta1_v + r G_h - phi2 G, with
@@ -208,9 +205,8 @@ def recall(
         raise ValueError("mask length does not match image size")
     if params.dims[0] != d1:
         raise ValueError(f"model input size {params.dims[0]} != image size {d1}")
-    if alpha < 0:
-        raise ValueError("alpha must be nonnegative")
 
+    alpha = core.ALPHA
     theta1, theta2 = params.theta1, params.theta2
     theta1_h = theta1[mask.hidden]
     gram = theta1.T @ theta1

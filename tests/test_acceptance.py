@@ -17,6 +17,7 @@ import pytest
 import pcmem
 from pcmem.checkpoint import load_checkpoint, save_checkpoint
 from pcmem.core import (
+    ALPHA,
     compute_errors,
     descend_latents,
     free_energy,
@@ -132,8 +133,8 @@ def test_criterion_3_experiment_1(exp1_model, exp1_recall, splits):
     params, config = exp1_model
     n = config.limit_train
     batch_split = Split(splits.train.images[:n], splits.train.labels[:n])
-    train_e = evaluate_errors(params, batch_split, config.n_iters, config.alpha, config.seed)
-    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.alpha, config.seed)
+    train_e = evaluate_errors(params, batch_split, config.n_iters, config.seed)
+    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.seed)
     ratio = val_e[0] / train_e[0]
     print(f"criterion 3a: val/train input-energy ratio {ratio:.3f}")
     assert ratio > 1.5
@@ -156,8 +157,8 @@ def test_criterion_4_experiment_2(exp2_result, exp1_recall, splits):
         splits.train.images[: config.limit_train],
         splits.train.labels[: config.limit_train],
     )
-    train_e = evaluate_errors(params, train_subset, config.n_iters, config.alpha, config.seed)
-    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.alpha, config.seed)
+    train_e = evaluate_errors(params, train_subset, config.n_iters, config.seed)
+    val_e = evaluate_errors(params, splits.validation, config.n_iters, config.seed)
     ratio = val_e[0] / train_e[0]
     print(f"criterion 4a: val/train input-energy ratio {ratio:.3f}")
     assert abs(ratio - 1.0) < 0.10
@@ -189,11 +190,10 @@ def test_criterion_5_replay_contract(exp1_model, splits):
     def settle(u):
         """Replay's settle phase: seeded latents, descent to REPLAY_REL_TOL."""
         state = init_latents(params.dims, 8, np.random.default_rng(0))
-        return descend_latents(params, state, u, config.alpha, DEFAULT_BUDGET,
-                               rel_tol=REPLAY_REL_TOL)
+        return descend_latents(params, state, u, DEFAULT_BUDGET, rel_tol=REPLAY_REL_TOL)
 
     settled = settle(x)
-    images, phi2 = regenerate(params, settled.phi3, settled.phi2, alpha=config.alpha)
+    images, phi2 = regenerate(params, settled.phi3, settled.phi2)
     target = np.tanh(settled.phi3 @ params.theta2.T)
     gap = np.max(np.abs(phi2 - target))
     print(f"criterion 5: ||phi2 - f(theta2 phi3)||_inf {gap:.2e}")
@@ -203,12 +203,12 @@ def test_criterion_5_replay_contract(exp1_model, splits):
     # regenerate's from the frozen state alone, which reads no input; so
     # for x and for a perturbed x, once settled, the input no longer reaches
     # the replayed image
-    np.testing.assert_array_equal(replay(params, x, alpha=config.alpha, init_seed=0), images)
+    np.testing.assert_array_equal(replay(params, x, init_seed=0), images)
     perturbed = x + np.random.default_rng(1).standard_normal(x.shape)
     settled_p = settle(perturbed)
     np.testing.assert_array_equal(
-        replay(params, perturbed, alpha=config.alpha, init_seed=0),
-        regenerate(params, settled_p.phi3, settled_p.phi2, alpha=config.alpha)[0],
+        replay(params, perturbed, init_seed=0),
+        regenerate(params, settled_p.phi3, settled_p.phi2)[0],
     )
     print("criterion 5: replay output is the gated regeneration of the settled state")
 
@@ -245,7 +245,7 @@ def test_replay_settle_gram_energy(exp1_model, splits):
         assert abs(gram_f - f) <= GRAM_ENERGY_RTOL * f
         if prev is not None and abs(prev - f) <= REPLAY_REL_TOL * abs(prev):
             break
-        ref = value_form_descent(params, ref, x, config.alpha, 1)
+        ref = value_form_descent(params, ref, x, ALPHA, 1)
         prev, used = f, used + 1
     assert used < 5000
     ratio = np.sum(x * x, axis=1) / per_row
@@ -253,10 +253,10 @@ def test_replay_settle_gram_energy(exp1_model, splits):
 
     # the kernel's steps are the reference's bit for bit, so its stop is the
     # k whose fixed-count descent it equals
-    settled = descend_latents(params, state, x, config.alpha, 5000, rel_tol=REPLAY_REL_TOL)
+    settled = descend_latents(params, state, x, 5000, rel_tol=REPLAY_REL_TOL)
     stops = [
         k for k in (used - 1, used, used + 1)
-        if np.array_equal(settled.phi2, descend_latents(params, state, x, config.alpha, k).phi2)
+        if np.array_equal(settled.phi2, descend_latents(params, state, x, k).phi2)
     ]
     assert stops, f"kernel stop not within one step of the reference's {used}"
     want, _ = regenerate(params, ref.phi3, ref.phi2)
@@ -314,7 +314,7 @@ def test_criterion_9_latent_separability(exp1_model, splits):
     labels = splits.test.labels.astype(bool)
     rng = np.random.default_rng(config.seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    phi3 = direct_descent(params, state, x, config.alpha, config.n_iters).phi3
+    phi3 = direct_descent(params, state, x, ALPHA, config.n_iters).phi3
     m0, m1 = phi3[~labels].mean(axis=0), phi3[labels].mean(axis=0)
     # pooled per-class std along the between-means direction
     w = (m1 - m0) / np.linalg.norm(m1 - m0)

@@ -15,6 +15,7 @@ from pcmem.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from pcmem import core
 from pcmem.core import ModelParams, init_params
 from pcmem.experiments import preset
 from pcmem.optim import AdamState
@@ -75,6 +76,27 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.theta1, params.theta1)
         assert loaded_adam[0].t == adam[0].t
         assert manifest.config == config
+
+    def test_legacy_alpha_manifest_loads(self, tmp_path):
+        # manifests written while alpha was a config field name it
+        params, adam = small_adam(small_params())
+        config = {**preset("exp1").to_dict(), "alpha": core.ALPHA}
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, params, adam, RunManifest(config=config))
+        loaded, _, manifest = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.theta1, params.theta1)
+        assert manifest.config == config
+
+    def test_other_alpha_rejected(self, tmp_path):
+        """A checkpoint whose config names another step size than core.ALPHA
+        cannot be inferred at that step size, so it does not load."""
+        params, adam = small_adam(small_params())
+        manifest = RunManifest(config={**preset("exp1").to_dict(), "alpha": 0.02})
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, params, adam, manifest)
+        offset = path.stat().st_size - len(manifest.to_json())
+        with pytest.raises(CheckpointError, match=f"^bad manifest at offset {offset}: alpha 0.02"):
+            load_checkpoint(path)
 
     def test_manifest_config_round_trip(self, tmp_path):
         config = preset("exp2")

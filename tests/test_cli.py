@@ -79,6 +79,29 @@ class TestTrain:
         assert err.startswith("error:") and field in err and "MNIST" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_alpha_config_key_rejected(self, tmp_path, capsys):
+        """The inference step size is core.ALPHA; no --config sets it."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"alpha": 0.5}))
+        rc = main(["train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: unknown config key(s): alpha\n"
+        assert not (tmp_path / "x").exists()
+
+    def test_dims_not_matching_images_fail_before_out(
+        self, corpus_dir, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train ran"))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"dims": [100, 35, 2]}))
+        out = tmp_path / "x"
+        rc = main(["train", "--config", str(config), "--max-epochs", "1",
+                   "--data-dir", str(corpus_dir), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: config dims[0] 100 != image size 784\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "2"], 2)])
     def test_config_seed_reaches_manifest_unless_flag_given(
         self, corpus_dir, tmp_path, flags, seed
@@ -176,9 +199,9 @@ def test_mse_column_matches_api_on_prefix_rows(trained_run, corpus_dir, tmp_path
     split = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"]).train
     x = split.images[:64]
     if command == "reconstruct":
-        expected = reconstruct(params, x, iters=50, alpha=0.01, init_seed=3)
+        expected = reconstruct(params, x, iters=50, init_seed=3)
     else:
-        expected = replay(params, x, alpha=0.01, init_seed=3)
+        expected = replay(params, x, init_seed=3)
     name = "reconstruct_train.csv" if command == "reconstruct" else "replay.csv"
     with open(out / name) as f:
         mse = [float(r["mse"]) for r in csv.DictReader(f)]
@@ -187,15 +210,15 @@ def test_mse_column_matches_api_on_prefix_rows(trained_run, corpus_dir, tmp_path
 
 def test_splits_ignore_seed_flag_without_checkpoint_config(trained_run, corpus_dir, tmp_path):
     """A checkpoint saved without a config rebuilds the splits with seed 0
-    and runs with the config defaults (alpha 0.01, T = 50, 64 rows); the
+    and runs with the config defaults (T = 50, 64 rows); the
     command's --seed still only draws the latent init."""
     params, _, _ = load_checkpoint(trained_run / "checkpoint.pcn")
     bare = tmp_path / "bare.pcn"
     save_checkpoint(bare, params, *checkpoint_extras(params))
     x = build_splits(*load_raw(corpus_dir), split_seed=0).train.images[:64]
     expected = {
-        "replay": replay(params, x, alpha=0.01, init_seed=3),
-        "reconstruct": reconstruct(params, x, iters=50, alpha=0.01, init_seed=3),
+        "replay": replay(params, x, init_seed=3),
+        "reconstruct": reconstruct(params, x, iters=50, init_seed=3),
     }
     for command, out_images in expected.items():
         out = tmp_path / command
@@ -238,11 +261,44 @@ def test_malformed_checkpoint_settings_fail_cleanly(
     assert "Traceback" not in err
 
 
+def test_checkpoint_with_another_alpha_fails_cleanly(trained_run, corpus_dir, tmp_path, capsys):
+    checkpoint = _with_config(trained_run, tmp_path, alpha=0.02)
+    rc = main(["recall", "--checkpoint", str(checkpoint), "--data-dir", str(corpus_dir),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad manifest at offset ") and err.count("\n") == 1
+    assert "alpha 0.02" in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "command, work",
+    [("reconstruct", "reconstruct"), ("replay", "replay"), ("recall", "run_recall_suite"),
+     ("export-latents", "infer_latents"), ("export-weights", "image_grid")],
+)
+def test_out_is_a_file_fails_before_work(
+    trained_run, corpus_dir, tmp_path, capsys, monkeypatch, command, work
+):
+    """Each memory command creates --out before its work, so an --out that
+    is a file fails without running it."""
+    monkeypatch.setattr(cli, work, lambda *args, **kwargs: pytest.fail(f"{work} ran"))
+    out = tmp_path / "taken"
+    out.write_bytes(b"")
+    data = [] if command == "export-weights" else ["--data-dir", str(corpus_dir)]
+    rc = main([command, "--checkpoint", str(trained_run / "checkpoint.pcn"), *data,
+               "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_legacy_config_key_ignored(trained_run, corpus_dir, tmp_path):
     """A checkpoint whose config names fields the config no longer has
-    (scope, and activation as checkpoints wrote it while it was a field)
+    (scope, and activation and alpha as checkpoints wrote them while they
+    were fields)
     gives every memory command the same bytes as without them."""
-    legacy = _with_config(trained_run, tmp_path, scope="single-batch", activation="tanh")
+    legacy = _with_config(trained_run, tmp_path, scope="single-batch", activation="tanh",
+                          alpha=0.01)
     outputs = {
         "reconstruct": ["reconstruct_train.csv", "reconstruct_train.pgm"],
         "replay": ["replay.csv", "replay.pgm"],
@@ -311,7 +367,7 @@ class TestRecall:
         assert len(rows) == 10
         params, _, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
         splits = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"])
-        suite = run_recall_suite(params, splits, seed=0, alpha=0.01)
+        suite = run_recall_suite(params, splits, seed=0)
         assert [int(r["iterations"]) for r in rows] == list(suite.iterations)
         assert [r["converged"] for r in rows] == [str(c) for c in suite.converged]
         assert [float(r["masked_mse"]) for r in rows] == list(suite.masked_mse)

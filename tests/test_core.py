@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pcmem import core
 from pcmem.core import (
+    ALPHA,
     DivergenceError,
     LatentState,
     ModelParams,
@@ -228,8 +230,8 @@ class TestDescendLatents:
         params = toy_trained if trained else init_params((784, 35, 2), rng)
         x = rng.uniform(0, 1, size=(batch, params.dims[0]))
         state = init_latents(params.dims, batch, rng)
-        got = descend_latents(params, state, x, 0.01, n_iters)
-        want = direct_descent(params, state, x, 0.01, n_iters)
+        got = descend_latents(params, state, x, n_iters)
+        want = direct_descent(params, state, x, ALPHA, n_iters)
         np.testing.assert_allclose(got.phi2, want.phi2, rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(got.phi3, want.phi3, rtol=0, atol=KERNEL_ATOL)
 
@@ -242,8 +244,8 @@ class TestDescendLatents:
         params = toy_trained if trained else init_params((784, 35, 2), rng)
         x = rng.uniform(0, 1, size=(batch, params.dims[0]))
         state = init_latents(params.dims, batch, rng)
-        got = descend_latents(params, state, x, 0.01, n_iters)
-        want = value_form_descent(params, state, x, 0.01, n_iters)
+        got = descend_latents(params, state, x, n_iters)
+        want = value_form_descent(params, state, x, ALPHA, n_iters)
         np.testing.assert_array_equal(got.phi2, want.phi2)
         np.testing.assert_array_equal(got.phi3, want.phi3)
 
@@ -257,29 +259,30 @@ class TestDescendLatents:
             _, f = free_energy(compute_errors(toy_trained, ref, x))
             if prev is not None and abs(prev - f) <= 1e-8 * abs(prev):
                 break
-            ref = direct_descent(toy_trained, ref, x, 0.01, 1)
+            ref = direct_descent(toy_trained, ref, x, ALPHA, 1)
             prev, used = f, used + 1
         assert used < 5000
-        got = descend_latents(toy_trained, state, x, 0.01, 5000, rel_tol=1e-8)
+        got = descend_latents(toy_trained, state, x, 5000, rel_tol=1e-8)
         np.testing.assert_allclose(got.phi2, ref.phi2, rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(got.phi3, ref.phi3, rtol=0, atol=KERNEL_ATOL)
         # a budget below the stopping point takes exactly budget steps
-        short = descend_latents(toy_trained, state, x, 0.01, 7, rel_tol=1e-8)
+        short = descend_latents(toy_trained, state, x, 7, rel_tol=1e-8)
         np.testing.assert_allclose(
-            short.phi2, direct_descent(toy_trained, state, x, 0.01, 7).phi2,
+            short.phi2, direct_descent(toy_trained, state, x, ALPHA, 7).phi2,
             rtol=0, atol=KERNEL_ATOL,
         )
 
     def test_zero_error_fixed_point(self):
         params, _, _ = small_instance()
         state = LatentState(phi2=np.zeros((2, 4)), phi3=np.zeros((2, 2)))
-        out = descend_latents(params, state, np.zeros((2, 6)), 0.01, 1)
+        out = descend_latents(params, state, np.zeros((2, 6)), 1)
         np.testing.assert_array_equal(out.phi2, state.phi2)
         np.testing.assert_array_equal(out.phi3, state.phi3)
 
-    def test_alpha_zero_identity(self):
+    def test_alpha_zero_identity(self, monkeypatch):
+        monkeypatch.setattr(core, "ALPHA", 0.0)
         params, state, x = small_instance(seed=4)
-        out = descend_latents(params, state, x, 0.0, 1)
+        out = descend_latents(params, state, x, 1)
         np.testing.assert_array_equal(out.phi2, state.phi2)
         np.testing.assert_array_equal(out.phi3, state.phi3)
 
@@ -288,7 +291,7 @@ class TestDescendLatents:
         x = rng.uniform(0, 1, size=(4, 25))
         state = init_latents(toy_trained.dims, 4, rng)
         _, before = free_energy(compute_errors(toy_trained, state, x))
-        state = descend_latents(toy_trained, state, x, 0.01, 50)
+        state = descend_latents(toy_trained, state, x, 50)
         _, after = free_energy(compute_errors(toy_trained, state, x))
         assert after < before
 
@@ -296,7 +299,7 @@ class TestDescendLatents:
         params, state, x = small_instance(seed=5)
         phi2, phi3, x0 = state.phi2.copy(), state.phi3.copy(), x.copy()
         for rel_tol in (None, 1e-8):
-            descend_latents(params, state, x, 0.01, 10, rel_tol=rel_tol)
+            descend_latents(params, state, x, 10, rel_tol=rel_tol)
             np.testing.assert_array_equal(state.phi2, phi2)
             np.testing.assert_array_equal(state.phi3, phi3)
             np.testing.assert_array_equal(x, x0)
@@ -305,27 +308,29 @@ class TestDescendLatents:
     def test_wrong_input_shape_rejected(self, shape):
         params, state, _ = small_instance()
         with pytest.raises(ValueError, match="input shape"):
-            descend_latents(params, state, np.zeros(shape), 0.01, 1)
+            descend_latents(params, state, np.zeros(shape), 1)
 
     def test_wrong_latent_shape_rejected(self):
         params, _, x = small_instance()
         state = LatentState(phi2=np.zeros((3, 5)), phi3=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="latent shapes"):
-            descend_latents(params, state, x, 0.01, 1)
+            descend_latents(params, state, x, 1)
 
-    def test_divergence_names_iteration(self):
+    def test_divergence_names_iteration(self, monkeypatch):
+        monkeypatch.setattr(core, "ALPHA", 1e6)
         params, state, x = small_instance(seed=3)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"iteration \d+"):
-                descend_latents(params, state, x, 1e6, 500)
+                descend_latents(params, state, x, 500)
 
-    def test_finite_latents_with_overflowing_squares_pass(self):
+    def test_finite_latents_with_overflowing_squares_pass(self, monkeypatch):
         # |phi2|^2 overflows to inf, so the summed check falls back to the
         # element scan, which finds every latent finite
+        monkeypatch.setattr(core, "ALPHA", 0.0)
         params, state, x = small_instance(seed=6)
         big = LatentState(phi2=np.full_like(state.phi2, 1e200), phi3=state.phi3)
         assert not np.isfinite(np.vdot(big.phi2, big.phi2))
-        out = descend_latents(params, big, x, 0.0, 3)
+        out = descend_latents(params, big, x, 3)
         np.testing.assert_array_equal(out.phi2, big.phi2)
         np.testing.assert_array_equal(out.phi3, big.phi3)
 
@@ -340,7 +345,7 @@ class TestDescendLatents:
             for rel_tol in (None, 1e-8):
                 with np.errstate(invalid="ignore"):
                     with pytest.raises(DivergenceError, match=r"iteration 0$"):
-                        descend_latents(params, bad, x, 0.01, 5, rel_tol=rel_tol)
+                        descend_latents(params, bad, x, 5, rel_tol=rel_tol)
 
 
 class TestModelParams:

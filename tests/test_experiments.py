@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmem import memory
+from pcmem import core, memory
 from pcmem.core import (
     LATENT_INIT_SCALE,
     DivergenceError,
@@ -64,7 +64,7 @@ class TestConfig:
         assert e2.mode == "ipc" and e2.beta == 1e-5 and e2.limit_train is None
         for c in (e1, e2):
             assert c.dims == (784, 35, 2)
-            assert c.batch_size == 64 and c.n_iters == 50 and c.alpha == 0.01
+            assert c.batch_size == 64 and c.n_iters == 50
 
     def test_dict_round_trip(self):
         config = preset("exp1")
@@ -84,7 +84,8 @@ class TestConfig:
          ({"val_every": True}, "val_every"), ({"n_iters": 2.0}, "n_iters"),
          ({"beta": "x"}, "beta"), ({"beta": 0.0}, "beta"), ({"beta": -1e-4}, "beta"),
          ({"beta": float("inf")}, "beta"), ({"beta": True}, "beta"),
-         ({"alpha": -1}, "alpha"), ({"alpha": float("nan")}, "alpha"), ({"alpha": None}, "alpha"),
+         # alpha is not a config key (core.ALPHA is the step size), whatever its value
+         ({"alpha": 0.01}, "alpha"), ({"alpha": -1}, "alpha"), ({"alpha": None}, "alpha"),
          ({"epsilon": float("nan")}, "epsilon"), ({"epsilon": -1e-5}, "epsilon"),
          ({"epsilon": "1e-5"}, "epsilon"),
          ({"dims": [784, 35]}, "dims"), ({"dims": [784, 35, 2, 1]}, "dims"),
@@ -101,14 +102,14 @@ class TestConfig:
 
     def test_edge_rates_accepted(self):
         config = ExperimentConfig.from_dict(
-            {"mode": "pc", "beta": 1, "alpha": 0, "epsilon": 0.0,
+            {"mode": "pc", "beta": 1, "epsilon": 0.0,
              "dims": [25, 8, 2]}
         )
         assert config.dims == (25, 8, 2)
 
     def test_unnamed_fields_take_the_defaults(self):
-        config = ExperimentConfig.from_dict({"alpha": 0.5})
-        assert config == ExperimentConfig(alpha=0.5)
+        config = ExperimentConfig.from_dict({"patience": 7})
+        assert config == ExperimentConfig(patience=7)
         assert (config.mode, config.beta, config.n_iters, config.batch_size) == ("pc", 1e-4, 50, 64)
 
     def test_unknown_preset(self):
@@ -132,7 +133,7 @@ class TestTrain:
         params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
         x = toy_data.train.images[:4][np.random.default_rng(config.seed).permutation(4)]
         rng_l = np.random.default_rng(config.seed)
-        state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 0.01, 5)
+        state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 5)
         errors = compute_errors(params, state, x)
         d_theta1, d_theta2 = learning_gradients(params, state, errors)
         theta1, theta2 = params.theta1.copy(), params.theta2.copy()
@@ -166,7 +167,7 @@ class TestTrain:
             state = init_latents(TOY_DIMS, 4, rng_l)
             for _ in range(5):
                 params = ModelParams(theta1, theta2)
-                state = descend_latents(params, state, x, 0.01, 1)
+                state = descend_latents(params, state, x, 1)
                 errors = compute_errors(params, state, x)
                 d_theta1, d_theta2 = learning_gradients(params, state, errors)
                 theta1, adam1 = value_form_adam_step(theta1, d_theta1, adam1, 1e-3)
@@ -224,7 +225,7 @@ class TestTrain:
         params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
         x = toy_data.train.images[:3][np.random.default_rng(config.seed).permutation(3)]
         rng_l = np.random.default_rng(config.seed)
-        state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, 0.01, 5)
+        state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, core.ALPHA, 5)
         errors = compute_errors(params, state, x)
         d_theta1, _ = learning_gradients(params, state, errors)
         theta1 = params.theta1.copy()
@@ -276,7 +277,7 @@ class TestTrain:
         assert len(result.log.rows) == first
 
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
-    def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode):
+    def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode, monkeypatch):
         message = {
             "pc": "epoch 1, batch 0: non-finite latents after inference iteration 47",
             # latents stay finite while the squared errors overflow mid-batch
@@ -284,8 +285,9 @@ class TestTrain:
         }[mode]
         config = ExperimentConfig(
             mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8,
-            alpha=1e6, max_epochs=3, epsilon=0.0,
+            max_epochs=3, epsilon=0.0,
         )
+        monkeypatch.setattr(core, "ALPHA", 1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as excinfo:
                 train(config, toy_data)
@@ -304,12 +306,13 @@ class TestTrain:
 
 
 class TestEvaluateErrors:
-    def test_equals_compute_errors_on_infer_latents(self, toy_trained, toy_data):
+    def test_equals_compute_errors_on_infer_latents(self, toy_trained, toy_data, monkeypatch):
+        monkeypatch.setattr(core, "ALPHA", 0.02)
         split = toy_data.validation
-        state = infer_latents(toy_trained, split.images, iters=10, alpha=0.02, init_seed=5)
+        state = infer_latents(toy_trained, split.images, iters=10, init_seed=5)
         expected = compute_errors(toy_trained, state, split.images).layer_energies
         np.testing.assert_array_equal(
-            evaluate_errors(toy_trained, split, n_iters=10, alpha=0.02, seed=5), expected
+            evaluate_errors(toy_trained, split, n_iters=10, seed=5), expected
         )
 
     def test_matches_per_example_loop(self, toy_trained, toy_data):
@@ -323,7 +326,7 @@ class TestEvaluateErrors:
         for k in range(n):
             state = LatentState(phi2=phi2_all[k : k + 1].copy(), phi3=phi3_all[k : k + 1].copy())
             x = split.images[k : k + 1]
-            state = direct_descent(toy_trained, state, x, 0.01, 10)
+            state = direct_descent(toy_trained, state, x, core.ALPHA, 10)
             totals += compute_errors(toy_trained, state, x).layer_energies
         np.testing.assert_allclose(batched, totals / n, rtol=1e-10)
 

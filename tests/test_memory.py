@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmem import memory
+from pcmem import core, memory
 from pcmem.core import (
     LatentState,
     ModelParams,
@@ -84,7 +84,7 @@ class TestMaskedMse:
 class TestInferLatents:
     def test_descent_at_paper_rates(self, toy_trained):
         x = toy_patterns(4, seed=11)[:4]
-        state = infer_latents(toy_trained, x, iters=50, alpha=0.01, init_seed=0)
+        state = infer_latents(toy_trained, x, iters=50, init_seed=0)
         rng = np.random.default_rng(0)
         init = init_latents(toy_trained.dims, 4, rng)
         _, f_init = free_energy(compute_errors(toy_trained, init, x))
@@ -94,7 +94,7 @@ class TestInferLatents:
     def test_zero_weights_pull_to_prior(self):
         params = ModelParams(np.zeros(( 25, 8)), np.zeros((8, 2)))
         x = np.zeros((2, 25))
-        state = infer_latents(params, x, iters=2000, alpha=0.01, init_seed=0)
+        state = infer_latents(params, x, iters=2000, init_seed=0)
         assert np.max(np.abs(state.phi2)) < 1e-6
         assert np.max(np.abs(state.phi3)) < 1e-6
 
@@ -105,10 +105,12 @@ class TestInferLatents:
         np.testing.assert_array_equal(a.phi2, b.phi2)
         np.testing.assert_array_equal(a.phi3, b.phi3)
 
-    def test_divergence_reported_with_iteration(self, toy_trained):
+    def test_divergence_reported_with_iteration(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(core, "ALPHA", 1e6)
         x = toy_patterns(2, seed=13)
-        with pytest.raises(DivergenceError, match="iteration"):
-            infer_latents(toy_trained, x, iters=500, alpha=1e6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="iteration"):
+                infer_latents(toy_trained, x, iters=500)
 
 
 class TestReconstruct:
@@ -129,7 +131,7 @@ class TestReplay:
         x = toy_patterns(4, seed=2)
         rng = np.random.default_rng(0)
         state = init_latents(toy_trained.dims, 4, rng)
-        settled = descend_latents(toy_trained, state, x, 0.01, 5000, rel_tol=REPLAY_REL_TOL)
+        settled = descend_latents(toy_trained, state, x, 5000, rel_tol=REPLAY_REL_TOL)
         _, phi2 = regenerate(toy_trained, settled.phi3, settled.phi2)
         target = np.tanh(settled.phi3 @ toy_trained.theta2.T)
         assert np.max(np.abs(phi2 - target)) < 1e-4
@@ -147,7 +149,7 @@ class TestReplay:
         x = toy_patterns(2, seed=4)
         rng = np.random.default_rng(0)
         state = init_latents(toy_trained.dims, 2, rng)
-        settled = descend_latents(toy_trained, state, x, 0.01, 5000, rel_tol=REPLAY_REL_TOL)
+        settled = descend_latents(toy_trained, state, x, 5000, rel_tol=REPLAY_REL_TOL)
         img_a, _ = regenerate(toy_trained, settled.phi3, settled.phi2)
         img_b, _ = regenerate(toy_trained, settled.phi3.copy(), settled.phi2.copy())
         np.testing.assert_array_equal(img_a, img_b)
@@ -156,13 +158,15 @@ class TestReplay:
     @pytest.mark.parametrize("alpha", [0.0, 0.01, 0.5, 1.0, 1.5])
     def test_regenerate_matches_loop(self, alpha, budget, monkeypatch):
         """The closed form against the gated descent loop it replaces. Every
-        alpha runs at the fixed DEFAULT_BUDGET; the constant is also patched
-        to 0 and 7 so that a budget that runs out is checked at every alpha."""
+        alpha (core.ALPHA, patched) runs at the fixed DEFAULT_BUDGET; that
+        constant is also patched to 0 and 7 so that a budget that runs out is
+        checked at every alpha."""
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", budget)
+        monkeypatch.setattr(core, "ALPHA", alpha)
         rng = np.random.default_rng(4)
         params = init_params((784, 35, 2), rng)
         state = init_latents(params.dims, 6, rng)
-        images, phi2 = regenerate(params, state.phi3, state.phi2, alpha=alpha)
+        images, phi2 = regenerate(params, state.phi3, state.phi2)
 
         target = np.tanh(state.phi3 @ params.theta2.T)
         ref = state.phi2
@@ -308,10 +312,11 @@ class TestRecall:
 
     def test_divergence_names_recall_iteration(self, toy_trained, monkeypatch):
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 500)
+        monkeypatch.setattr(core, "ALPHA", 1e6)
         mask = toy_mask()
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match=r"recall iteration \d+"):
-                recall(toy_trained, toy_patterns(2, seed=17), mask, alpha=1e6)
+                recall(toy_trained, toy_patterns(2, seed=17), mask)
 
     def test_model_input_size_must_match_image(self, toy_trained, monkeypatch):
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 5)
