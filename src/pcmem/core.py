@@ -133,8 +133,8 @@ def init_latents(
 class ErrorState:
     """Per-example prediction errors and derived per-layer energies.
 
-    fprime2 caches f'(theta2 @ phi3) for reuse by the gradient
-    computations.
+    fprime2 caches f'(theta2 @ phi3) for reuse by
+    inference_gradients.
     """
 
     xi1: np.ndarray
@@ -212,19 +212,24 @@ def inference_gradients(
 
 
 def learning_gradients(
-    params: ModelParams, state: LatentState, errors: ErrorState
+    params: ModelParams, state: LatentState, x: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batch-mean gradients (d_theta1, d_theta2) of F with respect to the weights.
 
-    d_theta1 = -<xi1 phi2^T>, d_theta2 = -<(xi2 * f') phi3^T>, with <.>
-    the mini-batch mean.
+    d_theta1 = -<xi1 phi2^T> = theta1 (phi2^T p) - x^T p,  p = phi2 / b
+    d_theta2 = -<(xi2 * f') phi3^T>
+
+    with <.> the mini-batch mean. The Gram form of d_theta1 forms no batch x d1
+    array. It cancels, but on a 2000-epoch exp1 model it stayed within
+    6e-15 of max|d_theta1| of the direct form -xi1^T phi2 / b.
     """
-    b = state.batch
-    # -(xi1^T phi2) / b, negated and divided in place on the product
-    d_theta1 = errors.xi1.T @ state.phi2
-    np.negative(d_theta1, out=d_theta1)
-    d_theta1 /= b
-    d_theta2 = -((errors.xi2 * errors.fprime2).T @ state.phi3) / b
+    x = _check_batch(params, state, x)
+    phi2, phi3, b = state.phi2, state.phi3, state.batch
+    p = phi2 / b
+    d_theta1 = params.theta1 @ (phi2.T @ p)
+    d_theta1 -= x.T @ p
+    pred2 = np.tanh(phi3 @ params.theta2.T)
+    d_theta2 = -(((phi2 - pred2) * (1.0 - pred2 * pred2)).T @ phi3) / b
     return d_theta1, d_theta2
 
 

@@ -2,10 +2,11 @@
 evaluation battery (per-layer error curves, recall suite).
 
 PC and iPC share one batch step: fresh latents, T inference iterations,
-and Adam updates of both weight matrices from the current errors. They
-differ only in how often the weights move: PC updates them once, after
-all T iterations; iPC after every iteration, which keeps full-dataset
-training stable at the cost of T updates per batch.
+and Adam updates of both weight matrices from core.learning_gradients at
+the current latents. They differ only in how often the weights move: PC
+updates them once, after all T iterations; iPC after every iteration,
+which keeps full-dataset training stable at the cost of T updates per
+batch. The logged energies come from one compute_errors call per batch.
 
 Every run trains on the first limit_train images of the training split
 (all of them when limit_train is None), in a fresh seeded order each
@@ -186,12 +187,13 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     """One mini-batch of PC or iPC from fresh latents.
 
     Both run config.n_iters inference iterations; PC updates the weights
-    once after all of them, iPC after each one. adam_step moves
-    params.theta1, params.theta2 and both Adam states in place. Raises
-    DivergenceError, naming the batch's inference iteration, before any
-    update from non-finite errors: every update checks the summed squared
-    errors for finiteness. Returns the per-layer energies of the last
-    update, the only ones it forms.
+    once after all of them, iPC after each one. An update steps the latents
+    at the current weights, takes the weight gradients at the new latents,
+    then moves params.theta1, params.theta2 and both Adam states in place.
+    Raises DivergenceError, naming the batch's inference iteration, before
+    any update from a non-finite gradient (it checks the summed squared
+    gradients). Returns the per-layer energies at the last update, from the
+    batch's one compute_errors call.
     """
     steps = config.n_iters if config.mode == "pc" else 1
     n_updates = config.n_iters // steps
@@ -205,17 +207,17 @@ def _train_batch(params, x, config, adam1, adam2, rng):
                     f"non-finite latents after inference iteration {update}"
                 ) from None
             raise
-        errors = compute_errors(params, state, x)
-        xi1, xi2, xi3 = errors.xi1, errors.xi2, errors.xi3
-        if not np.isfinite(np.vdot(xi1, xi1) + np.vdot(xi2, xi2) + np.vdot(xi3, xi3)):
-            # overflowing errors would turn the weights non-finite next
+        d_theta1, d_theta2 = learning_gradients(params, state, x)
+        if not np.isfinite(np.vdot(d_theta1, d_theta1) + np.vdot(d_theta2, d_theta2)):
+            # an overflowing gradient would turn the weights non-finite next
             raise DivergenceError(
-                f"non-finite free energy at inference iteration {(update + 1) * steps - 1}"
+                f"non-finite weight gradient at inference iteration {(update + 1) * steps - 1}"
             )
-        d_theta1, d_theta2 = learning_gradients(params, state, errors)
+        if update == n_updates - 1:
+            energies = compute_errors(params, state, x).layer_energies
         adam_step(params.theta1, d_theta1, adam1, config.beta)
         adam_step(params.theta2, d_theta2, adam2, config.beta)
-    return errors.layer_energies
+    return energies
 
 
 def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:

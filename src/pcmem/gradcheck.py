@@ -2,7 +2,8 @@
 
 Runs on a small random model (DIMS, BATCH examples) and compares every
 analytic gradient coordinate, latent and weight, against a central
-difference of step H of the scalar free energy.
+difference of step H of the scalar free energy. The weight gradients are
+core.learning_gradients, the function training steps Adam with.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ def gradient_report(seed: int = 0) -> dict[str, float]:
 
     errors = compute_errors(params, state, phi1)
     d_phi2, d_phi3 = inference_gradients(params, state, errors)
-    d_theta1, d_theta2 = learning_gradients(params, state, errors)
+    d_theta1, d_theta2 = learning_gradients(params, state, phi1)
 
     def energy(p1=phi1, p2=phi2, p3=phi3, t1=params.theta1, t2=params.theta2):
         return _per_example_energy(t1, t2, p1, p2, p3)

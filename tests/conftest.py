@@ -1,3 +1,4 @@
+import math
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -108,6 +109,16 @@ def value_form_descent(params, state, x, alpha, n_iters):
     return LatentState(phi2=phi2, phi3=phi3)
 
 
+def direct_learning_gradients(params, state, x):
+    """Reference: the weight gradients in direct form, -<xi1 phi2^T> and
+    -<(xi2 * f') phi3^T> from compute_errors (one batch x d1 residual)."""
+    errors = compute_errors(params, state, x)
+    b = state.batch
+    d_theta1 = -(errors.xi1.T @ state.phi2) / b
+    d_theta2 = -((errors.xi2 * errors.fprime2).T @ state.phi3) / b
+    return d_theta1, d_theta2
+
+
 def value_form_adam_step(param, grad, state, rate):
     """Reference: Adam written as fresh-array expressions, in
     optim.adam_step's operation order; returns the new parameter and state
@@ -115,9 +126,9 @@ def value_form_adam_step(param, grad, state, rate):
     t = state.t + 1
     m = ADAM_DECAY1 * state.m + (1.0 - ADAM_DECAY1) * grad
     v = ADAM_DECAY2 * state.v + (1.0 - ADAM_DECAY2) * grad * grad
-    m_hat = m / (1.0 - ADAM_DECAY1**t)
-    v_hat = v / (1.0 - ADAM_DECAY2**t)
-    new_param = param - rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    root2 = math.sqrt(1.0 - ADAM_DECAY2**t)
+    rate_t = rate * root2 / (1.0 - ADAM_DECAY1**t)
+    new_param = param - m / (np.sqrt(v) + ADAM_EPSILON * root2) * rate_t
     return new_param, AdamState(m=m, v=v, t=t)
 
 

@@ -19,8 +19,9 @@ from pcmem.core import (
     init_params,
     learning_gradients,
 )
+from pcmem.experiments import preset, train
 
-from conftest import direct_descent, value_form_descent
+from conftest import direct_descent, direct_learning_gradients, value_form_descent
 
 DIMS = (6, 4, 2)
 
@@ -134,13 +135,21 @@ class TestFreeEnergy:
             assert per[k] == pytest.approx(math.fsum(terms), rel=1e-12)
 
 
+def assert_matches_direct_form(params, state, x):
+    got = learning_gradients(params, state, x)
+    want = direct_learning_gradients(params, state, x)
+    scale = np.max(np.abs(want[0]))
+    np.testing.assert_allclose(got[0], want[0], rtol=0, atol=1e-12 * scale)
+    np.testing.assert_array_equal(got[1], want[1])
+
+
 class TestGradients:
     def test_zero_errors_zero_gradients(self):
         params, _, _ = small_instance()
         state = LatentState(phi2=np.zeros((2, 4)), phi3=np.zeros((2, 2)))
         errors = compute_errors(params, state, np.zeros((2, 6)))
         d_phi2, d_phi3 = inference_gradients(params, state, errors)
-        d_theta1, d_theta2 = learning_gradients(params, state, errors)
+        d_theta1, d_theta2 = learning_gradients(params, state, np.zeros((2, 6)))
         assert np.all(d_phi2 == 0) and np.all(d_phi3 == 0)
         assert np.all(d_theta1 == 0) and np.all(d_theta2 == 0)
 
@@ -158,17 +167,38 @@ class TestGradients:
         state = LatentState(phi2=phi2, phi3=np.zeros((1, 2)))
         x = (params.theta1 @ phi2[0])[None, :]
         x[0, 0] += 1.0  # xi1 = e1
-        errors = compute_errors(params, state, x)
-        d_theta1, _ = learning_gradients(params, state, errors)
+        d_theta1, _ = learning_gradients(params, state, x)
         expected = np.zeros((6, 4))
         expected[0, 0] = -1.0
         np.testing.assert_allclose(d_theta1, expected, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(batch=st.integers(1, 70), trained=st.booleans(), seed=st.integers(0, 2**16))
+    def test_gram_form_matches_direct_form(self, toy_trained, batch, trained, seed):
+        """d_theta1 agrees with -<xi1 phi2^T> up to rounding at settled
+        latents; d_theta2 is the direct form's arithmetic, bit for bit."""
+        rng = np.random.default_rng(seed)
+        params = toy_trained if trained else init_params((784, 35, 2), rng)
+        x = rng.uniform(0, 1, size=(batch, params.dims[0]))
+        state = descend_latents(params, init_latents(params.dims, batch, rng), x, 50)
+        assert_matches_direct_form(params, state, x)
+
+    def test_gram_form_matches_direct_form_on_trained_exp1(self, splits):
+        """Where the Gram form cancels most: an exp1 model trained 500
+        epochs, at the settled latents of its training batch."""
+        config = replace(preset("exp1"), max_epochs=500, val_every=500)
+        params = train(config, splits).params
+        x = splits.train.images[:64]
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            state = descend_latents(params, init_latents(params.dims, 64, rng), x, 50)
+            assert_matches_direct_form(params, state, x)
 
     def test_finite_difference_all_blocks(self):
         params, state, x = small_instance(seed=11)
         errors = compute_errors(params, state, x)
         d_phi2, d_phi3 = inference_gradients(params, state, errors)
-        d_theta1, d_theta2 = learning_gradients(params, state, errors)
+        d_theta1, d_theta2 = learning_gradients(params, state, x)
         h = 1e-5
 
         def fd_latent(arr, analytic, which):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pcmem import core, memory
+from pcmem import core, experiments, memory
 from pcmem.core import (
     LATENT_INIT_SCALE,
     DivergenceError,
@@ -135,7 +135,7 @@ class TestTrain:
         rng_l = np.random.default_rng(config.seed)
         state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 5)
         errors = compute_errors(params, state, x)
-        d_theta1, d_theta2 = learning_gradients(params, state, errors)
+        d_theta1, d_theta2 = learning_gradients(params, state, x)
         theta1, theta2 = params.theta1.copy(), params.theta2.copy()
         adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
         adam_step(theta2, d_theta2, AdamState.fresh(theta2.shape), 1e-3)
@@ -146,8 +146,9 @@ class TestTrain:
 
     def test_ipc_batches_match_hand_unrolled(self, toy_data):
         """Two batches of iPC at T=5 equal a hand-unrolled loop, bit for
-        bit: one kernel step, then the errors, the weight gradients and a
-        fresh-array Adam update, five times per batch."""
+        bit: one kernel step, then the weight gradients and a fresh-array
+        Adam update, five times per batch, with the logged energies from
+        the errors at the last update."""
         config = ExperimentConfig(
             mode="ipc", beta=1e-3, dims=TOY_DIMS, limit_train=8,
             batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0,
@@ -168,8 +169,8 @@ class TestTrain:
             for _ in range(5):
                 params = ModelParams(theta1, theta2)
                 state = descend_latents(params, state, x, 1)
+                d_theta1, d_theta2 = learning_gradients(params, state, x)
                 errors = compute_errors(params, state, x)
-                d_theta1, d_theta2 = learning_gradients(params, state, errors)
                 theta1, adam1 = value_form_adam_step(theta1, d_theta1, adam1, 1e-3)
                 theta2, adam2 = value_form_adam_step(theta2, d_theta2, adam2, 1e-3)
             weighted += errors.layer_energies * 4
@@ -227,7 +228,7 @@ class TestTrain:
         rng_l = np.random.default_rng(config.seed)
         state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, core.ALPHA, 5)
         errors = compute_errors(params, state, x)
-        d_theta1, _ = learning_gradients(params, state, errors)
+        d_theta1, _ = learning_gradients(params, state, x)
         theta1 = params.theta1.copy()
         adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
         np.testing.assert_array_equal(result.params.theta1, theta1)
@@ -280,8 +281,9 @@ class TestTrain:
     def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode, monkeypatch):
         message = {
             "pc": "epoch 1, batch 0: non-finite latents after inference iteration 47",
-            # latents stay finite while the squared errors overflow mid-batch
-            "ipc": "epoch 1, batch 0: non-finite free energy at inference iteration 23",
+            # latents stay finite while the summed squared weight gradient
+            # overflows mid-batch; it grows like |phi2|^4, the errors' like |phi2|^2
+            "ipc": "epoch 1, batch 0: non-finite weight gradient at inference iteration 11",
         }[mode]
         config = ExperimentConfig(
             mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8,
@@ -292,6 +294,29 @@ class TestTrain:
             with pytest.raises(DivergenceError) as excinfo:
                 train(config, toy_data)
         assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("mode", ["pc", "ipc"])
+    def test_no_update_from_non_finite_gradient(self, toy_data, mode, monkeypatch):
+        """A diverging run raises before adam_step ever sees a non-finite
+        gradient."""
+        grads = []
+
+        def checked(param, grad, state, rate):
+            assert np.all(np.isfinite(grad)), f"update {len(grads)}: non-finite gradient"
+            grads.append(grad.shape)
+            adam_step(param, grad, state, rate)
+
+        config = ExperimentConfig(
+            mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8,
+            max_epochs=3, epsilon=0.0,
+        )
+        monkeypatch.setattr(experiments, "adam_step", checked)
+        monkeypatch.setattr(core, "ALPHA", 1e6)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError):
+                train(config, toy_data)
+        # iPC makes 11 updates of two Adam steps first; PC diverges in its first kernel call
+        assert len(grads) == (22 if mode == "ipc" else 0)
 
     def test_val_rows_carried_forward(self, toy_data):
         config = ExperimentConfig(

@@ -32,8 +32,8 @@ class TestGradientReport:
     def test_catches_wrong_weight_gradients(self, monkeypatch):
         real = gradcheck.learning_gradients
 
-        def corrupted(params, state, errors):
-            d_theta1, d_theta2 = real(params, state, errors)
+        def corrupted(params, state, x):
+            d_theta1, d_theta2 = real(params, state, x)
             return d_theta1, -d_theta2
 
         monkeypatch.setattr(gradcheck, "learning_gradients", corrupted)
