@@ -9,7 +9,6 @@ from .core import (
     compute_errors,
     descend_latents,
     free_energy,
-    inference_gradients,
     init_latents,
     init_params,
     learning_gradients,

@@ -167,7 +167,7 @@ def load_checkpoint(
         manifest = RunManifest.from_json(blob.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"bad manifest at offset {start}: {exc}") from None
-    for key, fixed in (("activation", ModelParams.activation.value), ("alpha", core.ALPHA)):
+    for key, fixed in (("activation", "tanh"), ("alpha", core.ALPHA)):
         if manifest.config.get(key, fixed) != fixed:
             raise CheckpointError(f"bad manifest at offset {start}: {key} "
                                   f"{manifest.config[key]!r}, the model has {fixed!r}")

@@ -1,5 +1,5 @@
 """Three-level predictive coding network: prediction errors, free energy,
-and the hand-derived inference/learning gradients.
+the weight gradients and the latent descent kernel.
 
 The generative model is
 
@@ -52,7 +52,7 @@ class ModelParams:
 
     theta1: np.ndarray
     theta2: np.ndarray
-    # fixed, not a setting; perfbench reads params.activation.value
+    # fixed, not a setting; only perfbench's workloads read it (.activation.value)
     activation: ClassVar[Activation] = Activation.TANH
 
     def __post_init__(self):
@@ -131,16 +131,11 @@ def init_latents(
 
 @dataclass(frozen=True)
 class ErrorState:
-    """Per-example prediction errors and derived per-layer energies.
-
-    fprime2 caches f'(theta2 @ phi3) for reuse by
-    inference_gradients.
-    """
+    """Per-example prediction errors and derived per-layer energies."""
 
     xi1: np.ndarray
     xi2: np.ndarray
     xi3: np.ndarray
-    fprime2: np.ndarray
 
     @cached_property
     def layer_energies(self) -> np.ndarray:
@@ -179,10 +174,8 @@ def compute_errors(params: ModelParams, state: LatentState, x: np.ndarray) -> Er
     # xi1 = x - phi2 theta1^T, written over the product: one batch x d1 array
     xi1 = state.phi2 @ params.theta1.T
     np.subtract(x, xi1, out=xi1)
-    pred2 = np.tanh(state.phi3 @ params.theta2.T)
-    xi2 = state.phi2 - pred2
-    xi3 = state.phi3
-    return ErrorState(xi1=xi1, xi2=xi2, xi3=xi3, fprime2=1.0 - pred2 * pred2)
+    xi2 = state.phi2 - np.tanh(state.phi3 @ params.theta2.T)
+    return ErrorState(xi1=xi1, xi2=xi2, xi3=state.phi3)
 
 
 def free_energy(errors: ErrorState) -> tuple[np.ndarray, float]:
@@ -193,22 +186,6 @@ def free_energy(errors: ErrorState) -> tuple[np.ndarray, float]:
         + np.sum(errors.xi3 * errors.xi3, axis=1)
     )
     return per_example, float(np.mean(per_example))
-
-
-def inference_gradients(
-    params: ModelParams, state: LatentState, errors: ErrorState
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-example gradients (d_phi2, d_phi3) of l with respect to the latents.
-
-    d_phi2 = -theta1^T xi1 + xi2
-    d_phi3 = -theta2^T (f'(theta2 phi3) * xi2) + xi3
-
-    The gradient with respect to the input layer itself is xi1 (recall
-    descends the hidden pixels along it).
-    """
-    d_phi2 = errors.xi2 - errors.xi1 @ params.theta1
-    d_phi3 = errors.xi3 - (errors.xi2 * errors.fprime2) @ params.theta2
-    return d_phi2, d_phi3
 
 
 def learning_gradients(
@@ -245,8 +222,9 @@ def descend_latents(
     While theta1 is fixed, d_phi2 = xi2 - x theta1 + phi2 theta1^T theta1,
     so the Gram matrix G = theta1^T theta1 (d2 x d2) and the drive
     b = x theta1 (batch x d2) are formed once per call and no batch x d1
-    product runs per step. Equal to the direct form (compute_errors +
-    inference_gradients, stepped n_iters times) up to rounding. No step
+    product runs per step. Equal to the direct form
+    d_phi2 = xi2 - xi1 theta1, d_phi3 = phi3 - (xi2 * f') theta2,
+    stepped n_iters times, up to rounding. No step
     allocates: the kernel steps its own copies of phi2 and phi3 in place
     and writes every temporary into work arrays made once per call, in the
     operation order of the fresh-array expressions, so the result is

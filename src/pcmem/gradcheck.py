@@ -2,18 +2,23 @@
 
 Runs on a small random model (DIMS, BATCH examples) and compares every
 analytic gradient coordinate, latent and weight, against a central
-difference of step H of the scalar free energy. The weight gradients are
-core.learning_gradients, the function training steps Adam with.
+difference of step H of the scalar free energy. d_phi2 and d_phi3 are read
+off one step of core.descend_latents, the kernel that training,
+evaluation, reconstruction and replay descend with; d_phi1 is
+compute_errors' xi1; the weight gradients are core.learning_gradients,
+the function training steps Adam with.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from . import core
 from .core import (
     LatentState,
+    ModelParams,
     compute_errors,
-    inference_gradients,
+    descend_latents,
     init_params,
     learning_gradients,
 )
@@ -37,6 +42,14 @@ def _rel_err(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic) + abs(numeric), 1e-8)
 
 
+def kernel_latent_gradients(
+    params: ModelParams, state: LatentState, x: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """(d_phi2, d_phi3) read off one descend_latents step: (phi - phi') / ALPHA."""
+    step = descend_latents(params, state, x, 1)
+    return (state.phi2 - step.phi2) / core.ALPHA, (state.phi3 - step.phi3) / core.ALPHA
+
+
 def gradient_report(seed: int = 0) -> dict[str, float]:
     """Max relative error per gradient block on the instance `seed` draws."""
     rng = np.random.default_rng(seed)
@@ -48,7 +61,7 @@ def gradient_report(seed: int = 0) -> dict[str, float]:
     state = LatentState(phi2=phi2, phi3=phi3)
 
     errors = compute_errors(params, state, phi1)
-    d_phi2, d_phi3 = inference_gradients(params, state, errors)
+    d_phi2, d_phi3 = kernel_latent_gradients(params, state, phi1)
     d_theta1, d_theta2 = learning_gradients(params, state, phi1)
 
     def energy(p1=phi1, p2=phi2, p3=phi3, t1=params.theta1, t2=params.theta2):

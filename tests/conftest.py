@@ -7,7 +7,7 @@ import pytest
 
 from pcmem import synthetic
 from pcmem.checkpoint import RunManifest, save_checkpoint
-from pcmem.core import LatentState, compute_errors, inference_gradients, init_params
+from pcmem.core import LatentState, compute_errors, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
 from pcmem.optim import ADAM_DECAY1, ADAM_DECAY2, ADAM_EPSILON, AdamState
@@ -82,6 +82,20 @@ def toy_trained(toy_data):
     return train(config, toy_data).params
 
 
+def tanh_prime(params, state):
+    """Reference: f'(theta2 phi3) = 1 - tanh^2, formed from the definition."""
+    pred2 = np.tanh(state.phi3 @ params.theta2.T)
+    return 1.0 - pred2 * pred2
+
+
+def inference_gradients(params, state, errors):
+    """Reference: per-example latent gradients of l in direct form,
+    d_phi2 = xi2 - xi1 theta1 and d_phi3 = xi3 - (xi2 * f') theta2."""
+    d_phi2 = errors.xi2 - errors.xi1 @ params.theta1
+    d_phi3 = errors.xi3 - (errors.xi2 * tanh_prime(params, state)) @ params.theta2
+    return d_phi2, d_phi3
+
+
 def direct_descent(params, state, x, alpha, n_iters):
     """Reference: the direct-form latent loop, compute_errors and
     inference_gradients once per step (two batch x d1 products)."""
@@ -115,7 +129,7 @@ def direct_learning_gradients(params, state, x):
     errors = compute_errors(params, state, x)
     b = state.batch
     d_theta1 = -(errors.xi1.T @ state.phi2) / b
-    d_theta2 = -((errors.xi2 * errors.fprime2).T @ state.phi3) / b
+    d_theta2 = -((errors.xi2 * tanh_prime(params, state)).T @ state.phi3) / b
     return d_theta1, d_theta2
 
 

@@ -56,14 +56,28 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "override, field",
-        [({"mode": "pcx"}, "mode"), ({"val_every": 0}, "val_every"),
-         ({"max_epoch": 3}, "max_epoch"), ([1], "JSON object"),
-         ({"beta": "x"}, "beta"), ({"alpha": -1}, "alpha"), ({"epsilon": float("nan")}, "epsilon"),
-         ({"dims": [784, 35]}, "dims"), ({"batch_size": True}, "batch_size"),
-         ({"limit_train": "x"}, "limit_train"), ({"limit_train": 0}, "limit_train"),
-         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train"),
-         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
-         ({"seed": "3"}, "seed"), ({"activation": "tanh"}, "activation")],
+        [
+            # the ids are literals, fixed at the names pytest once numbered them
+            # by position, so removing a case renames no other
+            pytest.param({"mode": "pcx"}, "mode", id="override0-mode"),
+            pytest.param({"val_every": 0}, "val_every", id="override1-val_every"),
+            pytest.param({"max_epoch": 3}, "max_epoch", id="override2-max_epoch"),
+            pytest.param([1], "JSON object", id="override3-JSON object"),
+            pytest.param({"beta": "x"}, "beta", id="override4-beta"),
+            pytest.param({"alpha": -1}, "alpha", id="override5-alpha"),
+            pytest.param({"epsilon": float("nan")}, "epsilon", id="override6-epsilon"),
+            pytest.param({"dims": [784, 35]}, "dims", id="override7-dims"),
+            pytest.param({"batch_size": True}, "batch_size", id="override8-batch_size"),
+            pytest.param({"limit_train": "x"}, "limit_train", id="override9-limit_train"),
+            pytest.param({"limit_train": 0}, "limit_train", id="override10-limit_train"),
+            pytest.param({"limit_train": -4}, "limit_train", id="override11-limit_train"),
+            pytest.param({"limit_train": True}, "limit_train", id="override12-limit_train"),
+            pytest.param({"seed": -1}, "seed", id="override13-seed"),
+            pytest.param({"seed": 1.5}, "seed", id="override14-seed"),
+            pytest.param({"seed": True}, "seed", id="override15-seed"),
+            pytest.param({"seed": "3"}, "seed", id="override16-seed"),
+            pytest.param({"activation": "tanh"}, "activation", id="override17-activation"),
+        ],
     )
     def test_bad_config_fails_cleanly(self, tmp_path, capsys, override, field):
         # the data directory does not exist: a config checked only after

@@ -14,14 +14,19 @@ from pcmem.core import (
     compute_errors,
     descend_latents,
     free_energy,
-    inference_gradients,
     init_latents,
     init_params,
     learning_gradients,
 )
 from pcmem.experiments import preset, train
+from pcmem.gradcheck import kernel_latent_gradients
 
-from conftest import direct_descent, direct_learning_gradients, value_form_descent
+from conftest import (
+    direct_descent,
+    direct_learning_gradients,
+    inference_gradients,
+    value_form_descent,
+)
 
 DIMS = (6, 4, 2)
 
@@ -52,12 +57,16 @@ def scalar_free_energy(params, phi1, phi2, phi3):
 
 
 def tanh_layer(pre: float):
-    """compute_errors' layer-2 prediction and fprime2 at one pre-activation,
-    from a 1-1-1 model with theta2 = 1 and phi2 = 0."""
+    """compute_errors' layer-2 prediction at one pre-activation, and the
+    activation derivative descend_latents steps phi3 with there, both on a
+    1-1-1 model with theta1 = theta2 = 1 and phi3 = pre."""
     params = ModelParams(np.ones((1, 1)), np.ones((1, 1)))
-    state = LatentState(phi2=np.zeros((1, 1)), phi3=np.array([[pre]]))
-    errors = compute_errors(params, state, np.zeros((1, 1)))
-    return -errors.xi2[0, 0], errors.fprime2[0, 0]
+    phi3, zero = np.array([[pre]]), np.zeros((1, 1))
+    value = -compute_errors(params, LatentState(phi2=zero, phi3=phi3), zero).xi2[0, 0]
+    # phi2 one above the prediction (xi2 = 1) and x = phi2 (xi1 = 0): d_phi3 = pre - f'
+    phi2 = np.tanh(phi3) + 1.0
+    _, d_phi3 = kernel_latent_gradients(params, LatentState(phi2=phi2, phi3=phi3), phi2)
+    return value, pre - d_phi3[0, 0]
 
 
 class TestActivation:
@@ -147,8 +156,7 @@ class TestGradients:
     def test_zero_errors_zero_gradients(self):
         params, _, _ = small_instance()
         state = LatentState(phi2=np.zeros((2, 4)), phi3=np.zeros((2, 2)))
-        errors = compute_errors(params, state, np.zeros((2, 6)))
-        d_phi2, d_phi3 = inference_gradients(params, state, errors)
+        d_phi2, d_phi3 = kernel_latent_gradients(params, state, np.zeros((2, 6)))
         d_theta1, d_theta2 = learning_gradients(params, state, np.zeros((2, 6)))
         assert np.all(d_phi2 == 0) and np.all(d_phi3 == 0)
         assert np.all(d_theta1 == 0) and np.all(d_theta2 == 0)
@@ -197,7 +205,7 @@ class TestGradients:
     def test_finite_difference_all_blocks(self):
         params, state, x = small_instance(seed=11)
         errors = compute_errors(params, state, x)
-        d_phi2, d_phi3 = inference_gradients(params, state, errors)
+        d_phi2, d_phi3 = kernel_latent_gradients(params, state, x)
         d_theta1, d_theta2 = learning_gradients(params, state, x)
         h = 1e-5
 

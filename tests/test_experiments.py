@@ -79,22 +79,47 @@ class TestConfig:
 
     @pytest.mark.parametrize(
         "override, name",
-        [({"batch_size": True}, "batch_size"), ({"n_iters": True}, "n_iters"),
-         ({"max_epochs": False}, "max_epochs"), ({"patience": True}, "patience"),
-         ({"val_every": True}, "val_every"), ({"n_iters": 2.0}, "n_iters"),
-         ({"beta": "x"}, "beta"), ({"beta": 0.0}, "beta"), ({"beta": -1e-4}, "beta"),
-         ({"beta": float("inf")}, "beta"), ({"beta": True}, "beta"),
-         # alpha is not a config key (core.ALPHA is the step size), whatever its value
-         ({"alpha": 0.01}, "alpha"), ({"alpha": -1}, "alpha"), ({"alpha": None}, "alpha"),
-         ({"epsilon": float("nan")}, "epsilon"), ({"epsilon": -1e-5}, "epsilon"),
-         ({"epsilon": "1e-5"}, "epsilon"),
-         ({"dims": [784, 35]}, "dims"), ({"dims": [784, 35, 2, 1]}, "dims"),
-         ({"dims": [784, 0, 2]}, "dims"), ({"dims": [784, 35.0, 2]}, "dims"),
-         ({"dims": [784, True, 2]}, "dims"), ({"dims": 784}, "dims"), ({"dims": "abc"}, "dims"),
-         ({"limit_train": "x"}, "limit_train"), ({"limit_train": 0}, "limit_train"),
-         ({"limit_train": -4}, "limit_train"), ({"limit_train": True}, "limit_train"),
-         ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": True}, "seed"),
-         ({"seed": "3"}, "seed"), ({"scope": "full"}, "unknown config key.*scope")],
+        [
+            # the ids are literals, fixed at the names pytest once numbered them
+            # by position, so removing a case renames no other
+            pytest.param({"batch_size": True}, "batch_size", id="override0-batch_size"),
+            pytest.param({"n_iters": True}, "n_iters", id="override1-n_iters"),
+            pytest.param({"max_epochs": False}, "max_epochs", id="override2-max_epochs"),
+            pytest.param({"patience": True}, "patience", id="override3-patience"),
+            pytest.param({"val_every": True}, "val_every", id="override4-val_every"),
+            pytest.param({"n_iters": 2.0}, "n_iters", id="override5-n_iters"),
+            pytest.param({"beta": "x"}, "beta", id="override6-beta"),
+            pytest.param({"beta": 0.0}, "beta", id="override7-beta"),
+            pytest.param({"beta": -1e-4}, "beta", id="override8-beta"),
+            pytest.param({"beta": float("inf")}, "beta", id="override9-beta"),
+            pytest.param({"beta": True}, "beta", id="override10-beta"),
+            # alpha is not a config key (core.ALPHA is the step size), whatever its value
+            pytest.param({"alpha": 0.01}, "alpha", id="override11-alpha"),
+            pytest.param({"alpha": -1}, "alpha", id="override12-alpha"),
+            pytest.param({"alpha": None}, "alpha", id="override13-alpha"),
+            pytest.param({"epsilon": float("nan")}, "epsilon", id="override14-epsilon"),
+            pytest.param({"epsilon": -1e-5}, "epsilon", id="override15-epsilon"),
+            pytest.param({"epsilon": "1e-5"}, "epsilon", id="override16-epsilon"),
+            pytest.param({"dims": [784, 35]}, "dims", id="override17-dims"),
+            pytest.param({"dims": [784, 35, 2, 1]}, "dims", id="override18-dims"),
+            pytest.param({"dims": [784, 0, 2]}, "dims", id="override19-dims"),
+            pytest.param({"dims": [784, 35.0, 2]}, "dims", id="override20-dims"),
+            pytest.param({"dims": [784, True, 2]}, "dims", id="override21-dims"),
+            pytest.param({"dims": 784}, "dims", id="override22-dims"),
+            pytest.param({"dims": "abc"}, "dims", id="override23-dims"),
+            pytest.param({"limit_train": "x"}, "limit_train", id="override24-limit_train"),
+            pytest.param({"limit_train": 0}, "limit_train", id="override25-limit_train"),
+            pytest.param({"limit_train": -4}, "limit_train", id="override26-limit_train"),
+            pytest.param({"limit_train": True}, "limit_train", id="override27-limit_train"),
+            pytest.param({"seed": -1}, "seed", id="override28-seed"),
+            pytest.param({"seed": 1.5}, "seed", id="override29-seed"),
+            pytest.param({"seed": True}, "seed", id="override30-seed"),
+            pytest.param({"seed": "3"}, "seed", id="override31-seed"),
+            pytest.param(
+                {"scope": "full"}, "unknown config key.*scope",
+                id="override32-unknown config key.*scope",
+            ),
+        ],
     )
     def test_bad_values_rejected(self, override, name):
         with pytest.raises(ValueError, match=name):

@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 
 import pcmem.gradcheck as gradcheck
+from pcmem.core import LatentState, compute_errors
 from pcmem.gradcheck import DEFAULT_TOL, gradient_report
+
+from conftest import inference_gradients
 
 
 class TestGradientReport:
@@ -16,16 +19,34 @@ class TestGradientReport:
         for seed in (1, 2, 3):
             assert max(gradient_report(seed=seed).values()) < DEFAULT_TOL
 
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_kernel_read_matches_direct_form(self, monkeypatch, seed):
+        """The latent gradients gradcheck reads off the kernel step equal the
+        direct-form oracle up to rounding."""
+        real = gradcheck.kernel_latent_gradients
+        calls = []
+
+        def spy(params, state, x):
+            calls.append((params, state, x, real(params, state, x)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(gradcheck, "kernel_latent_gradients", spy)
+        gradient_report(seed=seed)
+        [(params, state, x, got)] = calls
+        want = inference_gradients(params, state, compute_errors(params, state, x))
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w)) <= 1e-12 * np.max(np.abs(w))
+
     def test_catches_wrong_gradients(self, monkeypatch):
-        """Mutation check: a deliberately scaled latent gradient must be
-        flagged, proving the finite-difference oracle has teeth."""
-        real = gradcheck.inference_gradients
+        """Mutation check: a kernel step that moves phi2 1.5 times too far
+        must be flagged, proving the finite-difference oracle has teeth."""
+        real = gradcheck.descend_latents
 
-        def corrupted(params, state, errors):
-            d_phi2, d_phi3 = real(params, state, errors)
-            return 1.5 * d_phi2, d_phi3
+        def corrupted(params, state, x, n_iters):
+            step = real(params, state, x, n_iters)
+            return LatentState(phi2=state.phi2 + 1.5 * (step.phi2 - state.phi2), phi3=step.phi3)
 
-        monkeypatch.setattr(gradcheck, "inference_gradients", corrupted)
+        monkeypatch.setattr(gradcheck, "descend_latents", corrupted)
         report = gradient_report(seed=0)
         assert report["d_phi2"] > DEFAULT_TOL
 

@@ -8,7 +8,6 @@ from pcmem.core import (
     compute_errors,
     descend_latents,
     free_energy,
-    inference_gradients,
     init_latents,
     init_params,
 )
@@ -27,7 +26,7 @@ from pcmem.memory import (
     replay,
 )
 
-from conftest import toy_patterns
+from conftest import inference_gradients, toy_patterns
 
 
 def toy_mask():
