@@ -200,7 +200,7 @@ def cmd_export_latents(args) -> int:
     _, d2, d3 = params.dims
     state = infer_latents(params, images, iters=config.n_iters, init_seed=args.seed)
     errors = compute_errors(params, state, images)
-    e1 = 0.5 * np.sum(errors.xi1**2, axis=1)
+    e1 = 0.5 * np.einsum("ij,ij->i", errors.xi1, errors.xi1)
     rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),
              float(e1[k])] for k in range(state.batch)]
     header = (["label"] + [f"phi3_{j}" for j in range(d3)]

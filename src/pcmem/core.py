@@ -30,6 +30,12 @@ import numpy as np
 # the inference step size alpha (read at call time) and default steps T per batch
 ALPHA = 0.01
 DEFAULT_ITERS = 50
+# descend_latents settles a batch without rel_tol in blocks of this many rows
+# (read at call time). The rule: a block's six rows x d2 arrays (latents,
+# drive, four work arrays) stay within about 1 MiB at d2 = 35, half a core's
+# L2, so they stay in cache across the steps. At B = 2010, T = 50 blocks of
+# 256, 512 and 1024 rows settled in 91%, 82% and 87% of the unblocked time.
+BLOCK_ROWS = 512
 
 
 class DivergenceError(RuntimeError):
@@ -139,15 +145,10 @@ class ErrorState:
 
     @cached_property
     def layer_energies(self) -> np.ndarray:
-        """[i] is the batch mean of 1/2 |xi_{i+1}|^2; computed on first read."""
-        xi1, xi2, xi3 = self.xi1, self.xi2, self.xi3
-        return np.array(
-            [
-                0.5 * np.mean(np.sum(xi1 * xi1, axis=1)),
-                0.5 * np.mean(np.sum(xi2 * xi2, axis=1)),
-                0.5 * np.mean(np.sum(xi3 * xi3, axis=1)),
-            ]
-        )
+        """[i] is the batch mean of 1/2 |xi_{i+1}|^2; computed on first read,
+        one dot product per layer and no batch x dim temporary."""
+        b = self.xi1.shape[0]
+        return np.array([0.5 * np.vdot(xi, xi) / b for xi in (self.xi1, self.xi2, self.xi3)])
 
 
 def _check_batch(params: ModelParams, state: LatentState, x: np.ndarray) -> np.ndarray:
@@ -179,11 +180,12 @@ def compute_errors(params: ModelParams, state: LatentState, x: np.ndarray) -> Er
 
 
 def free_energy(errors: ErrorState) -> tuple[np.ndarray, float]:
-    """Per-example free energy and its batch mean (additive constant dropped)."""
+    """Per-example free energy and its batch mean (additive constant dropped).
+    The row sums are einsums, so no batch x dim temporary is formed."""
     per_example = 0.5 * (
-        np.sum(errors.xi1 * errors.xi1, axis=1)
-        + np.sum(errors.xi2 * errors.xi2, axis=1)
-        + np.sum(errors.xi3 * errors.xi3, axis=1)
+        np.einsum("ij,ij->i", errors.xi1, errors.xi1)
+        + np.einsum("ij,ij->i", errors.xi2, errors.xi2)
+        + np.einsum("ij,ij->i", errors.xi3, errors.xi3)
     )
     return per_example, float(np.mean(per_example))
 
@@ -226,21 +228,28 @@ def descend_latents(
     d_phi2 = xi2 - xi1 theta1, d_phi3 = phi3 - (xi2 * f') theta2,
     stepped n_iters times, up to rounding. No step
     allocates: the kernel steps its own copies of phi2 and phi3 in place
-    and writes every temporary into work arrays made once per call, in the
+    and writes every temporary into work arrays made once per block, in the
     operation order of the fresh-array expressions, so the result is
-    bit-identical to them.
+    bit-identical to them run on the same row blocks.
 
-    With rel_tol set, each iteration first evaluates the free energy and
-    stops, before stepping, once it changed by at most rel_tol relative to
-    the previous iteration. The input term comes in Gram form from products
+    Without rel_tol no row reads another, so a batch of more than
+    BLOCK_ROWS rows is settled one block of BLOCK_ROWS rows at a time, all
+    n_iters steps per block, on block-sized work arrays that stay in cache
+    across the steps. A smaller batch is one block.
+
+    With rel_tol set, the batch is always one block: each iteration first
+    evaluates the batch-mean free energy and stops, before stepping, once
+    it changed by at most rel_tol relative to the previous iteration. The
+    input term comes in Gram form from products
     the step forms anyway: 1/2 |xi1|^2 = 1/2 (|x|^2 - 2 <b, phi2> +
     <phi2 G, phi2>), with |x|^2 formed once per call. It cancels, but
     little: on the trained 784-35-2 exp1 model, where |x|^2 / F per row is
     14-42 in the median and at most 89, it stayed within 2e-14 relative of
     the direct form, far below a useful rel_tol.
 
-    Raises DivergenceError, naming the iteration, on a non-finite free
-    energy or non-finite latents after a step. The after-step check sums
+    Raises DivergenceError, naming the iteration (in the first block, in
+    row order, that diverges), on a non-finite free energy or non-finite
+    latents after a step. The after-step check sums
     |phi2|^2 + |phi3|^2 and scans the elements only when that sum is not
     finite, so finite latents whose squares overflow pass.
     """
@@ -250,11 +259,32 @@ def descend_latents(
     drive = x @ theta1
     phi2 = np.array(state.phi2, dtype=np.float64, order="C")
     phi3 = np.array(state.phi3, dtype=np.float64, order="C")
+    if rel_tol is not None or state.batch <= BLOCK_ROWS:
+        x_sq = None if rel_tol is None else float(np.vdot(x, x))
+        _descend_block(theta2, gram, drive, phi2, phi3, n_iters, rel_tol, x_sq)
+    else:
+        for start in range(0, state.batch, BLOCK_ROWS):
+            rows = slice(start, start + BLOCK_ROWS)
+            _descend_block(theta2, gram, drive[rows], phi2[rows], phi3[rows], n_iters)
+    return replace(state, phi2=phi2, phi3=phi3)
+
+
+def _descend_block(
+    theta2: np.ndarray,
+    gram: np.ndarray,
+    drive: np.ndarray,
+    phi2: np.ndarray,
+    phi3: np.ndarray,
+    n_iters: int,
+    rel_tol: Optional[float] = None,
+    x_sq: Optional[float] = None,
+) -> None:
+    """descend_latents' steps on one block of rows, phi2 and phi3 (C-ordered
+    rows, possibly views of the whole batch) stepped in place; x_sq = |x|^2
+    of the block, read only with rel_tol."""
     # work arrays: pred2 becomes xi2 * f' in place, step2/step3 the scaled steps
     pred2, xi2, phi2_gram, step2 = (np.empty_like(phi2) for _ in range(4))
     step3 = np.empty_like(phi3)
-    if rel_tol is not None:
-        x_sq = float(np.vdot(x, x))
     prev = None
     for i in range(n_iters):
         np.matmul(phi3, theta2.T, out=pred2)
@@ -265,7 +295,7 @@ def descend_latents(
             mean_f = 0.5 * (
                 x_sq - 2.0 * np.vdot(drive, phi2) + np.vdot(phi2_gram, phi2)
                 + np.vdot(xi2, xi2) + np.vdot(phi3, phi3)
-            ) / state.batch
+            ) / phi2.shape[0]
             if not np.isfinite(mean_f):
                 raise DivergenceError(f"non-finite free energy at inference iteration {i}")
             if prev is not None and abs(prev - mean_f) <= rel_tol * max(abs(prev), 1e-300):
@@ -288,4 +318,3 @@ def descend_latents(
             np.all(np.isfinite(phi2)) and np.all(np.isfinite(phi3))
         ):
             raise DivergenceError(f"non-finite latents after inference iteration {i}")
-    return replace(state, phi2=phi2, phi3=phi3)

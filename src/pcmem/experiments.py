@@ -15,8 +15,9 @@ random sample, and the recall suite reads its images from the same
 prefix: a run with limit_train >= n_images has trained on every image it
 recalls.
 
-Evaluation settles a whole split through memory.infer_latents and reads
-its energies from compute_errors. write_csv is the one CSV writer, for
+Evaluation settles a whole split in one memory.infer_latents call (which
+descends core.BLOCK_ROWS rows at a time) and reads its energies from
+compute_errors. write_csv is the one CSV writer, for
 the training log and the command-line metric files.
 """
 
@@ -278,7 +279,8 @@ def evaluate_errors(
     seed: int = 0,
 ) -> np.ndarray:
     """Mean per-layer energies over a split after seeded inference
-    (memory.infer_latents on all rows at once). Never updates weights."""
+    (one memory.infer_latents call on all rows, settled in blocks of
+    core.BLOCK_ROWS rows). Never updates weights."""
     state = infer_latents(params, split.images, n_iters, seed)
     return compute_errors(params, state, split.images).layer_energies
 

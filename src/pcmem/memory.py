@@ -100,7 +100,9 @@ def infer_latents(
     iters: int = DEFAULT_ITERS,
     init_seed: int = 0,
 ) -> LatentState:
-    """Seeded random latent init, then `iters` inference steps of size core.ALPHA."""
+    """Seeded random latent init, then `iters` inference steps of size
+    core.ALPHA through core.descend_latents, which settles a batch of more
+    than core.BLOCK_ROWS rows one row block at a time."""
     if iters < 1:
         raise ValueError("iters must be >= 1")
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
