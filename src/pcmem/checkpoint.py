@@ -112,8 +112,8 @@ def load_checkpoint(
 
     Raises CheckpointError, naming the offset, on any file that does not
     hold exactly one well-formed checkpoint of the tanh model, Adam flag 1
-    included. Older configs that name "activation" or "alpha" load only at
-    the values the model fixes, "tanh" and core.ALPHA.
+    included. Older configs that name "activation", "alpha" or "n_iters"
+    load only at the values the model fixes.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -167,7 +167,8 @@ def load_checkpoint(
         manifest = RunManifest.from_json(blob.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"bad manifest at offset {start}: {exc}") from None
-    for key, fixed in (("activation", "tanh"), ("alpha", core.ALPHA)):
+    for key, fixed in (("activation", "tanh"), ("alpha", core.ALPHA),
+                       ("n_iters", core.DEFAULT_ITERS)):
         if manifest.config.get(key, fixed) != fixed:
             raise CheckpointError(f"bad manifest at offset {start}: {key} "
                                   f"{manifest.config[key]!r}, the model has {fixed!r}")

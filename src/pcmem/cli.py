@@ -9,17 +9,17 @@ generator. The memory commands read the checkpoint's settings as an
 ExperimentConfig, rebuild the splits with its seed and read a prefix of
 a split: reconstruct and replay its first batch_size images, recall the
 recall suite's first 10 training images. Their own `--seed` only draws
-the latent init. Every inference step has size core.ALPHA; no config sets it.
-Every command creates --out before its work, so an unusable --out fails
-first. Runs are bit-reproducible with OMP_NUM_THREADS,
-OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1 before pcmem starts.
+the latent init. Every settle runs core.DEFAULT_ITERS steps of size
+core.ALPHA; no config sets either. Every command creates --out before its
+work, so an unusable --out fails first. Runs are bit-reproducible with
+OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1 before
+pcmem starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import fields
@@ -27,12 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
+from . import gradcheck
 from .checkpoint import (CheckpointError, RunManifest, atomic_write, file_digests,
                          load_checkpoint, save_checkpoint)
 from .core import compute_errors
 from .data import DEFAULT_FILENAMES, IMAGE_SIDE, build_splits, data_file, load_raw
 from .experiments import ExperimentConfig, preset, run_recall_suite, train, write_csv
-from .gradcheck import DEFAULT_TOL, gradient_report
 from .images import image_grid, write_pgm
 from .memory import infer_latents, reconstruct, replay
 
@@ -82,7 +82,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, checkpoint=True, data=True)
 
     p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--seed", type=int, default=0)
     return parser
 
@@ -96,10 +95,11 @@ def _splits(args, split_seed: int):
 def _load_run(args):
     """The checkpoint's weights, its settings as an ExperimentConfig, and
     the splits rebuilt with the config's seed; the command's own --seed
-    never reaches the splits. Keys the config does not know (legacy ones
-    such as scope, or activation and alpha, which load_checkpoint has
-    checked) are ignored. Creates --out once all three have loaded, so an
-    unusable --out fails before the command's work."""
+    never reaches the splits. Keys the config does not know are ignored:
+    legacy ones such as scope, epsilon and patience, which only decided
+    when a run stopped, and activation, alpha and n_iters, which
+    load_checkpoint has checked. Creates --out once all three have loaded,
+    so an unusable --out fails before the command's work."""
     params, _, manifest = load_checkpoint(args.checkpoint)
     known = {f.name for f in fields(ExperimentConfig)}
     try:
@@ -159,7 +159,7 @@ def cmd_reconstruct_or_replay(args) -> int:
     x = getattr(splits, args.split).images[: config.batch_size]
     if args.command == "reconstruct":
         name = f"reconstruct_{args.split}"
-        out = reconstruct(params, x, iters=config.n_iters, init_seed=args.seed)
+        out = reconstruct(params, x, init_seed=args.seed)
     else:
         name = "replay"
         out = replay(params, x, init_seed=args.seed)
@@ -170,7 +170,7 @@ def cmd_reconstruct_or_replay(args) -> int:
 
 
 def cmd_recall(args) -> int:
-    params, config, splits = _load_run(args)
+    params, _, splits = _load_run(args)
     suite = run_recall_suite(params, splits, seed=args.seed)
     _write_grid(args.out / "recall.pgm", suite.presented, suite.recalled, suite.originals)
     write_csv(args.out / "recall.csv",
@@ -194,11 +194,11 @@ def cmd_export_weights(args) -> int:
 
 
 def cmd_export_latents(args) -> int:
-    params, config, splits = _load_run(args)
+    params, _, splits = _load_run(args)
     images = splits.test.images
     labels = splits.test.labels
     _, d2, d3 = params.dims
-    state = infer_latents(params, images, iters=config.n_iters, init_seed=args.seed)
+    state = infer_latents(params, images, init_seed=args.seed)
     errors = compute_errors(params, state, images)
     e1 = 0.5 * np.einsum("ij,ij->i", errors.xi1, errors.xi1)
     rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),
@@ -210,11 +210,10 @@ def cmd_export_latents(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        raise ValueError(f"--tol must be a finite number > 0, got {args.tol!r}")
+    """Exit 1 if any gradient block fails gradcheck.DEFAULT_TOL, read at call time."""
     failed = False
-    for block, err in gradient_report(seed=args.seed).items():
-        ok = err < args.tol
+    for block, err in gradcheck.gradient_report(seed=args.seed).items():
+        ok = err < gradcheck.DEFAULT_TOL
         print(f"{block}: max rel err {err:.3e} [{'ok' if ok else 'FAIL'}]")
         failed |= not ok
     return 1 if failed else 0

@@ -23,14 +23,15 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import cached_property
-from typing import ClassVar, Optional
+from typing import ClassVar
 
 import numpy as np
 
-# the inference step size alpha (read at call time) and default steps T per batch
+# the inference step size alpha and the steps T of every settle (training,
+# evaluation, reconstruction, replay), both read at call time
 ALPHA = 0.01
 DEFAULT_ITERS = 50
-# descend_latents settles a batch without rel_tol in blocks of this many rows
+# descend_latents settles a batch in blocks of this many rows
 # (read at call time). The rule: a block's six rows x d2 arrays (latents,
 # drive, four work arrays) stay within about 1 MiB at d2 = 35, half a core's
 # L2, so they stay in cache across the steps. At B = 2010, T = 50 blocks of
@@ -217,41 +218,29 @@ def descend_latents(
     state: LatentState,
     x: np.ndarray,
     n_iters: int,
-    rel_tol: Optional[float] = None,
 ) -> LatentState:
-    """Up to n_iters descent steps of size ALPHA on phi2 and phi3, theta1 fixed.
+    """n_iters descent steps of size ALPHA on phi2 and phi3, theta1 fixed.
 
     While theta1 is fixed, d_phi2 = xi2 - x theta1 + phi2 theta1^T theta1,
     so the Gram matrix G = theta1^T theta1 (d2 x d2) and the drive
     b = x theta1 (batch x d2) are formed once per call and no batch x d1
     product runs per step. Equal to the direct form
     d_phi2 = xi2 - xi1 theta1, d_phi3 = phi3 - (xi2 * f') theta2,
-    stepped n_iters times, up to rounding. No step
-    allocates: the kernel steps its own copies of phi2 and phi3 in place
-    and writes every temporary into work arrays made once per block, in the
-    operation order of the fresh-array expressions, so the result is
-    bit-identical to them run on the same row blocks.
+    stepped n_iters times, up to rounding.
 
-    Without rel_tol no row reads another, so a batch of more than
-    BLOCK_ROWS rows is settled one block of BLOCK_ROWS rows at a time, all
+    No row reads another, so the batch is settled one block of BLOCK_ROWS
+    rows at a time (a batch of at most BLOCK_ROWS rows is one block), all
     n_iters steps per block, on block-sized work arrays that stay in cache
-    across the steps. A smaller batch is one block.
-
-    With rel_tol set, the batch is always one block: each iteration first
-    evaluates the batch-mean free energy and stops, before stepping, once
-    it changed by at most rel_tol relative to the previous iteration. The
-    input term comes in Gram form from products
-    the step forms anyway: 1/2 |xi1|^2 = 1/2 (|x|^2 - 2 <b, phi2> +
-    <phi2 G, phi2>), with |x|^2 formed once per call. It cancels, but
-    little: on the trained 784-35-2 exp1 model, where |x|^2 / F per row is
-    14-42 in the median and at most 89, it stayed within 2e-14 relative of
-    the direct form, far below a useful rel_tol.
+    across the steps. No step allocates: the kernel steps its own copies
+    of phi2 and phi3 in place and writes every temporary into work arrays
+    made once per block, in the operation order of the fresh-array
+    expressions, so the result is bit-identical to them run on the same
+    row blocks.
 
     Raises DivergenceError, naming the iteration (in the first block, in
-    row order, that diverges), on a non-finite free energy or non-finite
-    latents after a step. The after-step check sums
-    |phi2|^2 + |phi3|^2 and scans the elements only when that sum is not
-    finite, so finite latents whose squares overflow pass.
+    row order, that diverges), on non-finite latents after a step. The
+    check sums |phi2|^2 + |phi3|^2 and scans the elements only when that
+    sum is not finite, so finite latents whose squares overflow pass.
     """
     x = _check_batch(params, state, x)
     theta1, theta2 = params.theta1, params.theta2
@@ -259,13 +248,9 @@ def descend_latents(
     drive = x @ theta1
     phi2 = np.array(state.phi2, dtype=np.float64, order="C")
     phi3 = np.array(state.phi3, dtype=np.float64, order="C")
-    if rel_tol is not None or state.batch <= BLOCK_ROWS:
-        x_sq = None if rel_tol is None else float(np.vdot(x, x))
-        _descend_block(theta2, gram, drive, phi2, phi3, n_iters, rel_tol, x_sq)
-    else:
-        for start in range(0, state.batch, BLOCK_ROWS):
-            rows = slice(start, start + BLOCK_ROWS)
-            _descend_block(theta2, gram, drive[rows], phi2[rows], phi3[rows], n_iters)
+    for start in range(0, state.batch, BLOCK_ROWS):
+        rows = slice(start, start + BLOCK_ROWS)
+        _descend_block(theta2, gram, drive[rows], phi2[rows], phi3[rows], n_iters)
     return replace(state, phi2=phi2, phi3=phi3)
 
 
@@ -276,31 +261,17 @@ def _descend_block(
     phi2: np.ndarray,
     phi3: np.ndarray,
     n_iters: int,
-    rel_tol: Optional[float] = None,
-    x_sq: Optional[float] = None,
 ) -> None:
     """descend_latents' steps on one block of rows, phi2 and phi3 (C-ordered
-    rows, possibly views of the whole batch) stepped in place; x_sq = |x|^2
-    of the block, read only with rel_tol."""
+    rows, possibly views of the whole batch) stepped in place."""
     # work arrays: pred2 becomes xi2 * f' in place, step2/step3 the scaled steps
     pred2, xi2, phi2_gram, step2 = (np.empty_like(phi2) for _ in range(4))
     step3 = np.empty_like(phi3)
-    prev = None
     for i in range(n_iters):
         np.matmul(phi3, theta2.T, out=pred2)
         np.tanh(pred2, out=pred2)
         np.subtract(phi2, pred2, out=xi2)
         np.matmul(phi2, gram, out=phi2_gram)
-        if rel_tol is not None:
-            mean_f = 0.5 * (
-                x_sq - 2.0 * np.vdot(drive, phi2) + np.vdot(phi2_gram, phi2)
-                + np.vdot(xi2, xi2) + np.vdot(phi3, phi3)
-            ) / phi2.shape[0]
-            if not np.isfinite(mean_f):
-                raise DivergenceError(f"non-finite free energy at inference iteration {i}")
-            if prev is not None and abs(prev - mean_f) <= rel_tol * max(abs(prev), 1e-300):
-                break
-            prev = mean_f
         # d_phi2 = (xi2 - drive) + phi2 G
         np.subtract(xi2, drive, out=step2)
         np.add(step2, phi2_gram, out=step2)

@@ -1,12 +1,12 @@
 """Training orchestration (PC and iPC), convergence tracking, and the
 evaluation battery (per-layer error curves, recall suite).
 
-PC and iPC share one batch step: fresh latents, T inference iterations,
-and Adam updates of both weight matrices from core.learning_gradients at
-the current latents. They differ only in how often the weights move: PC
-updates them once, after all T iterations; iPC after every iteration,
-which keeps full-dataset training stable at the cost of T updates per
-batch. The logged energies come from one compute_errors call per batch.
+PC and iPC share one batch step: fresh latents, T = core.DEFAULT_ITERS
+inference iterations, and Adam updates of both weight matrices from
+core.learning_gradients at the current latents. They differ only in how
+often the weights move: PC updates them once, after all T iterations; iPC
+after every iteration, which keeps full-dataset training stable at the
+cost of T updates per batch. The logged energies come from one compute_errors call per batch.
 
 Every run trains on the first limit_train images of the training split
 (all of them when limit_train is None), in a fresh seeded order each
@@ -35,9 +35,9 @@ from typing import Optional
 
 import numpy as np
 
+from . import core
 from .checkpoint import atomic_write
 from .core import (
-    DEFAULT_ITERS,
     DivergenceError,
     ModelParams,
     compute_errors,
@@ -50,23 +50,25 @@ from .data import DatasetSplits, Split
 from .memory import OcclusionMask, RecallResult, infer_latents, recall
 from .optim import AdamState, adam_step
 
+# train's convergence_check arguments, read when train is called
+CONVERGENCE_EPSILON = 1e-5
+CONVERGENCE_PATIENCE = 5
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Full run configuration; persisted with every checkpoint. Every field
     has a default, so a checkpoint's config that names only some of them
-    (or none) still reads as one. The inference step size is core.ALPHA."""
+    (or none) still reads as one. Fixed values are module constants:
+    core.ALPHA, core.DEFAULT_ITERS and the convergence rule."""
 
     mode: str = "pc"  # "pc" | "ipc"
     beta: float = 1e-4
     dims: tuple[int, int, int] = (784, 35, 2)
     batch_size: int = 64
-    n_iters: int = DEFAULT_ITERS
     # weight init, latent draws, epoch order and split: each starts its own
     # default_rng(seed), so all four read the same bit stream
     seed: int = 0
-    epsilon: float = 1e-5
-    patience: int = 5
     max_epochs: int = 500
     limit_train: Optional[int] = None
     # validation inference costs far more than training itself; evaluate
@@ -78,7 +80,7 @@ class ExperimentConfig:
             raise ValueError(f"mode must be 'pc' or 'ipc', got {self.mode!r}")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
-        for name in ("batch_size", "n_iters", "max_epochs", "patience", "val_every"):
+        for name in ("batch_size", "max_epochs", "val_every"):
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
@@ -90,9 +92,6 @@ class ExperimentConfig:
             raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
         if not (_is_real(self.beta) and math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be a finite number > 0, got {self.beta!r}")
-        eps = self.epsilon
-        if not (_is_real(eps) and math.isfinite(eps) and eps >= 0):
-            raise ValueError(f"epsilon must be a finite number >= 0, got {eps!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -187,7 +186,7 @@ def convergence_check(
 def _train_batch(params, x, config, adam1, adam2, rng):
     """One mini-batch of PC or iPC from fresh latents.
 
-    Both run config.n_iters inference iterations; PC updates the weights
+    Both run core.DEFAULT_ITERS inference iterations; PC updates the weights
     once after all of them, iPC after each one. An update steps the latents
     at the current weights, takes the weight gradients at the new latents,
     then moves params.theta1, params.theta2 and both Adam states in place.
@@ -196,8 +195,9 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     gradients). Returns the per-layer energies at the last update, from the
     batch's one compute_errors call.
     """
-    steps = config.n_iters if config.mode == "pc" else 1
-    n_updates = config.n_iters // steps
+    n_iters = core.DEFAULT_ITERS
+    steps = n_iters if config.mode == "pc" else 1
+    n_updates = n_iters // steps
     state = init_latents(params.dims, x.shape[0], rng)
     for update in range(n_updates):
         try:
@@ -240,7 +240,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     train_images = splits.train.images[: config.limit_train]
 
     log = TrainLog()
-    recent = deque(maxlen=config.patience)  # all convergence_check looks at
+    recent = deque(maxlen=CONVERGENCE_PATIENCE)  # all convergence_check looks at
     reason = "max_epochs"
     last_val = np.full(3, np.nan)
     for epoch in range(1, config.max_epochs + 1):
@@ -258,11 +258,11 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         train_energies = weighted / len(order)
         recent.append(train_energies)
         stop = (
-            convergence_check(list(recent), config.epsilon, config.patience)
+            convergence_check(list(recent), CONVERGENCE_EPSILON, CONVERGENCE_PATIENCE)
             or epoch == config.max_epochs
         )
         if epoch == 1 or stop or epoch % config.val_every == 0:
-            last_val = evaluate_errors(params, splits.validation, config.n_iters, config.seed)
+            last_val = evaluate_errors(params, splits.validation, config.seed)
         log.rows.append(
             EpochStats(epoch, train_energies, last_val, time.perf_counter() - t0)
         )
@@ -275,13 +275,12 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
 def evaluate_errors(
     params: ModelParams,
     split: Split,
-    n_iters: int = DEFAULT_ITERS,
     seed: int = 0,
 ) -> np.ndarray:
     """Mean per-layer energies over a split after seeded inference
-    (one memory.infer_latents call on all rows, settled in blocks of
-    core.BLOCK_ROWS rows). Never updates weights."""
-    state = infer_latents(params, split.images, n_iters, seed)
+    (one memory.infer_latents call on all rows, T steps settled in blocks
+    of core.BLOCK_ROWS rows). Never updates weights."""
+    state = infer_latents(params, split.images, seed)
     return compute_errors(params, state, split.images).layer_energies
 
 

@@ -1,15 +1,16 @@
 """Memory procedures on a trained model: reconstruction, replay, and
 auto-associative recall of partially occluded inputs.
 
-Reconstruction and replay's settle phase run on core.descend_latents.
-Replay then regenerates the input from its frozen top-level representation
-with the input-error pathway gated off; that gated descent has a closed
-form, which regenerate returns directly. None of these procedures changes
-the weights. Recall clamps the known pixels and runs joint gradient descent
-on the hidden pixels and both latent levels. The hidden pixels stay a
-linear image r theta1_h^T of a running average r of phi2, so recall
-iterates in the latent space alone, on the whole batch at once, and each
-row stops on its own tolerance; the pixels are formed once, at the end.
+Reconstruction and replay settle through infer_latents: core.DEFAULT_ITERS
+steps of core.descend_latents, as in training and evaluation. Replay then
+regenerates the input from its frozen top-level representation with the
+input-error pathway gated off; that gated descent has a closed form, which
+regenerate returns directly. None of these procedures changes the weights.
+Recall clamps the known pixels and runs joint gradient descent on the
+hidden pixels and both latent levels. The hidden pixels stay a linear
+image r theta1_h^T of a running average r of phi2, so recall iterates in
+the latent space alone, on the whole batch at once, and each row stops on
+its own tolerance; the pixels are formed once, at the end.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import numpy as np
 
 from . import core
 from .core import (
-    DEFAULT_ITERS,
     DivergenceError,
     LatentState,
     ModelParams,
@@ -32,7 +32,6 @@ from .core import (
 from .data import IMAGE_SIDE
 
 DEFAULT_BUDGET = 5000
-REPLAY_REL_TOL = 1e-8
 REPLAY_XI2_TOL = 1e-6
 RECALL_PHI1_TOL = 1e-6
 
@@ -97,28 +96,24 @@ def masked_mse(a: np.ndarray, b: np.ndarray, mask: OcclusionMask) -> float | np.
 def infer_latents(
     params: ModelParams,
     x: np.ndarray,
-    iters: int = DEFAULT_ITERS,
     init_seed: int = 0,
 ) -> LatentState:
-    """Seeded random latent init, then `iters` inference steps of size
-    core.ALPHA through core.descend_latents, which settles a batch of more
-    than core.BLOCK_ROWS rows one row block at a time."""
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
+    """Seeded random latent init, then T = core.DEFAULT_ITERS steps of size
+    core.ALPHA (both read at call time) through core.descend_latents, which
+    settles the batch core.BLOCK_ROWS rows at a time."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)
-    return descend_latents(params, state, x, iters)
+    return descend_latents(params, state, x, core.DEFAULT_ITERS)
 
 
 def reconstruct(
     params: ModelParams,
     x: np.ndarray,
-    iters: int = DEFAULT_ITERS,
     init_seed: int = 0,
 ) -> np.ndarray:
     """Layer-1 prediction theta1 @ phi2 after inferring latents for x."""
-    state = infer_latents(params, x, iters=iters, init_seed=init_seed)
+    state = infer_latents(params, x, init_seed=init_seed)
     return state.phi2 @ params.theta1.T
 
 
@@ -154,19 +149,14 @@ def replay(
 ) -> np.ndarray:
     """Replay inputs through the gated top-down pathway.
 
-    1. full inference until the free energy settles (REPLAY_REL_TOL) or
-    DEFAULT_BUDGET steps; 2. freeze phi3 and gate the input errors off;
-    3. re-infer phi2 alone (fixpoint phi2 = f(theta2 phi3)) through
-    regenerate's closed form; 4. read out and return the replayed images
-    theta1 @ phi2. The weights are left untouched.
+    1. settle the latents with infer_latents' T steps, like every other
+    settle, so no row's settle reads another; 2. freeze phi3 and gate the
+    input errors off; 3. re-infer phi2 alone (fixpoint phi2 = f(theta2
+    phi3)) through regenerate's closed form; 4. read out and return the
+    replayed images theta1 @ phi2. The weights are left untouched.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    rng = np.random.default_rng(init_seed)
-    state = init_latents(params.dims, x.shape[0], rng)
-    state = descend_latents(params, state, x, DEFAULT_BUDGET, rel_tol=REPLAY_REL_TOL)
-
-    images, _ = regenerate(params, state.phi3, state.phi2)
-    return images
+    state = infer_latents(params, x, init_seed=init_seed)
+    return regenerate(params, state.phi3, state.phi2)[0]
 
 
 def recall(

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from pcmem import synthetic
+from pcmem import experiments, synthetic
 from pcmem.checkpoint import RunManifest, save_checkpoint
 from pcmem.core import LatentState, compute_errors, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
@@ -69,7 +69,7 @@ def toy_params():
 
 @pytest.fixture(scope="session")
 def toy_trained(toy_data):
-    """Small PC model trained briefly on the toy patterns."""
+    """Small PC model trained briefly on the toy patterns, all 300 epochs."""
     config = ExperimentConfig(
         mode="pc",
         beta=1e-3,
@@ -77,9 +77,10 @@ def toy_trained(toy_data):
         batch_size=16,
         max_epochs=300,
         val_every=100,
-        epsilon=0.0,
     )
-    return train(config, toy_data).params
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
+        return train(config, toy_data).params
 
 
 def tanh_prime(params, state):
@@ -107,8 +108,8 @@ def direct_descent(params, state, x, alpha, n_iters):
 
 def value_form_descent(params, state, x, alpha, n_iters):
     """Reference: the Gram-form latent loop written as fresh-array
-    expressions, in core.descend_latents's operation order (no rel_tol);
-    changes none of its arguments."""
+    expressions, in core.descend_latents's operation order; changes none
+    of its arguments."""
     theta1, theta2 = params.theta1, params.theta2
     gram = theta1.T @ theta1
     drive = x @ theta1

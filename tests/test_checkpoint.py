@@ -98,6 +98,31 @@ class TestRoundTrip:
         with pytest.raises(CheckpointError, match=f"^bad manifest at offset {offset}: alpha 0.02"):
             load_checkpoint(path)
 
+    def test_legacy_iters_and_stop_rule_manifest_loads(self, tmp_path):
+        # manifests written while T and the convergence rule were config fields
+        params, adam = small_adam(small_params())
+        config = {**preset("exp1").to_dict(), "n_iters": core.DEFAULT_ITERS,
+                  "epsilon": 1e-5, "patience": 5}
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, params, adam, RunManifest(config=config))
+        loaded, _, manifest = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.theta1, params.theta1)
+        assert manifest.config == config
+
+    def test_other_n_iters_rejected(self, tmp_path):
+        """A checkpoint whose config names another T than core.DEFAULT_ITERS
+        was trained at that T, so it does not load to be settled at this one."""
+        params, adam = small_adam(small_params())
+        manifest = RunManifest(config={**preset("exp1").to_dict(), "n_iters": 10})
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, params, adam, manifest)
+        offset = path.stat().st_size - len(manifest.to_json())
+        with pytest.raises(CheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert str(excinfo.value) == (
+            f"bad manifest at offset {offset}: n_iters 10, the model has 50"
+        )
+
     def test_manifest_config_round_trip(self, tmp_path):
         config = preset("exp2")
         path = tmp_path / "model.pcn"

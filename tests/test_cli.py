@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from pcmem import cli
+from pcmem import cli, core, gradcheck
 from pcmem.checkpoint import load_checkpoint, save_checkpoint
 from pcmem.cli import main
 from pcmem.core import init_params
@@ -65,7 +65,11 @@ class TestTrain:
             pytest.param([1], "JSON object", id="override3-JSON object"),
             pytest.param({"beta": "x"}, "beta", id="override4-beta"),
             pytest.param({"alpha": -1}, "alpha", id="override5-alpha"),
-            pytest.param({"epsilon": float("nan")}, "epsilon", id="override6-epsilon"),
+            # the convergence rule is experiments.CONVERGENCE_*, not a config key
+            pytest.param(
+                {"epsilon": float("nan")}, "unknown config key(s): epsilon",
+                id="override6-epsilon",
+            ),
             pytest.param({"dims": [784, 35]}, "dims", id="override7-dims"),
             pytest.param({"batch_size": True}, "batch_size", id="override8-batch_size"),
             pytest.param({"limit_train": "x"}, "limit_train", id="override9-limit_train"),
@@ -101,6 +105,27 @@ class TestTrain:
                    "--out", str(tmp_path / "x")])
         assert rc == 1
         assert capsys.readouterr().err == "error: unknown config key(s): alpha\n"
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize(
+        "settings, keys",
+        [
+            ({"n_iters": 50}, "n_iters"),
+            ({"epsilon": 1e-5}, "epsilon"),
+            ({"patience": 5}, "patience"),
+            ({"patience": 5, "n_iters": 50, "epsilon": 1e-5}, "epsilon, n_iters, patience"),
+        ],
+        ids=["n_iters", "epsilon", "patience", "all"],
+    )
+    def test_fixed_setting_config_keys_rejected(self, tmp_path, capsys, settings, keys):
+        """T is core.DEFAULT_ITERS and the convergence rule is
+        experiments.CONVERGENCE_*; no --config sets them, even at their values."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(settings))
+        rc = main(["train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
+                   "--out", str(tmp_path / "x")])
+        assert rc == 1
+        assert capsys.readouterr().err == f"error: unknown config key(s): {keys}\n"
         assert not (tmp_path / "x").exists()
 
     def test_dims_not_matching_images_fail_before_out(
@@ -199,10 +224,13 @@ class TestReplay:
 
 
 @pytest.mark.parametrize("command", ["reconstruct", "replay"])
-def test_mse_column_matches_api_on_prefix_rows(trained_run, corpus_dir, tmp_path, command):
+def test_mse_column_matches_api_on_prefix_rows(
+    trained_run, corpus_dir, tmp_path, command, monkeypatch
+):
     """The CLI takes the checkpoint's split seed and the first batch_size
     training rows, and --seed draws only the latent init; its MSE column
     equals the API call on those rows."""
+    monkeypatch.setattr(core, "DEFAULT_ITERS", 50)
     out = tmp_path / command
     rc = main([
         command, "--checkpoint", str(trained_run / "checkpoint.pcn"),
@@ -213,7 +241,7 @@ def test_mse_column_matches_api_on_prefix_rows(trained_run, corpus_dir, tmp_path
     split = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"]).train
     x = split.images[:64]
     if command == "reconstruct":
-        expected = reconstruct(params, x, iters=50, init_seed=3)
+        expected = reconstruct(params, x, init_seed=3)
     else:
         expected = replay(params, x, init_seed=3)
     name = "reconstruct_train.csv" if command == "reconstruct" else "replay.csv"
@@ -222,17 +250,20 @@ def test_mse_column_matches_api_on_prefix_rows(trained_run, corpus_dir, tmp_path
     assert mse == list(np.mean((x - expected) ** 2, axis=1))
 
 
-def test_splits_ignore_seed_flag_without_checkpoint_config(trained_run, corpus_dir, tmp_path):
+def test_splits_ignore_seed_flag_without_checkpoint_config(
+    trained_run, corpus_dir, tmp_path, monkeypatch
+):
     """A checkpoint saved without a config rebuilds the splits with seed 0
-    and runs with the config defaults (T = 50, 64 rows); the
-    command's --seed still only draws the latent init."""
+    and runs with the config defaults (64 rows) at T = 50; the command's
+    --seed still only draws the latent init."""
+    monkeypatch.setattr(core, "DEFAULT_ITERS", 50)
     params, _, _ = load_checkpoint(trained_run / "checkpoint.pcn")
     bare = tmp_path / "bare.pcn"
     save_checkpoint(bare, params, *checkpoint_extras(params))
     x = build_splits(*load_raw(corpus_dir), split_seed=0).train.images[:64]
     expected = {
         "replay": replay(params, x, init_seed=3),
-        "reconstruct": reconstruct(params, x, iters=50, init_seed=3),
+        "reconstruct": reconstruct(params, x, init_seed=3),
     }
     for command, out_images in expected.items():
         out = tmp_path / command
@@ -285,6 +316,22 @@ def test_checkpoint_with_another_alpha_fails_cleanly(trained_run, corpus_dir, tm
     assert "alpha 0.02" in err and not (tmp_path / "o").exists()
 
 
+def test_checkpoint_with_another_n_iters_fails_cleanly(trained_run, corpus_dir, tmp_path, capsys):
+    """A checkpoint trained at another T is not settled at core.DEFAULT_ITERS
+    without a word; the error names the manifest's offset."""
+    checkpoint = _with_config(trained_run, tmp_path, n_iters=20)
+    p = 784 * 35 + 35 * 2  # floats per copy of the weights
+    # header, weights, adam flag, adam m and v, adam steps, manifest length
+    offset = 24 + 8 * p + 1 + 2 * 8 * p + 2 * 8 + 4
+    rc = main(["replay", "--checkpoint", str(checkpoint), "--data-dir", str(corpus_dir),
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"error: bad manifest at offset {offset}: n_iters 20, the model has 50\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize(
     "command, work",
     [("reconstruct", "reconstruct"), ("replay", "replay"), ("recall", "run_recall_suite"),
@@ -308,11 +355,24 @@ def test_out_is_a_file_fails_before_work(
 
 def test_legacy_config_key_ignored(trained_run, corpus_dir, tmp_path):
     """A checkpoint whose config names fields the config no longer has
-    (scope, and activation and alpha as checkpoints wrote them while they
-    were fields)
-    gives every memory command the same bytes as without them."""
+    (scope, and activation, alpha, n_iters, epsilon and patience as
+    checkpoints wrote them while they were fields) gives every memory
+    command the same bytes as without them."""
     legacy = _with_config(trained_run, tmp_path, scope="single-batch", activation="tanh",
-                          alpha=0.01)
+                          alpha=0.01, n_iters=50, epsilon=1e-5, patience=5)
+    _assert_same_outputs(trained_run, corpus_dir, tmp_path, legacy)
+
+
+def test_stop_rule_keys_ignored_whatever_their_values(trained_run, corpus_dir, tmp_path):
+    """epsilon and patience only decided when a run stopped, so values the
+    config once rejected change no memory command's bytes."""
+    legacy = _with_config(trained_run, tmp_path, epsilon=-1.0, patience=0)
+    _assert_same_outputs(trained_run, corpus_dir, tmp_path, legacy)
+
+
+def _assert_same_outputs(trained_run, corpus_dir, tmp_path, legacy):
+    """Every memory command writes the same bytes from the checkpoint
+    `legacy` as from the trained run's own."""
     outputs = {
         "reconstruct": ["reconstruct_train.csv", "reconstruct_train.pgm"],
         "replay": ["replay.csv", "replay.pgm"],
@@ -425,18 +485,11 @@ class TestGradcheckCommand:
         assert rc == 0
         assert out.count("[ok]") == 5
 
-    def test_fails_at_impossible_tolerance(self, capsys):
-        rc = main(["gradcheck", "--tol", "1e-18"])
+    def test_fails_at_impossible_tolerance(self, capsys, monkeypatch):
+        monkeypatch.setattr(gradcheck, "DEFAULT_TOL", 1e-18)
+        rc = main(["gradcheck"])
         assert rc == 1
         assert "FAIL" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1e-4"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, tol):
-        rc = main(["gradcheck", f"--tol={tol}"])
-        assert rc == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == f"error: --tol must be a finite number > 0, got {float(tol)!r}\n"
 
 
 class TestParser:

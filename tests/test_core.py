@@ -318,29 +318,6 @@ class TestDescendLatents:
             np.testing.assert_array_equal(got.phi2[rows], want.phi2)
             np.testing.assert_array_equal(got.phi3[rows], want.phi3)
 
-    def test_rel_tol_stops_before_stepping(self, toy_trained):
-        rng = np.random.default_rng(2)
-        x = rng.uniform(0, 1, size=(4, 25))
-        state = init_latents(toy_trained.dims, 4, rng)
-        # reference: check the free-energy change, then step
-        ref, prev, used = state, None, 0
-        for _ in range(5000):
-            _, f = free_energy(compute_errors(toy_trained, ref, x))
-            if prev is not None and abs(prev - f) <= 1e-8 * abs(prev):
-                break
-            ref = direct_descent(toy_trained, ref, x, ALPHA, 1)
-            prev, used = f, used + 1
-        assert used < 5000
-        got = descend_latents(toy_trained, state, x, 5000, rel_tol=1e-8)
-        np.testing.assert_allclose(got.phi2, ref.phi2, rtol=0, atol=KERNEL_ATOL)
-        np.testing.assert_allclose(got.phi3, ref.phi3, rtol=0, atol=KERNEL_ATOL)
-        # a budget below the stopping point takes exactly budget steps
-        short = descend_latents(toy_trained, state, x, 7, rel_tol=1e-8)
-        np.testing.assert_allclose(
-            short.phi2, direct_descent(toy_trained, state, x, ALPHA, 7).phi2,
-            rtol=0, atol=KERNEL_ATOL,
-        )
-
     def test_zero_error_fixed_point(self):
         params, _, _ = small_instance()
         state = LatentState(phi2=np.zeros((2, 4)), phi3=np.zeros((2, 2)))
@@ -368,11 +345,10 @@ class TestDescendLatents:
         monkeypatch.setattr(core, "BLOCK_ROWS", 2)
         params, state, x = small_instance(seed=5, batch=7)  # blocks of 2, 2, 2, 1 rows
         phi2, phi3, x0 = state.phi2.copy(), state.phi3.copy(), x.copy()
-        for rel_tol in (None, 1e-8):
-            descend_latents(params, state, x, 10, rel_tol=rel_tol)
-            np.testing.assert_array_equal(state.phi2, phi2)
-            np.testing.assert_array_equal(state.phi3, phi3)
-            np.testing.assert_array_equal(x, x0)
+        descend_latents(params, state, x, 10)
+        np.testing.assert_array_equal(state.phi2, phi2)
+        np.testing.assert_array_equal(state.phi3, phi3)
+        np.testing.assert_array_equal(x, x0)
 
     @pytest.mark.parametrize("shape", [(3, 5), (2, 6), (3, 6, 1), (6,)])
     def test_wrong_input_shape_rejected(self, shape):
@@ -405,17 +381,15 @@ class TestDescendLatents:
         np.testing.assert_array_equal(out.phi3, big.phi3)
 
     def test_non_finite_phi3_diverges_at_iteration_0(self):
-        # the kernel's after-step check is what stops a non-finite phi3;
-        # with rel_tol the free-energy check stops it before the step
+        # the kernel's after-step check is what stops a non-finite phi3
         params, state, x = small_instance()
         for value in (np.nan, np.inf, -np.inf):
             phi3 = state.phi3.copy()
             phi3[1, 0] = value
             bad = LatentState(phi2=state.phi2, phi3=phi3)
-            for rel_tol in (None, 1e-8):
-                with np.errstate(invalid="ignore"):
-                    with pytest.raises(DivergenceError, match=r"iteration 0$"):
-                        descend_latents(params, bad, x, 5, rel_tol=rel_tol)
+            with np.errstate(invalid="ignore"):
+                with pytest.raises(DivergenceError, match=r"iteration 0$"):
+                    descend_latents(params, bad, x, 5)
 
     @pytest.mark.parametrize("n_iters", [1, 50])
     @pytest.mark.parametrize("trained", [False, True])
@@ -436,20 +410,6 @@ class TestDescendLatents:
         want = direct_descent(params, state, x, ALPHA, n_iters)
         np.testing.assert_allclose(got.phi2, want.phi2, rtol=0, atol=KERNEL_ATOL)
         np.testing.assert_allclose(got.phi3, want.phi3, rtol=0, atol=KERNEL_ATOL)
-
-    def test_rel_tol_batch_is_one_block(self, monkeypatch, toy_trained):
-        """rel_tol reads the batch-mean free energy, so its rows interact and
-        a batch above BLOCK_ROWS is settled whole, as before blocking."""
-        rng = np.random.default_rng(4)
-        x = rng.uniform(0, 1, size=(19, 25))
-        state = init_latents(toy_trained.dims, 19, rng)
-        whole = descend_latents(toy_trained, state, x, 5000, rel_tol=1e-8)
-        monkeypatch.setattr(core, "BLOCK_ROWS", 8)
-        sizes = spy_block_sizes(monkeypatch)
-        got = descend_latents(toy_trained, state, x, 5000, rel_tol=1e-8)
-        assert sizes == [19]
-        np.testing.assert_array_equal(got.phi2, whole.phi2)
-        np.testing.assert_array_equal(got.phi3, whole.phi3)
 
     def test_divergence_in_second_block_names_its_iteration(self, monkeypatch):
         # rows at the zero-error fixed point stay there at any step size;
@@ -475,7 +435,7 @@ class TestDescendLatents:
 
 
 def kernel_blocks(batch):
-    """The row blocks descend_latents settles a batch in without rel_tol."""
+    """The row blocks descend_latents settles a batch in."""
     return [slice(s, s + core.BLOCK_ROWS) for s in range(0, batch, core.BLOCK_ROWS)]
 
 

@@ -64,18 +64,26 @@ class TestConfig:
         assert e2.mode == "ipc" and e2.beta == 1e-5 and e2.limit_train is None
         for c in (e1, e2):
             assert c.dims == (784, 35, 2)
-            assert c.batch_size == 64 and c.n_iters == 50
+            assert c.batch_size == 64
 
     def test_dict_round_trip(self):
         config = preset("exp1")
         assert ExperimentConfig.from_dict(config.to_dict()) == config
 
     @pytest.mark.parametrize(
-        "name", ["batch_size", "n_iters", "max_epochs", "patience", "val_every"]
+        "name, message",
+        [
+            pytest.param("batch_size", "batch_size", id="batch_size"),
+            # T and the convergence patience are module constants, not config keys
+            pytest.param("n_iters", "unknown config key.*n_iters", id="n_iters"),
+            pytest.param("max_epochs", "max_epochs", id="max_epochs"),
+            pytest.param("patience", "unknown config key.*patience", id="patience"),
+            pytest.param("val_every", "val_every", id="val_every"),
+        ],
     )
-    def test_sizes_below_one_rejected(self, name):
-        with pytest.raises(ValueError, match=name):
-            ExperimentConfig(mode="pc", beta=1e-3, **{name: 0})
+    def test_sizes_below_one_rejected(self, name, message):
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict({"mode": "pc", "beta": 1e-3, name: 0})
 
     @pytest.mark.parametrize(
         "override, name",
@@ -83,11 +91,15 @@ class TestConfig:
             # the ids are literals, fixed at the names pytest once numbered them
             # by position, so removing a case renames no other
             pytest.param({"batch_size": True}, "batch_size", id="override0-batch_size"),
-            pytest.param({"n_iters": True}, "n_iters", id="override1-n_iters"),
+            # n_iters, patience and epsilon are not config keys (core.DEFAULT_ITERS
+            # and experiments.CONVERGENCE_* are), whatever their values
+            pytest.param({"n_iters": True}, "unknown config key.*n_iters", id="override1-n_iters"),
             pytest.param({"max_epochs": False}, "max_epochs", id="override2-max_epochs"),
-            pytest.param({"patience": True}, "patience", id="override3-patience"),
+            pytest.param(
+                {"patience": True}, "unknown config key.*patience", id="override3-patience"
+            ),
             pytest.param({"val_every": True}, "val_every", id="override4-val_every"),
-            pytest.param({"n_iters": 2.0}, "n_iters", id="override5-n_iters"),
+            pytest.param({"n_iters": 2.0}, "unknown config key.*n_iters", id="override5-n_iters"),
             pytest.param({"beta": "x"}, "beta", id="override6-beta"),
             pytest.param({"beta": 0.0}, "beta", id="override7-beta"),
             pytest.param({"beta": -1e-4}, "beta", id="override8-beta"),
@@ -97,9 +109,15 @@ class TestConfig:
             pytest.param({"alpha": 0.01}, "alpha", id="override11-alpha"),
             pytest.param({"alpha": -1}, "alpha", id="override12-alpha"),
             pytest.param({"alpha": None}, "alpha", id="override13-alpha"),
-            pytest.param({"epsilon": float("nan")}, "epsilon", id="override14-epsilon"),
-            pytest.param({"epsilon": -1e-5}, "epsilon", id="override15-epsilon"),
-            pytest.param({"epsilon": "1e-5"}, "epsilon", id="override16-epsilon"),
+            pytest.param(
+                {"epsilon": float("nan")}, "unknown config key.*epsilon", id="override14-epsilon"
+            ),
+            pytest.param(
+                {"epsilon": -1e-5}, "unknown config key.*epsilon", id="override15-epsilon"
+            ),
+            pytest.param(
+                {"epsilon": "1e-5"}, "unknown config key.*epsilon", id="override16-epsilon"
+            ),
             pytest.param({"dims": [784, 35]}, "dims", id="override17-dims"),
             pytest.param({"dims": [784, 35, 2, 1]}, "dims", id="override18-dims"),
             pytest.param({"dims": [784, 0, 2]}, "dims", id="override19-dims"),
@@ -127,15 +145,14 @@ class TestConfig:
 
     def test_edge_rates_accepted(self):
         config = ExperimentConfig.from_dict(
-            {"mode": "pc", "beta": 1, "epsilon": 0.0,
-             "dims": [25, 8, 2]}
+            {"mode": "pc", "beta": 1, "dims": [25, 8, 2]}
         )
         assert config.dims == (25, 8, 2)
 
     def test_unnamed_fields_take_the_defaults(self):
-        config = ExperimentConfig.from_dict({"patience": 7})
-        assert config == ExperimentConfig(patience=7)
-        assert (config.mode, config.beta, config.n_iters, config.batch_size) == ("pc", 1e-4, 50, 64)
+        config = ExperimentConfig.from_dict({"val_every": 7})
+        assert config == ExperimentConfig(val_every=7)
+        assert (config.mode, config.beta, config.batch_size) == ("pc", 1e-4, 64)
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError):
@@ -143,15 +160,15 @@ class TestConfig:
 
 
 class TestTrain:
-    def test_pc_single_epoch_matches_hand_unrolled(self, toy_data):
+    def test_pc_single_epoch_matches_hand_unrolled(self, toy_data, monkeypatch):
         """One epoch of PC on one batch equals a hand-unrolled
         inference/update loop, bit for bit: the batch is the first
         limit_train images in the epoch's seeded order. The latent loop is
         the kernel train calls, since the direct form agrees with it only
         up to rounding (TestDescendLatents in test_core checks that)."""
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
-            batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=1,
         )
         result = train(config, toy_data)
 
@@ -169,14 +186,14 @@ class TestTrain:
         np.testing.assert_array_equal(result.params.theta2, theta2)
         np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
 
-    def test_ipc_batches_match_hand_unrolled(self, toy_data):
+    def test_ipc_batches_match_hand_unrolled(self, toy_data, monkeypatch):
         """Two batches of iPC at T=5 equal a hand-unrolled loop, bit for
         bit: one kernel step, then the weight gradients and a fresh-array
         Adam update, five times per batch, with the logged energies from
         the errors at the last update."""
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
-            mode="ipc", beta=1e-3, dims=TOY_DIMS, limit_train=8,
-            batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0,
+            mode="ipc", beta=1e-3, dims=TOY_DIMS, limit_train=8, batch_size=4, max_epochs=1,
         )
         result = train(config, toy_data)
 
@@ -209,42 +226,40 @@ class TestTrain:
             assert got.t == want.t == 10
         np.testing.assert_array_equal(result.log.rows[0].train_energies, train_energies)
 
-    def test_ipc_equals_pc_at_one_iteration(self, toy_data):
+    def test_ipc_equals_pc_at_one_iteration(self, toy_data, monkeypatch):
         """With a single inference iteration per batch the incremental
         variant performs exactly the same updates as the batched one."""
-        base = dict(beta=1e-3, dims=TOY_DIMS, batch_size=8,
-                    n_iters=1, max_epochs=3, epsilon=0.0)
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 1)
+        base = dict(beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=3)
         pc = train(ExperimentConfig(mode="pc", **base), toy_data)
         ipc = train(ExperimentConfig(mode="ipc", **base), toy_data)
         np.testing.assert_array_equal(pc.params.theta1, ipc.params.theta1)
         np.testing.assert_array_equal(pc.params.theta2, ipc.params.theta2)
 
-    def test_training_reduces_input_energy(self, toy_data):
+    def test_training_reduces_input_energy(self, toy_data, monkeypatch):
+        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS,
-            batch_size=16, max_epochs=120, epsilon=0.0, val_every=60,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, batch_size=16, max_epochs=120, val_every=60,
         )
         result = train(config, toy_data)
         first = result.log.rows[0].train_energies[0]
         last = result.log.rows[-1].train_energies[0]
         assert last < first
 
-    def test_deterministic(self, toy_data):
-        config = ExperimentConfig(
-            mode="ipc", beta=1e-3, dims=TOY_DIMS,
-            batch_size=8, n_iters=5, max_epochs=5, epsilon=0.0,
-        )
+    def test_deterministic(self, toy_data, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
+        config = ExperimentConfig(mode="ipc", beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=5)
         a = train(config, toy_data)
         b = train(config, toy_data)
         np.testing.assert_array_equal(a.params.theta1, b.params.theta1)
         np.testing.assert_array_equal(a.params.theta2, b.params.theta2)
 
-    def test_single_batch_limit_below_batch_size_trains_on_capped_rows(self, toy_data):
+    def test_single_batch_limit_below_batch_size_trains_on_capped_rows(self, toy_data, monkeypatch):
         """With limit_train=3 < batch_size the single batch is the three
         capped images in their seeded order, nothing else."""
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS,
-            batch_size=4, n_iters=5, max_epochs=1, epsilon=0.0, limit_train=3,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, batch_size=4, max_epochs=1, limit_train=3,
         )
         result = train(config, toy_data)
 
@@ -260,34 +275,42 @@ class TestTrain:
         np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
 
     @pytest.mark.parametrize("limit", [16, 100])
-    def test_single_batch_limit_at_or_above_train_size_changes_nothing(self, toy_data, limit):
+    def test_single_batch_limit_at_or_above_train_size_changes_nothing(
+        self, toy_data, limit, monkeypatch
+    ):
         # all 16 toy images fit in one batch, capped or not
-        base = dict(mode="pc", beta=1e-3, dims=TOY_DIMS,
-                    batch_size=16, n_iters=3, max_epochs=2, epsilon=0.0)
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 3)
+        base = dict(mode="pc", beta=1e-3, dims=TOY_DIMS, batch_size=16, max_epochs=2)
         capped = train(ExperimentConfig(limit_train=limit, **base), toy_data)
         uncapped = train(ExperimentConfig(**base), toy_data)
         assert capped.params.theta1.tobytes() == uncapped.params.theta1.tobytes()
         assert capped.params.theta2.tobytes() == uncapped.params.theta2.tobytes()
 
-    def test_convergence_stops_early(self, toy_data):
+    def test_convergence_stops_early(self, toy_data, monkeypatch):
         # huge epsilon: any history is "stable" once patience epochs exist
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
+        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 1e6)
+        monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", 3)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
-            batch_size=4, n_iters=2, max_epochs=50, epsilon=1e6, patience=3,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=50,
         )
         result = train(config, toy_data)
         assert result.stop_reason == "converged"
         assert len(result.log.rows) == 3
 
     @pytest.mark.parametrize("patience", [1, 3])
-    def test_stops_where_full_history_check_first_passes(self, toy_data, patience):
+    def test_stops_where_full_history_check_first_passes(self, toy_data, patience, monkeypatch):
         """train checks only the last `patience` epochs; it stops at the
         first epoch where the check over the whole history passes. With
         patience 1 that is epoch 1, since one epoch is always stable."""
-        base = dict(mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
-                    batch_size=4, n_iters=2, max_epochs=30)
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
+        config = ExperimentConfig(
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=30,
+        )
         # the run's whole energy history, never stopping early
-        full = train(ExperimentConfig(epsilon=0.0, patience=1000, **base), toy_data)
+        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
+        monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", 1000)
+        full = train(config, toy_data)
         history = [r.train_energies for r in full.log.rows]
         # an epsilon that the median window passes, so the stop falls mid-run
         spreads = sorted(
@@ -298,7 +321,9 @@ class TestTrain:
         first = next(k for k in range(1, 31) if convergence_check(history[:k], epsilon, patience))
         assert first == 1 if patience == 1 else 1 < first < 30
 
-        result = train(ExperimentConfig(epsilon=epsilon, patience=patience, **base), toy_data)
+        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", epsilon)
+        monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", patience)
+        result = train(config, toy_data)
         assert result.stop_reason == "converged"
         assert len(result.log.rows) == first
 
@@ -310,10 +335,7 @@ class TestTrain:
             # overflows mid-batch; it grows like |phi2|^4, the errors' like |phi2|^2
             "ipc": "epoch 1, batch 0: non-finite weight gradient at inference iteration 11",
         }[mode]
-        config = ExperimentConfig(
-            mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8,
-            max_epochs=3, epsilon=0.0,
-        )
+        config = ExperimentConfig(mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=3)
         monkeypatch.setattr(core, "ALPHA", 1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as excinfo:
@@ -331,10 +353,7 @@ class TestTrain:
             grads.append(grad.shape)
             adam_step(param, grad, state, rate)
 
-        config = ExperimentConfig(
-            mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8,
-            max_epochs=3, epsilon=0.0,
-        )
+        config = ExperimentConfig(mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=3)
         monkeypatch.setattr(experiments, "adam_step", checked)
         monkeypatch.setattr(core, "ALPHA", 1e6)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -343,10 +362,12 @@ class TestTrain:
         # iPC makes 11 updates of two Adam steps first; PC diverges in its first kernel call
         assert len(grads) == (22 if mode == "ipc" else 0)
 
-    def test_val_rows_carried_forward(self, toy_data):
+    def test_val_rows_carried_forward(self, toy_data, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
+        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         config = ExperimentConfig(
             mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
-            batch_size=4, n_iters=2, max_epochs=6, epsilon=0.0, val_every=3,
+            batch_size=4, max_epochs=6, val_every=3,
         )
         result = train(config, toy_data)
         rows = result.log.rows
@@ -358,16 +379,16 @@ class TestTrain:
 class TestEvaluateErrors:
     def test_equals_compute_errors_on_infer_latents(self, toy_trained, toy_data, monkeypatch):
         monkeypatch.setattr(core, "ALPHA", 0.02)
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 10)
         split = toy_data.validation
-        state = infer_latents(toy_trained, split.images, iters=10, init_seed=5)
+        state = infer_latents(toy_trained, split.images, init_seed=5)
         expected = compute_errors(toy_trained, state, split.images).layer_energies
-        np.testing.assert_array_equal(
-            evaluate_errors(toy_trained, split, n_iters=10, seed=5), expected
-        )
+        np.testing.assert_array_equal(evaluate_errors(toy_trained, split, seed=5), expected)
 
-    def test_matches_per_example_loop(self, toy_trained, toy_data):
+    def test_matches_per_example_loop(self, toy_trained, toy_data, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 10)
         split = toy_data.validation
-        batched = evaluate_errors(toy_trained, split, n_iters=10, seed=4)
+        batched = evaluate_errors(toy_trained, split, seed=4)
         n = len(split)
         rng = np.random.default_rng(4)
         phi2_all = LATENT_INIT_SCALE * rng.standard_normal((n, TOY_DIMS[1]))
@@ -382,12 +403,12 @@ class TestEvaluateErrors:
 
 
 class TestTrainLog:
-    def test_csv_round_trips_exact_floats(self, toy_data, tmp_path):
+    def test_csv_round_trips_exact_floats(self, toy_data, tmp_path, monkeypatch):
         import csv
 
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
-            batch_size=4, n_iters=2, max_epochs=3, epsilon=0.0,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=3,
         )
         result = train(config, toy_data)
         path = tmp_path / "log.csv"
@@ -453,9 +474,9 @@ class TestRecallSuite:
             return train_batch(params, x, *rest)
 
         monkeypatch.setattr(experiments, "_train_batch", spy)
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=6,
-            batch_size=4, n_iters=2, max_epochs=2, epsilon=0.0,
+            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=6, batch_size=4, max_epochs=2,
         )
         result = train(config, toy_data)
         fed = np.concatenate(fed)

@@ -6,7 +6,6 @@ from pcmem.core import (
     LatentState,
     ModelParams,
     compute_errors,
-    descend_latents,
     free_energy,
     init_latents,
     init_params,
@@ -14,7 +13,6 @@ from pcmem.core import (
 from pcmem.memory import (
     DEFAULT_BUDGET,
     RECALL_PHI1_TOL,
-    REPLAY_REL_TOL,
     REPLAY_XI2_TOL,
     DivergenceError,
     OcclusionMask,
@@ -81,35 +79,39 @@ class TestMaskedMse:
 
 
 class TestInferLatents:
-    def test_descent_at_paper_rates(self, toy_trained):
+    def test_descent_at_paper_rates(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 50)
         x = toy_patterns(4, seed=11)[:4]
-        state = infer_latents(toy_trained, x, iters=50, init_seed=0)
+        state = infer_latents(toy_trained, x, init_seed=0)
         rng = np.random.default_rng(0)
         init = init_latents(toy_trained.dims, 4, rng)
         _, f_init = free_energy(compute_errors(toy_trained, init, x))
         _, f_final = free_energy(compute_errors(toy_trained, state, x))
         assert f_final < f_init
 
-    def test_zero_weights_pull_to_prior(self):
-        params = ModelParams(np.zeros(( 25, 8)), np.zeros((8, 2)))
+    def test_zero_weights_pull_to_prior(self, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 2000)
+        params = ModelParams(np.zeros((25, 8)), np.zeros((8, 2)))
         x = np.zeros((2, 25))
-        state = infer_latents(params, x, iters=2000, init_seed=0)
+        state = infer_latents(params, x, init_seed=0)
         assert np.max(np.abs(state.phi2)) < 1e-6
         assert np.max(np.abs(state.phi3)) < 1e-6
 
-    def test_same_seed_bit_identical(self, toy_trained):
+    def test_same_seed_bit_identical(self, toy_trained, monkeypatch):
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 30)
         x = toy_patterns(2, seed=12)
-        a = infer_latents(toy_trained, x, iters=30, init_seed=42)
-        b = infer_latents(toy_trained, x, iters=30, init_seed=42)
+        a = infer_latents(toy_trained, x, init_seed=42)
+        b = infer_latents(toy_trained, x, init_seed=42)
         np.testing.assert_array_equal(a.phi2, b.phi2)
         np.testing.assert_array_equal(a.phi3, b.phi3)
 
     def test_divergence_reported_with_iteration(self, toy_trained, monkeypatch):
         monkeypatch.setattr(core, "ALPHA", 1e6)
+        monkeypatch.setattr(core, "DEFAULT_ITERS", 500)
         x = toy_patterns(2, seed=13)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError, match="iteration"):
-                infer_latents(toy_trained, x, iters=500)
+                infer_latents(toy_trained, x)
 
 
 class TestReconstruct:
@@ -128,9 +130,7 @@ class TestReconstruct:
 class TestReplay:
     def test_fixpoint_reached(self, toy_trained):
         x = toy_patterns(4, seed=2)
-        rng = np.random.default_rng(0)
-        state = init_latents(toy_trained.dims, 4, rng)
-        settled = descend_latents(toy_trained, state, x, 5000, rel_tol=REPLAY_REL_TOL)
+        settled = infer_latents(toy_trained, x, init_seed=0)
         _, phi2 = regenerate(toy_trained, settled.phi3, settled.phi2)
         target = np.tanh(settled.phi3 @ toy_trained.theta2.T)
         assert np.max(np.abs(phi2 - target)) < 1e-4
@@ -146,9 +146,7 @@ class TestReplay:
         # the top-down phase takes no input: identical frozen states give
         # identical output no matter what happened to the input afterwards
         x = toy_patterns(2, seed=4)
-        rng = np.random.default_rng(0)
-        state = init_latents(toy_trained.dims, 2, rng)
-        settled = descend_latents(toy_trained, state, x, 5000, rel_tol=REPLAY_REL_TOL)
+        settled = infer_latents(toy_trained, x, init_seed=0)
         img_a, _ = regenerate(toy_trained, settled.phi3, settled.phi2)
         img_b, _ = regenerate(toy_trained, settled.phi3.copy(), settled.phi2.copy())
         np.testing.assert_array_equal(img_a, img_b)
@@ -182,6 +180,20 @@ class TestReplay:
         np.testing.assert_array_equal(
             replay(toy_trained, x, init_seed=1), replay(toy_trained, x, init_seed=1)
         )
+
+    @pytest.mark.parametrize("n_iters", [3, 50])
+    def test_equals_regenerate_of_infer_latents(self, toy_trained, monkeypatch, n_iters):
+        """replay is the gated regeneration of an ordinary T-step settle,
+        bit for bit, with T read when it is called; a batch of more than
+        BLOCK_ROWS rows settles in row blocks like any other."""
+        monkeypatch.setattr(core, "DEFAULT_ITERS", n_iters)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
+        for batch in (3, 2 * core.BLOCK_ROWS + 3):
+            x = toy_patterns(batch, seed=6)
+            settled = infer_latents(toy_trained, x, init_seed=2)
+            want, _ = regenerate(toy_trained, settled.phi3, settled.phi2)
+            got = replay(toy_trained, x, init_seed=2)
+            assert got.tobytes() == want.tobytes()
 
 
 def direct_recall(params, target, mask, iters, alpha=0.01, init_seed=0):
