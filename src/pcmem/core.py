@@ -40,7 +40,16 @@ BLOCK_ROWS = 512
 
 
 class DivergenceError(RuntimeError):
-    """Inference produced non-finite latents or a non-finite free energy."""
+    """Inference produced non-finite latents or a non-finite free energy.
+
+    step is the 0-based step after which the latents were non-finite,
+    counted from the start of the descend_latents call or the recall that
+    raised it; None otherwise.
+    """
+
+    def __init__(self, message: str, step: int | None = None):
+        super().__init__(message)
+        self.step = step
 
 
 class Activation(Enum):
@@ -238,9 +247,10 @@ def descend_latents(
     row blocks.
 
     Raises DivergenceError, naming the iteration (in the first block, in
-    row order, that diverges), on non-finite latents after a step. The
-    check sums |phi2|^2 + |phi3|^2 and scans the elements only when that
-    sum is not finite, so finite latents whose squares overflow pass.
+    row order, that diverges) and carrying it as its step, on non-finite
+    latents after a step. The check sums |phi2|^2 + |phi3|^2 and scans the
+    elements only when that sum is not finite, so finite latents whose
+    squares overflow pass.
     """
     x = _check_batch(params, state, x)
     theta1, theta2 = params.theta1, params.theta2
@@ -288,4 +298,4 @@ def _descend_block(
         if not np.isfinite(np.vdot(phi2, phi2) + np.vdot(phi3, phi3)) and not (
             np.all(np.isfinite(phi2)) and np.all(np.isfinite(phi3))
         ):
-            raise DivergenceError(f"non-finite latents after inference iteration {i}")
+            raise DivergenceError(f"non-finite latents after inference iteration {i}", step=i)

@@ -4,7 +4,7 @@ Runs on a small random model (DIMS, BATCH examples) and compares every
 analytic gradient coordinate, latent and weight, against a central
 difference of step H of the scalar free energy. d_phi2 and d_phi3 are read
 off one step of core.descend_latents, the kernel that training,
-evaluation, reconstruction and replay descend with; d_phi1 is
+evaluation, reconstruction, replay and recall descend with; d_phi1 is
 compute_errors' xi1; the weight gradients are core.learning_gradients,
 the function training steps Adam with.
 """

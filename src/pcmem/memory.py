@@ -6,11 +6,11 @@ steps of core.descend_latents, as in training and evaluation. Replay then
 regenerates the input from its frozen top-level representation with the
 input-error pathway gated off; that gated descent has a closed form, which
 regenerate returns directly. None of these procedures changes the weights.
-Recall clamps the known pixels and runs joint gradient descent on the
-hidden pixels and both latent levels. The hidden pixels stay a linear
-image r theta1_h^T of a running average r of phi2, so recall iterates in
-the latent space alone, on the whole batch at once, and each row stops on
-its own tolerance; the pixels are formed once, at the end.
+Recall clamps the known pixels v. The free energy is minimised over the
+hidden pixels h at h = phi2 theta1_h^T exactly, so recall settles the
+visible-row model ModelParams(theta1[visible], theta2) on v with the same
+kernel, in chunks between which each row stops on its own tolerance, and
+forms h once, at the end.
 """
 
 from __future__ import annotations
@@ -64,9 +64,10 @@ class OcclusionMask:
 class RecallResult:
     """Per-row recall outputs: the originals, the presented images (hidden
     pixels zeroed), the recalled images and their masked MSE against the
-    originals. last_delta is the inf-norm change of phi1 in a row's last
-    iteration (NaN if it took none); converged says whether that change
-    fell below RECALL_PHI1_TOL; final_free_energy is the batch mean."""
+    originals. last_delta is the inf-norm change of a row's hidden pixels
+    phi2 theta1_h^T in its last step (NaN if it took none); converged says
+    whether that change fell below RECALL_PHI1_TOL; final_free_energy is
+    the batch mean."""
 
     originals: np.ndarray
     presented: np.ndarray
@@ -168,26 +169,22 @@ def recall(
     """Pattern-complete the hidden pixels of a batch of partially presented
     images.
 
-    Each row's phi1 starts at its corrupted input (hidden pixels zeroed);
-    each iteration jointly descends the hidden pixels h along xi1, phi2 and
-    phi3. Every row starts from the same latent draw,
-    init_latents(dims, 1, default_rng(init_seed)), so a row's result does
-    not depend on its batch. A row stops after DEFAULT_BUDGET iterations
-    (the module constant as it stands when recall is called) or once its
-    inf-norm change of phi1 drops below RECALL_PHI1_TOL; stopped rows are
-    frozen while the others go on. Visible pixels are clamped bit-exactly.
+    With v the visible and h the hidden pixels, F is minimised over h at
+    h = phi2 theta1_h^T exactly, and what remains is the free energy of the
+    visible-row model ModelParams(theta1[visible], theta2) on v. So recall
+    settles that model with core.descend_latents and then sets
+    h = phi2 theta1_h^T; visible pixels are clamped bit-exactly. Every row
+    starts from the same latent draw, init_latents(dims, 1,
+    default_rng(init_seed)), so a row's result does not depend on its batch.
 
-    The loop runs in the d2-dimensional latent space, with step size
-    alpha = core.ALPHA as it stands when recall is called. h starts at 0 and
-    steps h <- (1 - alpha) h + alpha phi2 theta1_h^T, so h = r theta1_h^T
-    with r <- (1 - alpha) r + alpha phi2 from r = 0, and the input term of
-    d_phi2 is xi1 theta1 = v theta1_v + r G_h - phi2 G, with
-    G = theta1^T theta1 and G_h = theta1_h^T theta1_h formed once per call.
-    The stop value is alpha * |(r - phi2) theta1_h^T|_inf per row. h is
-    formed once, at the end, and the final free energy comes from
-    compute_errors on the assembled phi1. Raises ValueError on an empty
-    batch and DivergenceError, naming the recall iteration, on non-finite
-    latents or stop values.
+    The rows still settling go on in chunks of core.DEFAULT_ITERS steps,
+    the last chunk capped at what is left of DEFAULT_BUDGET (both read when
+    recall is called). After each chunk a row whose hidden pixels changed
+    by less than RECALL_PHI1_TOL (inf-norm) in its last step is frozen, so
+    iterations is a multiple of the chunk size, or the budget. The final
+    free energy comes from compute_errors on the full model and the
+    assembled images. Raises ValueError on an empty batch and
+    DivergenceError, naming the recall iteration, on non-finite latents.
     """
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     n, d1 = target.shape
@@ -198,49 +195,38 @@ def recall(
     if params.dims[0] != d1:
         raise ValueError(f"model input size {params.dims[0]} != image size {d1}")
 
-    alpha = core.ALPHA
-    theta1, theta2 = params.theta1, params.theta2
-    theta1_h = theta1[mask.hidden]
-    gram = theta1.T @ theta1
-    gram_h = theta1_h.T @ theta1_h
-    presented = np.where(mask.visible, target, 0.0)
-    drive = presented @ theta1  # v theta1_v
+    visible = ModelParams(params.theta1[mask.visible], params.theta2)
+    theta1_h = params.theta1[mask.hidden]
+    v = target[:, mask.visible]
     init = init_latents(params.dims, 1, np.random.default_rng(init_seed))
-    # per-row results; a row is written once, when it stops
     phi2 = np.repeat(init.phi2, n, axis=0)
     phi3 = np.repeat(init.phi3, n, axis=0)
-    r = np.zeros_like(phi2)
     iterations = np.zeros(n, dtype=np.int64)
     last_delta = np.full(n, np.nan)
 
-    # the rows still iterating, with their working copies
-    active = np.arange(n)
-    p2, p3, ra, drive_a = phi2, phi3, r, drive
-    for i in range(DEFAULT_BUDGET):
-        pred2 = np.tanh(p3 @ theta2.T)
-        xi2 = p2 - pred2
-        delta = alpha * np.max(np.abs((ra - p2) @ theta1_h.T), axis=1)
-        d_phi2 = xi2 - drive_a - ra @ gram_h + p2 @ gram
-        d_phi3 = p3 - (xi2 * (1.0 - pred2 * pred2)) @ theta2
-        ra = (1.0 - alpha) * ra + alpha * p2
-        p2 = p2 - alpha * d_phi2
-        p3 = p3 - alpha * d_phi3
-        if not (np.all(np.isfinite(p2)) and np.all(np.isfinite(p3))
-                and np.all(np.isfinite(ra)) and np.all(np.isfinite(delta))):
-            raise DivergenceError(f"non-finite latents or stop value at recall iteration {i + 1}")
-        stop = (delta < RECALL_PHI1_TOL) | (i + 1 == DEFAULT_BUDGET)
-        if stop.any():
-            rows = active[stop]
-            phi2[rows], phi3[rows], r[rows] = p2[stop], p3[stop], ra[stop]
-            iterations[rows] = i + 1
-            last_delta[rows] = delta[stop]
-            keep = ~stop
-            if not keep.any():
-                break
-            active, p2, p3, ra, drive_a = active[keep], p2[keep], p3[keep], ra[keep], drive_a[keep]
+    # the rows still settling, all of them `done` steps in
+    active, done = np.arange(n), 0
+    while active.size and done < DEFAULT_BUDGET:
+        steps = min(core.DEFAULT_ITERS, DEFAULT_BUDGET - done)
+        v_a = v[active]
+        try:
+            # the chunk's last step apart, for the hidden pixels' change in it
+            before = descend_latents(visible, LatentState(phi2[active], phi3[active]), v_a, steps - 1)
+            done += steps - 1
+            after = descend_latents(visible, before, v_a, 1)
+            done += 1
+        except DivergenceError as exc:
+            raise DivergenceError(
+                f"non-finite latents after recall iteration {done + exc.step + 1}",
+                step=done + exc.step,
+            ) from None
+        delta = np.max(np.abs((after.phi2 - before.phi2) @ theta1_h.T), axis=1)
+        phi2[active], phi3[active] = after.phi2, after.phi3
+        iterations[active], last_delta[active] = done, delta
+        active = active[delta >= RECALL_PHI1_TOL]
 
     images = target.copy()
-    images[:, mask.hidden] = r @ theta1_h.T
+    images[:, mask.hidden] = phi2 @ theta1_h.T
     _, mean_f = free_energy(compute_errors(params, LatentState(phi2, phi3), images))
     if not np.isfinite(mean_f):
         raise DivergenceError(
@@ -248,7 +234,7 @@ def recall(
         )
     return RecallResult(
         originals=target,
-        presented=presented,
+        presented=np.where(mask.visible, target, 0.0),
         recalled=images,
         masked_mse=masked_mse(images, target, mask),
         iterations=iterations,

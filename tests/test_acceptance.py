@@ -129,7 +129,8 @@ def test_criterion_2_dataset_fidelity(raw_sets):
 
 def test_criterion_3_experiment_1(exp1_model, exp1_recall, splits):
     """Single-batch PC overfits (val/train input-energy ratio > 1.5) and
-    recalls its batch far better than an untrained baseline."""
+    recalls its batch far better than an untrained baseline, every recall
+    converging within its budget."""
     params, config = exp1_model
     n = config.limit_train
     batch_split = Split(splits.train.images[:n], splits.train.labels[:n])
@@ -146,6 +147,11 @@ def test_criterion_3_experiment_1(exp1_model, exp1_recall, splits):
         f"untrained {baseline.mean_mse:.5f}"
     )
     assert exp1_recall.mean_mse < 0.5 * baseline.mean_mse
+    print(
+        f"criterion 3c: recall converged on {int(exp1_recall.converged.sum())}/10 rows "
+        f"in {exp1_recall.iterations.min()}-{exp1_recall.iterations.max()} iterations"
+    )
+    assert exp1_recall.converged.all()
 
 
 def test_criterion_4_experiment_2(exp2_result, exp1_recall, splits):

@@ -388,8 +388,9 @@ class TestDescendLatents:
             phi3[1, 0] = value
             bad = LatentState(phi2=state.phi2, phi3=phi3)
             with np.errstate(invalid="ignore"):
-                with pytest.raises(DivergenceError, match=r"iteration 0$"):
+                with pytest.raises(DivergenceError, match=r"iteration 0$") as err:
                     descend_latents(params, bad, x, 5)
+            assert err.value.step == 0
 
     @pytest.mark.parametrize("n_iters", [1, 50])
     @pytest.mark.parametrize("trained", [False, True])
