@@ -43,11 +43,10 @@ class RunManifest:
 
     config: dict
     data_digests: dict = field(default_factory=dict)
-    artifact_version: str = ARTIFACT_VERSION
 
     def to_json(self, include_timestamp: bool = False) -> str:
         d = {
-            "artifact_version": self.artifact_version,
+            "artifact_version": ARTIFACT_VERSION,
             "config": self.config,
             "data_digests": self.data_digests,
         }
@@ -63,7 +62,6 @@ class RunManifest:
         return cls(
             config=d.get("config", {}),
             data_digests=d.get("data_digests", {}),
-            artifact_version=d.get("artifact_version", "unknown"),
         )
 
 

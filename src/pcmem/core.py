@@ -42,9 +42,10 @@ BLOCK_ROWS = 512
 class DivergenceError(RuntimeError):
     """Inference produced non-finite latents or a non-finite free energy.
 
-    step is the 0-based step after which the latents were non-finite,
-    counted from the start of the descend_latents call or the recall that
-    raised it; None otherwise.
+    step is the 0-based step after which the latents (or, in training, the
+    weight gradients) were non-finite, counted from the start of the
+    descend_latents call, the recall or the training batch that raised it;
+    None otherwise.
     """
 
     def __init__(self, message: str, step: int | None = None):
@@ -178,8 +179,9 @@ def _check_batch(params: ModelParams, state: LatentState, x: np.ndarray) -> np.n
 def compute_errors(params: ModelParams, state: LatentState, x: np.ndarray) -> ErrorState:
     """Compute the three prediction errors for a batch of inputs.
 
-    Replay's gated pathway, where the input errors are switched off, has a
-    closed form and never calls this (see memory.regenerate).
+    Replay's gated pathway, where the input errors are switched off, reads
+    out its fixpoint phi2 = f(theta2 phi3) directly and never calls this
+    (see memory.regenerate).
     """
     x = _check_batch(params, state, x)
     # xi1 = x - phi2 theta1^T, written over the product: one batch x d1 array

@@ -202,18 +202,15 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     for update in range(n_updates):
         try:
             state = descend_latents(params, state, x, steps)
-        except DivergenceError:
-            if steps == 1:  # the kernel's own count restarts at 0 on every call
-                raise DivergenceError(
-                    f"non-finite latents after inference iteration {update}"
-                ) from None
-            raise
+        except DivergenceError as exc:
+            n = update * steps + exc.step  # the kernel counts from 0 on every call
+            message = f"non-finite latents after inference iteration {n}"
+            raise DivergenceError(message, step=n) from None
         d_theta1, d_theta2 = learning_gradients(params, state, x)
         if not np.isfinite(np.vdot(d_theta1, d_theta1) + np.vdot(d_theta2, d_theta2)):
             # an overflowing gradient would turn the weights non-finite next
-            raise DivergenceError(
-                f"non-finite weight gradient at inference iteration {(update + 1) * steps - 1}"
-            )
+            n = (update + 1) * steps - 1
+            raise DivergenceError(f"non-finite weight gradient at inference iteration {n}", step=n)
         if update == n_updates - 1:
             energies = compute_errors(params, state, x).layer_energies
         adam_step(params.theta1, d_theta1, adam1, config.beta)
@@ -253,7 +250,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
                 energies = _train_batch(params, x, config, adam1, adam2, rng_l)
             except DivergenceError as exc:
                 where = f"epoch {epoch}, batch {start // config.batch_size}"
-                raise DivergenceError(f"{where}: {exc}") from exc
+                raise DivergenceError(f"{where}: {exc}", step=exc.step) from exc
             weighted += energies * x.shape[0]
         train_energies = weighted / len(order)
         recent.append(train_energies)

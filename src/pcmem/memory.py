@@ -3,9 +3,10 @@ auto-associative recall of partially occluded inputs.
 
 Reconstruction and replay settle through infer_latents: core.DEFAULT_ITERS
 steps of core.descend_latents, as in training and evaluation. Replay then
-regenerates the input from its frozen top-level representation with the
-input-error pathway gated off; that gated descent has a closed form, which
-regenerate returns directly. None of these procedures changes the weights.
+regenerates the input from the settled top-level representation alone: with
+the input errors gated off, phi2 settles at the top-down fixpoint
+f(theta2 phi3), so regenerate returns theta1 f(theta2 phi3) directly. None
+of these procedures changes the weights.
 Recall clamps the known pixels v. The free energy is minimised over the
 hidden pixels h at h = phi2 theta1_h^T exactly, so recall settles the
 visible-row model ModelParams(theta1[visible], theta2) on v with the same
@@ -32,7 +33,6 @@ from .core import (
 from .data import IMAGE_SIDE
 
 DEFAULT_BUDGET = 5000
-REPLAY_XI2_TOL = 1e-6
 RECALL_PHI1_TOL = 1e-6
 
 
@@ -118,29 +118,14 @@ def reconstruct(
     return state.phi2 @ params.theta1.T
 
 
-def regenerate(
-    params: ModelParams,
-    phi3: np.ndarray,
-    phi2_init: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
+def regenerate(params: ModelParams, phi3: np.ndarray) -> np.ndarray:
     """Top-down regeneration from a frozen phi3 with input errors gated off.
 
-    The gated phi2 update phi2 -= alpha*xi2, with alpha = core.ALPHA as it
-    stands when regenerate is called, scales xi2 = phi2 - f(theta2 phi3)
-    by (1 - alpha) per step, so k steps give the closed form
-    phi2_k = f(theta2 phi3) + (1 - alpha)^k (phi2_init - f(theta2 phi3)).
-    k is where that descent stops: the first step with xi2 inf-norm below
-    REPLAY_XI2_TOL (the free-energy change can flatten out first), or
-    DEFAULT_BUDGET. Takes no input at all, so the result is trivially
-    invariant to input perturbations. Returns (images, phi2).
+    Gated, phi2 sees only xi2 = phi2 - f(theta2 phi3), and its fixpoint is
+    phi2 = f(theta2 phi3); the images are that prediction read out through
+    theta1. Reads no input and depends on each row of phi3 alone.
     """
-    target = np.tanh(phi3 @ params.theta2.T)
-    gap = phi2_init - target
-    decay = (1.0 - core.ALPHA) ** np.arange(DEFAULT_BUDGET + 1)
-    below = np.abs(decay) * np.max(np.abs(gap)) < REPLAY_XI2_TOL
-    k = int(np.argmax(below)) if below.any() else DEFAULT_BUDGET
-    phi2 = target + decay[k] * gap
-    return phi2 @ params.theta1.T, phi2
+    return np.tanh(phi3 @ params.theta2.T) @ params.theta1.T
 
 
 def replay(
@@ -148,16 +133,11 @@ def replay(
     x: np.ndarray,
     init_seed: int = 0,
 ) -> np.ndarray:
-    """Replay inputs through the gated top-down pathway.
-
-    1. settle the latents with infer_latents' T steps, like every other
-    settle, so no row's settle reads another; 2. freeze phi3 and gate the
-    input errors off; 3. re-infer phi2 alone (fixpoint phi2 = f(theta2
-    phi3)) through regenerate's closed form; 4. read out and return the
-    replayed images theta1 @ phi2. The weights are left untouched.
+    """Replay inputs through the gated top-down pathway: settle the latents
+    with infer_latents' T steps, like every other settle, then regenerate
+    the images from the settled phi3 alone. The weights are left untouched.
     """
-    state = infer_latents(params, x, init_seed=init_seed)
-    return regenerate(params, state.phi3, state.phi2)[0]
+    return regenerate(params, infer_latents(params, x, init_seed=init_seed).phi3)
 
 
 def recall(

@@ -6,7 +6,7 @@ updates the parameter and the moments in place, allocating nothing after
 a state's first step, and is bit-deterministic. The state holds only the
 moments and the step count: the learning rate is the caller's (training
 passes the config's beta). Inference descends the latents with plain
-gradient steps inside core.descend_latents and memory.recall.
+gradient steps inside core.descend_latents.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pcmem import core, memory
+from pcmem import core
 from pcmem.core import (
     ALPHA,
     DivergenceError,
@@ -184,17 +184,6 @@ class TestGradients:
         d_theta1, d_theta2 = learning_gradients(params, state, np.zeros((2, 6)))
         assert np.all(d_phi2 == 0) and np.all(d_phi3 == 0)
         assert np.all(d_theta1 == 0) and np.all(d_theta2 == 0)
-
-    def test_gated_phi2_gradient_is_xi2(self, monkeypatch):
-        """One gated step of memory.regenerate, input errors off, moves phi2
-        by -ALPHA * xi2: the gated d_phi2 is xi2."""
-        monkeypatch.setattr(memory, "DEFAULT_BUDGET", 1)
-        params, state, x = small_instance(seed=3)
-        xi2 = compute_errors(params, state, x).xi2
-        assert np.max(np.abs(xi2)) > 1e3 * memory.REPLAY_XI2_TOL  # no early stop
-        _, phi2 = memory.regenerate(params, state.phi3, state.phi2)
-        want = state.phi2 - ALPHA * xi2
-        assert np.max(np.abs(phi2 - want)) <= 1e-15 * np.max(np.abs(want))
 
     def test_rank_one_weight_gradient(self):
         params, _, _ = small_instance()

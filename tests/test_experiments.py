@@ -341,6 +341,7 @@ class TestTrain:
             with pytest.raises(DivergenceError) as excinfo:
                 train(config, toy_data)
         assert str(excinfo.value) == message
+        assert excinfo.value.step == {"pc": 47, "ipc": 11}[mode]
 
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
     def test_no_update_from_non_finite_gradient(self, toy_data, mode, monkeypatch):
