@@ -5,22 +5,23 @@ export-latents, gradcheck. Config precedence is CLI flags > --config file
 > preset defaults; the resolved config is frozen into the run manifest.
 For train, `--seed` sets the config's one seed, from which the weight
 init, the latent draws, the epoch order and the split each start a
-generator. The memory commands read the checkpoint's settings as an
-ExperimentConfig, rebuild the splits with its seed and read a prefix of
-a split: reconstruct and replay its first batch_size images, recall the
-recall suite's first 10 training images. Their own `--seed` only draws
-the latent init. Every settle runs core.DEFAULT_ITERS steps of size
-core.ALPHA; no config sets either. Every command creates --out before its
-work, so an unusable --out fails first. Runs are bit-reproducible with
-OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1 before
-pcmem starts.
+generator; the model is (image width, *experiments.LATENT_DIMS). The
+memory commands take no seed: they read the checkpoint's settings as an
+ExperimentConfig, rebuild the splits with its seed, draw the latent init
+from that seed too, and read a prefix of a split: reconstruct and replay
+its first batch_size images, recall the recall suite's first 10 training
+images. gradcheck's `--seed` draws its random instance. Every settle runs
+core.DEFAULT_ITERS steps of size core.ALPHA; no config sets either. Every
+command that reads data requires --data-dir, and every command creates
+--out before its work, so an unusable --out fails first. Runs are
+bit-reproducible with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
+MKL_NUM_THREADS set to 1 before pcmem starts.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -36,8 +37,6 @@ from .experiments import ExperimentConfig, preset, run_recall_suite, train, writ
 from .images import image_grid, write_pgm
 from .memory import infer_latents, reconstruct, replay
 
-DATA_DIR_ENV = "PCN_DATA_DIR"
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -49,18 +48,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, checkpoint=False, data=False):
         p.add_argument("--out", type=Path, required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=0,
-                       help="train: the run's seed; memory commands: the latent-init seed")
         if checkpoint:
             p.add_argument("--checkpoint", type=Path, required=True)
         if data:
-            p.add_argument("--data-dir", type=Path,
-                           default=os.environ.get(DATA_DIR_ENV),
-                           help=f"MNIST IDX directory (default ${DATA_DIR_ENV})")
+            p.add_argument("--data-dir", type=Path, required=True, help="MNIST IDX directory")
 
     p = sub.add_parser("train", help="train a model (PC or iPC preset)")
     common(p, data=True)
-    p.set_defaults(seed=None)  # without --seed, the preset's or --config's seed stands
+    # without --seed, the preset's or --config's seed stands
+    p.add_argument("--seed", type=int, help="the run's one seed")
     p.add_argument("--preset", choices=("exp1", "exp2"), default="exp1")
     p.add_argument("--config", type=Path, help="JSON file overriding preset fields")
     p.add_argument("--limit-train", type=int, help="desk-scale cap on training examples")
@@ -86,20 +82,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _splits(args, split_seed: int):
-    if args.data_dir is None:
-        raise FileNotFoundError(f"no data directory: pass --data-dir or set ${DATA_DIR_ENV}")
-    return build_splits(*load_raw(args.data_dir), split_seed=split_seed)
-
-
 def _load_run(args):
     """The checkpoint's weights, its settings as an ExperimentConfig, and
-    the splits rebuilt with the config's seed; the command's own --seed
-    never reaches the splits. Keys the config does not know are ignored:
-    legacy ones such as scope, epsilon and patience, which only decided
-    when a run stopped, and activation, alpha and n_iters, which
-    load_checkpoint has checked. Creates --out once all three have loaded,
-    so an unusable --out fails before the command's work."""
+    the splits rebuilt with the config's seed, which the caller also
+    settles from. Keys the config does not know are ignored: legacy ones
+    such as scope, epsilon and patience, which only decided when a run
+    stopped, dims, which the weights' header holds, and activation, alpha
+    and n_iters, which load_checkpoint has checked. Creates --out once all
+    three have loaded, so an unusable --out fails before the command's
+    work."""
     params, _, manifest = load_checkpoint(args.checkpoint)
     known = {f.name for f in fields(ExperimentConfig)}
     try:
@@ -108,7 +99,7 @@ def _load_run(args):
         )
     except ValueError as exc:
         raise CheckpointError(f"bad config in {args.checkpoint}: {exc}") from None
-    splits = _splits(args, config.seed)
+    splits = build_splits(*load_raw(args.data_dir), split_seed=config.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     return params, config, splits
 
@@ -124,10 +115,7 @@ def cmd_train(args) -> int:
         if getattr(args, name) is not None:
             cfg[name] = getattr(args, name)
     config = ExperimentConfig.from_dict(cfg)
-    splits = _splits(args, config.seed)
-    width = splits.train.images.shape[1]
-    if config.dims[0] != width:
-        raise ValueError(f"config dims[0] {config.dims[0]} != image size {width}")
+    splits = build_splits(*load_raw(args.data_dir), split_seed=config.seed)
     # before training, so an unusable --out fails before any epoch runs
     args.out.mkdir(parents=True, exist_ok=True)
     result = train(config, splits)
@@ -159,10 +147,10 @@ def cmd_reconstruct_or_replay(args) -> int:
     x = getattr(splits, args.split).images[: config.batch_size]
     if args.command == "reconstruct":
         name = f"reconstruct_{args.split}"
-        out = reconstruct(params, x, init_seed=args.seed)
+        out = reconstruct(params, x, init_seed=config.seed)
     else:
         name = "replay"
-        out = replay(params, x, init_seed=args.seed)
+        out = replay(params, x, init_seed=config.seed)
     _write_grid(args.out / f"{name}.pgm", x, out)
     mse = np.mean((x - out) ** 2, axis=1)
     write_csv(args.out / f"{name}.csv", ["image", "mse"], enumerate(map(float, mse)))
@@ -170,8 +158,8 @@ def cmd_reconstruct_or_replay(args) -> int:
 
 
 def cmd_recall(args) -> int:
-    params, _, splits = _load_run(args)
-    suite = run_recall_suite(params, splits, seed=args.seed)
+    params, config, splits = _load_run(args)
+    suite = run_recall_suite(params, splits, seed=config.seed)
     _write_grid(args.out / "recall.pgm", suite.presented, suite.recalled, suite.originals)
     write_csv(args.out / "recall.csv",
               ["image", "masked_mse", "iterations", "converged", "last_delta"],
@@ -194,11 +182,11 @@ def cmd_export_weights(args) -> int:
 
 
 def cmd_export_latents(args) -> int:
-    params, _, splits = _load_run(args)
+    params, config, splits = _load_run(args)
     images = splits.test.images
     labels = splits.test.labels
     _, d2, d3 = params.dims
-    state = infer_latents(params, images, init_seed=args.seed)
+    state = infer_latents(params, images, init_seed=config.seed)
     errors = compute_errors(params, state, images)
     e1 = 0.5 * np.einsum("ij,ij->i", errors.xi1, errors.xi1)
     rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),

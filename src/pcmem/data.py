@@ -86,16 +86,19 @@ def load_idx(path: str | Path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RawImageSet:
-    """Unfiltered images (count x 28 x 28, uint8) with digit labels 0-9."""
+    """Unfiltered images (count x IMAGE_SIDE x IMAGE_SIDE, uint8) with digit
+    labels 0-9."""
 
     images: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        if self.images.ndim != 3 or self.labels.ndim != 1:
+        side = (IMAGE_SIDE, IMAGE_SIDE)
+        if self.images.ndim != 3 or self.images.shape[1:] != side or self.labels.ndim != 1:
             raise ValueError(
-                f"expected 3-D images and 1-D labels, got images of shape "
-                f"{self.images.shape} and labels of shape {self.labels.shape}"
+                f"expected count x {IMAGE_SIDE} x {IMAGE_SIDE} images and 1-D labels, "
+                f"got images of shape {self.images.shape} and labels of shape "
+                f"{self.labels.shape}"
             )
         if self.images.shape[0] != self.labels.shape[0]:
             raise ValueError("image count != label count")

@@ -53,6 +53,8 @@ from .optim import AdamState, adam_step
 # train's convergence_check arguments, read when train is called
 CONVERGENCE_EPSILON = 1e-5
 CONVERGENCE_PATIENCE = 5
+# (d2, d3), read when train is called; d1 is the training images' width
+LATENT_DIMS = (35, 2)
 
 
 @dataclass(frozen=True)
@@ -60,14 +62,15 @@ class ExperimentConfig:
     """Full run configuration; persisted with every checkpoint. Every field
     has a default, so a checkpoint's config that names only some of them
     (or none) still reads as one. Fixed values are module constants:
-    core.ALPHA, core.DEFAULT_ITERS and the convergence rule."""
+    core.ALPHA, core.DEFAULT_ITERS, the convergence rule and LATENT_DIMS;
+    the model's input width is the data's."""
 
     mode: str = "pc"  # "pc" | "ipc"
     beta: float = 1e-4
-    dims: tuple[int, int, int] = (784, 35, 2)
     batch_size: int = 64
-    # weight init, latent draws, epoch order and split: each starts its own
-    # default_rng(seed), so all four read the same bit stream
+    # weight init, latent draws, epoch order, split and the memory commands'
+    # latent init: each starts its own default_rng(seed), so all read the
+    # same bit stream
     seed: int = 0
     max_epochs: int = 500
     limit_train: Optional[int] = None
@@ -87,25 +90,17 @@ class ExperimentConfig:
         limit = self.limit_train
         if limit is not None and not (_is_int(limit) and limit >= 1):
             raise ValueError(f"limit_train must be null or an integer >= 1, got {limit!r}")
-        if not (isinstance(self.dims, tuple) and len(self.dims) == 3
-                and all(_is_int(d) and d >= 1 for d in self.dims)):
-            raise ValueError(f"dims must be three integers >= 1, got {self.dims!r}")
         if not (_is_real(self.beta) and math.isfinite(self.beta) and self.beta > 0):
             raise ValueError(f"beta must be a finite number > 0, got {self.beta!r}")
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["dims"] = list(self.dims)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        d = dict(d)
-        if isinstance(d.get("dims"), list):
-            d["dims"] = tuple(d["dims"])
         return cls(**d)
 
 
@@ -224,17 +219,17 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
 
     A fresh seeded example order every epoch and fresh seeded latents every
     batch; Adam state persists across the whole run (one state per weight
-    matrix). The run builds one ModelParams, and every update writes its
-    weights and the Adam states in place; the result holds those objects.
+    matrix). The run builds one ModelParams of dims (image width,
+    *LATENT_DIMS), and every update writes its weights and the Adam states
+    in place; the result holds those objects.
     """
+    train_images = splits.train.images[: config.limit_train]
     rng_w = np.random.default_rng(config.seed)
-    params = init_params(config.dims, rng_w)
+    params = init_params((train_images.shape[1], *LATENT_DIMS), rng_w)
     adam1 = AdamState.fresh(params.theta1.shape)
     adam2 = AdamState.fresh(params.theta2.shape)
     rng_l = np.random.default_rng(config.seed)
     rng_s = np.random.default_rng(config.seed)
-
-    train_images = splits.train.images[: config.limit_train]
 
     log = TrainLog()
     recent = deque(maxlen=CONVERGENCE_PATIENCE)  # all convergence_check looks at

@@ -67,19 +67,26 @@ def toy_params():
     return init_params(TOY_DIMS, np.random.default_rng(3))
 
 
+@pytest.fixture
+def toy_latent_dims(monkeypatch):
+    """train builds TOY_DIMS models: d1 is the toy images' 25 pixels, and
+    the latent sizes are experiments.LATENT_DIMS."""
+    monkeypatch.setattr(experiments, "LATENT_DIMS", TOY_DIMS[1:])
+
+
 @pytest.fixture(scope="session")
 def toy_trained(toy_data):
     """Small PC model trained briefly on the toy patterns, all 300 epochs."""
     config = ExperimentConfig(
         mode="pc",
         beta=1e-3,
-        dims=TOY_DIMS,
         batch_size=16,
         max_epochs=300,
         val_every=100,
     )
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
+        mp.setattr(experiments, "LATENT_DIMS", TOY_DIMS[1:])
         return train(config, toy_data).params
 
 

@@ -140,7 +140,7 @@ def test_criterion_3_experiment_1(exp1_model, exp1_recall, splits):
     print(f"criterion 3a: val/train input-energy ratio {ratio:.3f}")
     assert ratio > 1.5
 
-    untrained = init_params(config.dims, np.random.default_rng(config.seed))
+    untrained = init_params(params.dims, np.random.default_rng(config.seed))
     baseline = run_recall_suite(untrained, splits, n_images=10, seed=0)
     print(
         f"criterion 3b: recall MSE trained {exp1_recall.mean_mse:.5f} "

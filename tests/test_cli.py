@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 
 from pcmem import cli, core, gradcheck
-from pcmem.checkpoint import load_checkpoint, save_checkpoint
+from pcmem.checkpoint import RunManifest, load_checkpoint, save_checkpoint
 from pcmem.cli import main
 from pcmem.core import init_params
 from pcmem.data import build_splits, load_raw
 from pcmem.experiments import run_recall_suite
-from pcmem.memory import reconstruct, replay
+from pcmem.memory import infer_latents, reconstruct, replay
 from pcmem.synthetic import write_idx
 
 from conftest import checkpoint_extras, read_pgm, save_zero_width_checkpoint
@@ -70,7 +70,10 @@ class TestTrain:
                 {"epsilon": float("nan")}, "unknown config key(s): epsilon",
                 id="override6-epsilon",
             ),
-            pytest.param({"dims": [784, 35]}, "dims", id="override7-dims"),
+            # the model shape is (image width, *experiments.LATENT_DIMS), not a config key
+            pytest.param(
+                {"dims": [784, 35]}, "unknown config key(s): dims", id="override7-dims"
+            ),
             pytest.param({"batch_size": True}, "batch_size", id="override8-batch_size"),
             pytest.param({"limit_train": "x"}, "limit_train", id="override9-limit_train"),
             pytest.param({"limit_train": 0}, "limit_train", id="override10-limit_train"),
@@ -114,12 +117,14 @@ class TestTrain:
             ({"epsilon": 1e-5}, "epsilon"),
             ({"patience": 5}, "patience"),
             ({"patience": 5, "n_iters": 50, "epsilon": 1e-5}, "epsilon, n_iters, patience"),
+            ({"dims": [784, 35, 2]}, "dims"),
         ],
-        ids=["n_iters", "epsilon", "patience", "all"],
+        ids=["n_iters", "epsilon", "patience", "all", "dims"],
     )
     def test_fixed_setting_config_keys_rejected(self, tmp_path, capsys, settings, keys):
-        """T is core.DEFAULT_ITERS and the convergence rule is
-        experiments.CONVERGENCE_*; no --config sets them, even at their values."""
+        """T is core.DEFAULT_ITERS, the convergence rule is
+        experiments.CONVERGENCE_* and the model is (image width,
+        *experiments.LATENT_DIMS); no --config sets them, even at their values."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(settings))
         rc = main(["train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
@@ -127,19 +132,6 @@ class TestTrain:
         assert rc == 1
         assert capsys.readouterr().err == f"error: unknown config key(s): {keys}\n"
         assert not (tmp_path / "x").exists()
-
-    def test_dims_not_matching_images_fail_before_out(
-        self, corpus_dir, tmp_path, capsys, monkeypatch
-    ):
-        monkeypatch.setattr(cli, "train", lambda *args: pytest.fail("train ran"))
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"dims": [100, 35, 2]}))
-        out = tmp_path / "x"
-        rc = main(["train", "--config", str(config), "--max-epochs", "1",
-                   "--data-dir", str(corpus_dir), "--out", str(out)])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: config dims[0] 100 != image size 784\n"
-        assert not out.exists()
 
     @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "2"], 2)])
     def test_config_seed_reaches_manifest_unless_flag_given(
@@ -176,11 +168,11 @@ class TestTrain:
         assert err.startswith("error:") and "(10,)" in err and "(60000,)" in err
         assert not (tmp_path / "x").exists()
 
-    def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.delenv("PCN_DATA_DIR", raising=False)
-        rc = main(["train", "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert "error" in capsys.readouterr().err
+    def test_missing_data_dir_fails_cleanly(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --data-dir" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     def test_out_is_a_file_fails_before_training(self, corpus_dir, tmp_path, capsys, monkeypatch):
@@ -227,19 +219,20 @@ class TestReplay:
 def test_mse_column_matches_api_on_prefix_rows(
     trained_run, corpus_dir, tmp_path, command, monkeypatch
 ):
-    """The CLI takes the checkpoint's split seed and the first batch_size
-    training rows, and --seed draws only the latent init; its MSE column
-    equals the API call on those rows."""
+    """The CLI takes the first batch_size training rows of the splits
+    rebuilt with the checkpoint's seed, and settles them from that seed;
+    on a checkpoint with seed 3 its MSE column equals the API call on those
+    rows at seed 3."""
     monkeypatch.setattr(core, "DEFAULT_ITERS", 50)
+    checkpoint = _with_config(trained_run, tmp_path, seed=3)
     out = tmp_path / command
     rc = main([
-        command, "--checkpoint", str(trained_run / "checkpoint.pcn"),
-        "--data-dir", str(corpus_dir), "--out", str(out), "--seed", "3",
+        command, "--checkpoint", str(checkpoint), "--data-dir", str(corpus_dir),
+        "--out", str(out),
     ])
     assert rc == 0
-    params, _, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
-    split = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"]).train
-    x = split.images[:64]
+    params, _, _ = load_checkpoint(checkpoint)
+    x = build_splits(*load_raw(corpus_dir), split_seed=3).train.images[:64]
     if command == "reconstruct":
         expected = reconstruct(params, x, init_seed=3)
     else:
@@ -253,29 +246,66 @@ def test_mse_column_matches_api_on_prefix_rows(
 def test_splits_ignore_seed_flag_without_checkpoint_config(
     trained_run, corpus_dir, tmp_path, monkeypatch
 ):
-    """A checkpoint saved without a config rebuilds the splits with seed 0
-    and runs with the config defaults (64 rows) at T = 50; the command's
-    --seed still only draws the latent init."""
+    """A checkpoint whose config names only its seed (3) runs with the
+    config defaults (64 rows) at T = 50, and that one seed both rebuilds
+    the splits and draws the latent init; there is no --seed flag."""
     monkeypatch.setattr(core, "DEFAULT_ITERS", 50)
-    params, _, _ = load_checkpoint(trained_run / "checkpoint.pcn")
+    params, adam, _ = load_checkpoint(trained_run / "checkpoint.pcn")
     bare = tmp_path / "bare.pcn"
-    save_checkpoint(bare, params, *checkpoint_extras(params))
-    x = build_splits(*load_raw(corpus_dir), split_seed=0).train.images[:64]
+    save_checkpoint(bare, params, adam, RunManifest(config={"seed": 3}))
+    x = build_splits(*load_raw(corpus_dir), split_seed=3).train.images[:64]
     expected = {
         "replay": replay(params, x, init_seed=3),
         "reconstruct": reconstruct(params, x, init_seed=3),
     }
     for command, out_images in expected.items():
         out = tmp_path / command
-        rc = main([
-            command, "--checkpoint", str(bare), "--data-dir", str(corpus_dir),
-            "--out", str(out), "--seed", "3",
-        ])
+        rc = main([command, "--checkpoint", str(bare), "--data-dir", str(corpus_dir),
+                   "--out", str(out)])
         assert rc == 0
         name = "replay.csv" if command == "replay" else "reconstruct_train.csv"
         with open(out / name) as f:
             mse = [float(r["mse"]) for r in csv.DictReader(f)]
         assert mse == list(np.mean((x - out_images) ** 2, axis=1))
+
+
+@pytest.mark.parametrize("command", ["recall", "export-latents"])
+def test_recall_and_latents_settle_from_checkpoint_seed(
+    trained_run, corpus_dir, tmp_path, command
+):
+    """On a checkpoint with seed 3, recall.csv and latents.csv equal the
+    library calls at seed 3 on the splits rebuilt with seed 3."""
+    checkpoint = _with_config(trained_run, tmp_path, seed=3)
+    out = tmp_path / command
+    rc = main([command, "--checkpoint", str(checkpoint), "--data-dir", str(corpus_dir),
+               "--out", str(out)])
+    assert rc == 0
+    params, _, _ = load_checkpoint(checkpoint)
+    splits = build_splits(*load_raw(corpus_dir), split_seed=3)
+    if command == "recall":
+        with open(out / "recall.csv") as f:
+            got = [float(r["masked_mse"]) for r in csv.DictReader(f)]
+        assert got == list(run_recall_suite(params, splits, seed=3).masked_mse)
+    else:
+        state = infer_latents(params, splits.test.images, init_seed=3)
+        with open(out / "latents.csv") as f:
+            got = [[float(r[f"phi3_{j}"]) for j in range(2)] for r in csv.DictReader(f)]
+        assert got == state.phi3.tolist()
+
+
+@pytest.mark.parametrize(
+    "command", ["reconstruct", "replay", "recall", "export-latents", "export-weights"]
+)
+def test_memory_commands_take_no_seed(trained_run, corpus_dir, tmp_path, capsys, command):
+    """Only train and gradcheck take --seed; the memory commands settle
+    from the checkpoint's seed."""
+    data = [] if command == "export-weights" else ["--data-dir", str(corpus_dir)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--checkpoint", str(trained_run / "checkpoint.pcn"), *data,
+              "--out", str(tmp_path / "o"), "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def _with_config(trained_run, tmp_path, **settings):
@@ -355,11 +385,11 @@ def test_out_is_a_file_fails_before_work(
 
 def test_legacy_config_key_ignored(trained_run, corpus_dir, tmp_path):
     """A checkpoint whose config names fields the config no longer has
-    (scope, and activation, alpha, n_iters, epsilon and patience as
+    (scope, and activation, alpha, n_iters, epsilon, patience and dims as
     checkpoints wrote them while they were fields) gives every memory
     command the same bytes as without them."""
     legacy = _with_config(trained_run, tmp_path, scope="single-batch", activation="tanh",
-                          alpha=0.01, n_iters=50, epsilon=1e-5, patience=5)
+                          alpha=0.01, n_iters=50, epsilon=1e-5, patience=5, dims=[784, 35, 2])
     _assert_same_outputs(trained_run, corpus_dir, tmp_path, legacy)
 
 
@@ -441,7 +471,7 @@ class TestRecall:
         assert len(rows) == 10
         params, _, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
         splits = build_splits(*load_raw(corpus_dir), split_seed=manifest.config["seed"])
-        suite = run_recall_suite(params, splits, seed=0)
+        suite = run_recall_suite(params, splits, seed=manifest.config["seed"])
         assert [int(r["iterations"]) for r in rows] == list(suite.iterations)
         assert [r["converged"] for r in rows] == [str(c) for c in suite.converged]
         assert [float(r["masked_mse"]) for r in rows] == list(suite.masked_mse)
@@ -484,6 +514,11 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert rc == 0
         assert out.count("[ok]") == 5
+
+    def test_negative_seed_fails_cleanly(self, capsys):
+        rc = main(["gradcheck", "--seed", "-1"])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
 
     def test_fails_at_impossible_tolerance(self, capsys, monkeypatch):
         monkeypatch.setattr(gradcheck, "DEFAULT_TOL", 1e-18)

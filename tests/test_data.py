@@ -143,8 +143,9 @@ class TestBuildSplits:
         "images, labels",
         [(np.zeros(10, np.uint8), np.zeros(10, np.uint8)),
          (np.zeros((10, 784), np.uint8), np.zeros(10, np.uint8)),
-         (np.zeros((10, 28, 28), np.uint8), np.zeros((10, 1), np.uint8))],
-        ids=["1-d images", "2-d images", "2-d labels"],
+         (np.zeros((10, 28, 28), np.uint8), np.zeros((10, 1), np.uint8)),
+         (np.zeros((10, 28, 32), np.uint8), np.zeros(10, np.uint8))],
+        ids=["1-d images", "2-d images", "2-d labels", "28x32 images"],
     )
     def test_bad_raw_shapes_rejected(self, images, labels):
         shapes = f"{re.escape(str(images.shape))}.*{re.escape(str(labels.shape))}"

@@ -63,7 +63,6 @@ class TestConfig:
         assert e1.mode == "pc" and e1.beta == 1e-4 and e1.limit_train == 64
         assert e2.mode == "ipc" and e2.beta == 1e-5 and e2.limit_train is None
         for c in (e1, e2):
-            assert c.dims == (784, 35, 2)
             assert c.batch_size == 64
 
     def test_dict_round_trip(self):
@@ -118,13 +117,29 @@ class TestConfig:
             pytest.param(
                 {"epsilon": "1e-5"}, "unknown config key.*epsilon", id="override16-epsilon"
             ),
-            pytest.param({"dims": [784, 35]}, "dims", id="override17-dims"),
-            pytest.param({"dims": [784, 35, 2, 1]}, "dims", id="override18-dims"),
-            pytest.param({"dims": [784, 0, 2]}, "dims", id="override19-dims"),
-            pytest.param({"dims": [784, 35.0, 2]}, "dims", id="override20-dims"),
-            pytest.param({"dims": [784, True, 2]}, "dims", id="override21-dims"),
-            pytest.param({"dims": 784}, "dims", id="override22-dims"),
-            pytest.param({"dims": "abc"}, "dims", id="override23-dims"),
+            # dims is not a config key: d1 is the images' width, the rest
+            # experiments.LATENT_DIMS
+            pytest.param(
+                {"dims": [784, 35]}, "unknown config key.*dims", id="override17-dims"
+            ),
+            pytest.param(
+                {"dims": [784, 35, 2, 1]}, "unknown config key.*dims", id="override18-dims"
+            ),
+            pytest.param(
+                {"dims": [784, 0, 2]}, "unknown config key.*dims", id="override19-dims"
+            ),
+            pytest.param(
+                {"dims": [784, 35.0, 2]}, "unknown config key.*dims", id="override20-dims"
+            ),
+            pytest.param(
+                {"dims": [784, True, 2]}, "unknown config key.*dims", id="override21-dims"
+            ),
+            pytest.param(
+                {"dims": 784}, "unknown config key.*dims", id="override22-dims"
+            ),
+            pytest.param(
+                {"dims": "abc"}, "unknown config key.*dims", id="override23-dims"
+            ),
             pytest.param({"limit_train": "x"}, "limit_train", id="override24-limit_train"),
             pytest.param({"limit_train": 0}, "limit_train", id="override25-limit_train"),
             pytest.param({"limit_train": -4}, "limit_train", id="override26-limit_train"),
@@ -144,10 +159,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"mode": "pc", "beta": 1e-3, **override})
 
     def test_edge_rates_accepted(self):
-        config = ExperimentConfig.from_dict(
-            {"mode": "pc", "beta": 1, "dims": [25, 8, 2]}
-        )
-        assert config.dims == (25, 8, 2)
+        config = ExperimentConfig.from_dict({"mode": "pc", "beta": 1})
+        assert config.beta == 1
 
     def test_unnamed_fields_take_the_defaults(self):
         config = ExperimentConfig.from_dict({"val_every": 7})
@@ -159,6 +172,7 @@ class TestConfig:
             preset("exp3")
 
 
+@pytest.mark.usefixtures("toy_latent_dims")
 class TestTrain:
     def test_pc_single_epoch_matches_hand_unrolled(self, toy_data, monkeypatch):
         """One epoch of PC on one batch equals a hand-unrolled
@@ -168,7 +182,7 @@ class TestTrain:
         up to rounding (TestDescendLatents in test_core checks that)."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=1,
+            mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=1,
         )
         result = train(config, toy_data)
 
@@ -193,7 +207,7 @@ class TestTrain:
         the errors at the last update."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
-            mode="ipc", beta=1e-3, dims=TOY_DIMS, limit_train=8, batch_size=4, max_epochs=1,
+            mode="ipc", beta=1e-3, limit_train=8, batch_size=4, max_epochs=1,
         )
         result = train(config, toy_data)
 
@@ -230,7 +244,7 @@ class TestTrain:
         """With a single inference iteration per batch the incremental
         variant performs exactly the same updates as the batched one."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 1)
-        base = dict(beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=3)
+        base = dict(beta=1e-3, batch_size=8, max_epochs=3)
         pc = train(ExperimentConfig(mode="pc", **base), toy_data)
         ipc = train(ExperimentConfig(mode="ipc", **base), toy_data)
         np.testing.assert_array_equal(pc.params.theta1, ipc.params.theta1)
@@ -239,7 +253,7 @@ class TestTrain:
     def test_training_reduces_input_energy(self, toy_data, monkeypatch):
         monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, batch_size=16, max_epochs=120, val_every=60,
+            mode="pc", beta=1e-3, batch_size=16, max_epochs=120, val_every=60,
         )
         result = train(config, toy_data)
         first = result.log.rows[0].train_energies[0]
@@ -248,7 +262,7 @@ class TestTrain:
 
     def test_deterministic(self, toy_data, monkeypatch):
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
-        config = ExperimentConfig(mode="ipc", beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=5)
+        config = ExperimentConfig(mode="ipc", beta=1e-3, batch_size=8, max_epochs=5)
         a = train(config, toy_data)
         b = train(config, toy_data)
         np.testing.assert_array_equal(a.params.theta1, b.params.theta1)
@@ -259,7 +273,7 @@ class TestTrain:
         capped images in their seeded order, nothing else."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, batch_size=4, max_epochs=1, limit_train=3,
+            mode="pc", beta=1e-3, batch_size=4, max_epochs=1, limit_train=3,
         )
         result = train(config, toy_data)
 
@@ -280,7 +294,7 @@ class TestTrain:
     ):
         # all 16 toy images fit in one batch, capped or not
         monkeypatch.setattr(core, "DEFAULT_ITERS", 3)
-        base = dict(mode="pc", beta=1e-3, dims=TOY_DIMS, batch_size=16, max_epochs=2)
+        base = dict(mode="pc", beta=1e-3, batch_size=16, max_epochs=2)
         capped = train(ExperimentConfig(limit_train=limit, **base), toy_data)
         uncapped = train(ExperimentConfig(**base), toy_data)
         assert capped.params.theta1.tobytes() == uncapped.params.theta1.tobytes()
@@ -292,7 +306,7 @@ class TestTrain:
         monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 1e6)
         monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", 3)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=50,
+            mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=50,
         )
         result = train(config, toy_data)
         assert result.stop_reason == "converged"
@@ -305,7 +319,7 @@ class TestTrain:
         patience 1 that is epoch 1, since one epoch is always stable."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=30,
+            mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=30,
         )
         # the run's whole energy history, never stopping early
         monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
@@ -335,7 +349,7 @@ class TestTrain:
             # overflows mid-batch; it grows like |phi2|^4, the errors' like |phi2|^2
             "ipc": "epoch 1, batch 0: non-finite weight gradient at inference iteration 11",
         }[mode]
-        config = ExperimentConfig(mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=3)
+        config = ExperimentConfig(mode=mode, beta=1e-3, batch_size=8, max_epochs=3)
         monkeypatch.setattr(core, "ALPHA", 1e6)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DivergenceError) as excinfo:
@@ -354,7 +368,7 @@ class TestTrain:
             grads.append(grad.shape)
             adam_step(param, grad, state, rate)
 
-        config = ExperimentConfig(mode=mode, beta=1e-3, dims=TOY_DIMS, batch_size=8, max_epochs=3)
+        config = ExperimentConfig(mode=mode, beta=1e-3, batch_size=8, max_epochs=3)
         monkeypatch.setattr(experiments, "adam_step", checked)
         monkeypatch.setattr(core, "ALPHA", 1e6)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -367,14 +381,22 @@ class TestTrain:
         monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
         monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4,
-            batch_size=4, max_epochs=6, val_every=3,
+            mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=6, val_every=3,
         )
         result = train(config, toy_data)
         rows = result.log.rows
         # epochs 1, 3, 6 evaluated; 2 carries epoch 1's numbers
         np.testing.assert_array_equal(rows[1].val_energies, rows[0].val_energies)
         assert np.all(np.isfinite(rows[2].val_energies))
+
+
+def test_model_input_width_is_the_images(toy_data, monkeypatch):
+    """train builds (image width, *LATENT_DIMS) with no setting: on the
+    25-pixel toy splits, a 25-35-2 model."""
+    monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
+    config = ExperimentConfig(mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=1)
+    result = train(config, toy_data)
+    assert result.params.dims == (25, *experiments.LATENT_DIMS) == (25, 35, 2)
 
 
 class TestEvaluateErrors:
@@ -403,13 +425,14 @@ class TestEvaluateErrors:
         np.testing.assert_allclose(batched, totals / n, rtol=1e-10)
 
 
+@pytest.mark.usefixtures("toy_latent_dims")
 class TestTrainLog:
     def test_csv_round_trips_exact_floats(self, toy_data, tmp_path, monkeypatch):
         import csv
 
         monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=4, batch_size=4, max_epochs=3,
+            mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=3,
         )
         result = train(config, toy_data)
         path = tmp_path / "log.csv"
@@ -460,6 +483,7 @@ class TestRecallSuite:
         np.testing.assert_array_equal(suite.converged, result.converged)
         np.testing.assert_array_equal(suite.last_delta, result.last_delta)
 
+    @pytest.mark.usefixtures("toy_latent_dims")
     def test_recalls_images_train_used(self, toy_data, monkeypatch):
         """With limit_train >= n_images, every recalled image is one that
         training fed to a batch step, and training fed nothing else."""
@@ -477,7 +501,7 @@ class TestRecallSuite:
         monkeypatch.setattr(experiments, "_train_batch", spy)
         monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
         config = ExperimentConfig(
-            mode="pc", beta=1e-3, dims=TOY_DIMS, limit_train=6, batch_size=4, max_epochs=2,
+            mode="pc", beta=1e-3, limit_train=6, batch_size=4, max_epochs=2,
         )
         result = train(config, toy_data)
         fed = np.concatenate(fed)
