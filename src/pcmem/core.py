@@ -40,15 +40,15 @@ BLOCK_ROWS = 512
 
 
 class DivergenceError(RuntimeError):
-    """Inference produced non-finite latents or a non-finite free energy.
+    """Inference produced non-finite latents, weight gradients or recalled
+    pixels.
 
-    step is the 0-based step after which the latents (or, in training, the
-    weight gradients) were non-finite, counted from the start of the
-    descend_latents call, the recall or the training batch that raised it;
-    None otherwise.
+    step is the 0-based step after which they were non-finite, counted from
+    the start of the descend_latents call, the training batch or the recall
+    that raised it; the message ends in "iteration {step}".
     """
 
-    def __init__(self, message: str, step: int | None = None):
+    def __init__(self, message: str, step: int):
         super().__init__(message)
         self.step = step
 

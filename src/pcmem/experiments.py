@@ -50,7 +50,7 @@ from .data import DatasetSplits, Split
 from .memory import OcclusionMask, RecallResult, infer_latents, recall
 from .optim import AdamState, adam_step
 
-# train's convergence_check arguments, read when train is called
+# convergence_check's rule, read when it is called
 CONVERGENCE_EPSILON = 1e-5
 CONVERGENCE_PATIENCE = 5
 # (d2, d3), read when train is called; d1 is the training images' width
@@ -68,9 +68,9 @@ class ExperimentConfig:
     mode: str = "pc"  # "pc" | "ipc"
     beta: float = 1e-4
     batch_size: int = 64
-    # weight init, latent draws, epoch order, split and the memory commands'
-    # latent init: each starts its own default_rng(seed), so all read the
-    # same bit stream
+    # weight init, training latent draws, epoch order, split, infer_latents
+    # (validation and the memory commands) and recall: each starts its own
+    # default_rng(seed), so all six read the same bit stream
     seed: int = 0
     max_epochs: int = 500
     limit_train: Optional[int] = None
@@ -165,17 +165,16 @@ class TrainResult:
     stop_reason: str
 
 
-def convergence_check(
-    history: list[np.ndarray], epsilon: float, patience: int
-) -> bool:
+def convergence_check(history: list[np.ndarray]) -> bool:
     """True when every per-layer train energy has been stable (relative
-    spread below epsilon) over the last `patience` epochs."""
-    if len(history) < patience:
+    spread at most CONVERGENCE_EPSILON) over the last CONVERGENCE_PATIENCE
+    epochs."""
+    if len(history) < CONVERGENCE_PATIENCE:
         return False
-    window = np.stack(history[-patience:])
+    window = np.stack(history[-CONVERGENCE_PATIENCE:])
     spread = window.max(axis=0) - window.min(axis=0)
     scale = np.maximum(np.abs(window[-1]), 1e-300)
-    return bool(np.all(spread <= epsilon * scale))
+    return bool(np.all(spread <= CONVERGENCE_EPSILON * scale))
 
 
 def _train_batch(params, x, config, adam1, adam2, rng):
@@ -221,7 +220,9 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     batch; Adam state persists across the whole run (one state per weight
     matrix). The run builds one ModelParams of dims (image width,
     *LATENT_DIMS), and every update writes its weights and the Adam states
-    in place; the result holds those objects.
+    in place; the result holds those objects. A DivergenceError from a
+    batch or from validation is raised again with its step, its message
+    prefixed "epoch E, batch K: " or "epoch E, validation: ".
     """
     train_images = splits.train.images[: config.limit_train]
     rng_w = np.random.default_rng(config.seed)
@@ -239,22 +240,20 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         t0 = time.perf_counter()
         order = rng_s.permutation(len(train_images))
         weighted = np.zeros(3)
-        for start in range(0, len(order), config.batch_size):
-            x = train_images[order[start : start + config.batch_size]]
-            try:
-                energies = _train_batch(params, x, config, adam1, adam2, rng_l)
-            except DivergenceError as exc:
+        try:
+            for start in range(0, len(order), config.batch_size):
                 where = f"epoch {epoch}, batch {start // config.batch_size}"
-                raise DivergenceError(f"{where}: {exc}", step=exc.step) from exc
-            weighted += energies * x.shape[0]
-        train_energies = weighted / len(order)
-        recent.append(train_energies)
-        stop = (
-            convergence_check(list(recent), CONVERGENCE_EPSILON, CONVERGENCE_PATIENCE)
-            or epoch == config.max_epochs
-        )
-        if epoch == 1 or stop or epoch % config.val_every == 0:
-            last_val = evaluate_errors(params, splits.validation, config.seed)
+                x = train_images[order[start : start + config.batch_size]]
+                energies = _train_batch(params, x, config, adam1, adam2, rng_l)
+                weighted += energies * x.shape[0]
+            train_energies = weighted / len(order)
+            recent.append(train_energies)
+            stop = convergence_check(list(recent)) or epoch == config.max_epochs
+            if epoch == 1 or stop or epoch % config.val_every == 0:
+                where = f"epoch {epoch}, validation"
+                last_val = evaluate_errors(params, splits.validation, config.seed)
+        except DivergenceError as exc:
+            raise DivergenceError(f"{where}: {exc}", exc.step) from exc
         log.rows.append(
             EpochStats(epoch, train_energies, last_val, time.perf_counter() - t0)
         )

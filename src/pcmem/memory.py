@@ -11,7 +11,8 @@ Recall clamps the known pixels v. The free energy is minimised over the
 hidden pixels h at h = phi2 theta1_h^T exactly, so recall settles the
 visible-row model ModelParams(theta1[visible], theta2) on v with the same
 kernel, in chunks between which each row stops on its own tolerance, and
-forms h once, at the end.
+forms h once, at the end. The one divergence rule is the kernel's check
+on the latents, plus a check that the h recall returns is finite.
 """
 
 from __future__ import annotations
@@ -25,9 +26,7 @@ from .core import (
     DivergenceError,
     LatentState,
     ModelParams,
-    compute_errors,
     descend_latents,
-    free_energy,
     init_latents,
 )
 from .data import IMAGE_SIDE
@@ -66,8 +65,7 @@ class RecallResult:
     pixels zeroed), the recalled images and their masked MSE against the
     originals. last_delta is the inf-norm change of a row's hidden pixels
     phi2 theta1_h^T in its last step (NaN if it took none); converged says
-    whether that change fell below RECALL_PHI1_TOL; final_free_energy is
-    the batch mean."""
+    whether that change fell below RECALL_PHI1_TOL."""
 
     originals: np.ndarray
     presented: np.ndarray
@@ -76,7 +74,6 @@ class RecallResult:
     iterations: np.ndarray
     converged: np.ndarray
     last_delta: np.ndarray
-    final_free_energy: float
 
     @property
     def mean_mse(self) -> float:
@@ -161,10 +158,10 @@ def recall(
     the last chunk capped at what is left of DEFAULT_BUDGET (both read when
     recall is called). After each chunk a row whose hidden pixels changed
     by less than RECALL_PHI1_TOL (inf-norm) in its last step is frozen, so
-    iterations is a multiple of the chunk size, or the budget. The final
-    free energy comes from compute_errors on the full model and the
-    assembled images. Raises ValueError on an empty batch and
-    DivergenceError, naming the recall iteration, on non-finite latents.
+    iterations is a multiple of the chunk size, or the budget. Raises
+    ValueError on an empty batch and DivergenceError, naming the 0-based
+    recall iteration counted across chunks, on non-finite latents or, after
+    the last step, non-finite hidden pixels.
     """
     target = np.atleast_2d(np.asarray(target, dtype=np.float64))
     n, d1 = target.shape
@@ -196,22 +193,19 @@ def recall(
             after = descend_latents(visible, before, v_a, 1)
             done += 1
         except DivergenceError as exc:
-            raise DivergenceError(
-                f"non-finite latents after recall iteration {done + exc.step + 1}",
-                step=done + exc.step,
-            ) from None
+            step = done + exc.step
+            raise DivergenceError(f"non-finite latents after recall iteration {step}", step) from None
         delta = np.max(np.abs((after.phi2 - before.phi2) @ theta1_h.T), axis=1)
         phi2[active], phi3[active] = after.phi2, after.phi3
         iterations[active], last_delta[active] = done, delta
         active = active[delta >= RECALL_PHI1_TOL]
 
+    hidden = phi2 @ theta1_h.T
+    if not np.all(np.isfinite(hidden)):
+        step = done - 1
+        raise DivergenceError(f"non-finite recalled pixels after recall iteration {step}", step)
     images = target.copy()
-    images[:, mask.hidden] = phi2 @ theta1_h.T
-    _, mean_f = free_energy(compute_errors(params, LatentState(phi2, phi3), images))
-    if not np.isfinite(mean_f):
-        raise DivergenceError(
-            f"non-finite free energy after recall iteration {int(iterations.max())}"
-        )
+    images[:, mask.hidden] = hidden
     return RecallResult(
         originals=target,
         presented=np.where(mask.visible, target, 0.0),
@@ -220,5 +214,4 @@ def recall(
         iterations=iterations,
         converged=last_delta < RECALL_PHI1_TOL,
         last_delta=last_delta,
-        final_free_energy=mean_f,
     )

@@ -7,9 +7,10 @@ import pytest
 
 from pcmem import experiments, synthetic
 from pcmem.checkpoint import RunManifest, save_checkpoint
-from pcmem.core import LatentState, compute_errors, init_params
+from pcmem.core import LatentState, ModelParams, compute_errors, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
+from pcmem.memory import OcclusionMask
 from pcmem.optim import ADAM_DECAY1, ADAM_DECAY2, ADAM_EPSILON, AdamState
 
 
@@ -88,6 +89,18 @@ def toy_trained(toy_data):
         mp.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         mp.setattr(experiments, "LATENT_DIMS", TOY_DIMS[1:])
         return train(config, toy_data).params
+
+
+def overflowing_recall():
+    """recall's arguments for a 784-35-2 model whose hidden theta1 rows
+    (under the top-half mask) are 1e308, on three uniform images: the
+    visible-row settle stays finite and phi2 theta1_h^T overflows."""
+    mask = OcclusionMask.top_half()
+    params = init_params((784, 35, 2), np.random.default_rng(0))
+    theta1 = params.theta1.copy()
+    theta1[mask.hidden] = 1e308
+    images = np.random.default_rng(0).uniform(0, 1, (3, 784))
+    return ModelParams(theta1, params.theta2), images, mask
 
 
 def tanh_prime(params, state):

@@ -21,40 +21,46 @@ from pcmem.experiments import (
     run_recall_suite,
     train,
 )
-from pcmem.memory import infer_latents
+from pcmem.memory import OcclusionMask, infer_latents, recall
 from pcmem.optim import AdamState, adam_step
 
-from conftest import TOY_DIMS, direct_descent, value_form_adam_step
+from conftest import TOY_DIMS, direct_descent, overflowing_recall, value_form_adam_step
+
+
+def set_convergence_rule(monkeypatch, epsilon, patience):
+    monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", epsilon)
+    monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", patience)
 
 
 class TestConvergenceCheck:
-    def test_short_history_never_converged(self):
-        history = [np.ones(3)] * 3
-        assert not convergence_check(history, epsilon=1.0, patience=5)
+    def test_short_history_never_converged(self, monkeypatch):
+        set_convergence_rule(monkeypatch, 1.0, 5)
+        assert not convergence_check([np.ones(3)] * 3)
 
-    def test_flat_history_converged(self):
-        history = [np.array([1.0, 2.0, 3.0])] * 6
-        assert convergence_check(history, epsilon=1e-12, patience=5)
+    def test_flat_history_converged(self, monkeypatch):
+        set_convergence_rule(monkeypatch, 1e-12, 5)
+        assert convergence_check([np.array([1.0, 2.0, 3.0])] * 6)
 
-    def test_decreasing_history_not_converged(self):
-        history = [np.full(3, 10.0 - k) for k in range(8)]
-        assert not convergence_check(history, epsilon=1e-3, patience=5)
+    def test_decreasing_history_not_converged(self, monkeypatch):
+        set_convergence_rule(monkeypatch, 1e-3, 5)
+        assert not convergence_check([np.full(3, 10.0 - k) for k in range(8)])
 
-    def test_fires_exactly_when_window_settles(self):
+    def test_fires_exactly_when_window_settles(self, monkeypatch):
         # 5 noisy epochs then perfectly flat ones; with patience 3 the check
         # first passes when the last 3 entries are all flat
+        set_convergence_rule(monkeypatch, 1e-9, 3)
         noisy = [np.array([5.0]), np.array([3.0]), np.array([4.0]), np.array([2.0]), np.array([2.5])]
         flat = [np.array([2.0])] * 3
         for k in range(1, 4):
-            history = noisy + flat[:k]
-            expected = k >= 3
-            assert convergence_check(history, epsilon=1e-9, patience=3) == expected
+            assert convergence_check(noisy + flat[:k]) == (k >= 3)
 
-    def test_relative_not_absolute(self):
+    def test_relative_not_absolute(self, monkeypatch):
         # 1% wobble around 1000 fails eps=1e-3 but passes eps=0.05
         history = [np.array([1000.0]), np.array([1005.0]), np.array([995.0])]
-        assert not convergence_check(history, epsilon=1e-3, patience=3)
-        assert convergence_check(history, epsilon=0.05, patience=3)
+        set_convergence_rule(monkeypatch, 1e-3, 3)
+        assert not convergence_check(history)
+        set_convergence_rule(monkeypatch, 0.05, 3)
+        assert convergence_check(history)
 
 
 class TestConfig:
@@ -303,8 +309,7 @@ class TestTrain:
     def test_convergence_stops_early(self, toy_data, monkeypatch):
         # huge epsilon: any history is "stable" once patience epochs exist
         monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
-        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 1e6)
-        monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", 3)
+        set_convergence_rule(monkeypatch, 1e6, 3)
         config = ExperimentConfig(
             mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=50,
         )
@@ -322,8 +327,7 @@ class TestTrain:
             mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=30,
         )
         # the run's whole energy history, never stopping early
-        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
-        monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", 1000)
+        set_convergence_rule(monkeypatch, 0.0, 1000)
         full = train(config, toy_data)
         history = [r.train_energies for r in full.log.rows]
         # an epsilon that the median window passes, so the stop falls mid-run
@@ -332,11 +336,10 @@ class TestTrain:
             for w in (np.stack(history[k - patience:k]) for k in range(patience, 31))
         )
         epsilon = spreads[len(spreads) // 2]
-        first = next(k for k in range(1, 31) if convergence_check(history[:k], epsilon, patience))
+        set_convergence_rule(monkeypatch, epsilon, patience)
+        first = next(k for k in range(1, 31) if convergence_check(history[:k]))
         assert first == 1 if patience == 1 else 1 < first < 30
 
-        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", epsilon)
-        monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", patience)
         result = train(config, toy_data)
         assert result.stop_reason == "converged"
         assert len(result.log.rows) == first
@@ -356,6 +359,19 @@ class TestTrain:
                 train(config, toy_data)
         assert str(excinfo.value) == message
         assert excinfo.value.step == {"pc": 47, "ipc": 11}[mode]
+
+    @pytest.mark.usefixtures("toy_latent_dims")
+    def test_divergence_in_validation_names_epoch(self, toy_data):
+        """At beta 1e6 the first batch settles finitely, but its Adam update
+        sends the validation settle off; the error names the epoch and
+        validation, and carries that settle's step."""
+        config = ExperimentConfig(mode="pc", beta=1e6, batch_size=16, max_epochs=3)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError) as excinfo:
+                train(config, toy_data)
+        message = "epoch 1, validation: non-finite latents after inference iteration 24"
+        assert str(excinfo.value) == message
+        assert excinfo.value.step == 24
 
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
     def test_no_update_from_non_finite_gradient(self, toy_data, mode, monkeypatch):
@@ -397,6 +413,67 @@ def test_model_input_width_is_the_images(toy_data, monkeypatch):
     config = ExperimentConfig(mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=1)
     result = train(config, toy_data)
     assert result.params.dims == (25, *experiments.LATENT_DIMS) == (25, 35, 2)
+
+
+def diverge_kernel(params, data, monkeypatch):
+    monkeypatch.setattr(core, "ALPHA", 1e6)
+    state = init_latents(params.dims, 4, np.random.default_rng(0))
+    descend_latents(params, state, data.train.images[:4], 500)
+
+
+def diverge_infer_latents(params, data, monkeypatch):
+    monkeypatch.setattr(core, "ALPHA", 1e6)
+    monkeypatch.setattr(core, "DEFAULT_ITERS", 500)
+    infer_latents(params, data.train.images[:4])
+
+
+def diverge_train(alpha, latent_dims, **config):
+    """A training run that diverges with the step size alpha and the
+    model's latent dims."""
+    def run(params, data, monkeypatch):
+        monkeypatch.setattr(core, "ALPHA", alpha)
+        monkeypatch.setattr(experiments, "LATENT_DIMS", latent_dims)
+        train(ExperimentConfig(max_epochs=3, **config), data)
+    return run
+
+
+def diverge_recall_kernel(params, data, monkeypatch):
+    monkeypatch.setattr(core, "ALPHA", 1e6)
+    visible = np.zeros(25, dtype=bool)
+    visible[:13] = True
+    recall(params, data.train.images[:2], OcclusionMask(visible))
+
+
+def diverge_recall_pixels(params, data, monkeypatch):
+    recall(*overflowing_recall())
+
+
+@pytest.mark.parametrize(
+    "site, where",
+    [
+        (diverge_kernel, "^non-finite latents after inference"),
+        (diverge_infer_latents, "^non-finite latents after inference"),
+        (diverge_train(1e6, (35, 2), mode="pc", beta=1e-3, batch_size=8),
+         "^epoch 1, batch 0: non-finite latents"),
+        (diverge_train(1e6, (35, 2), mode="ipc", beta=1e-3, batch_size=8),
+         "^epoch 1, batch 0: non-finite weight gradient"),
+        (diverge_train(core.ALPHA, TOY_DIMS[1:], mode="pc", beta=1e6, batch_size=16),
+         "^epoch 1, validation: non-finite latents"),
+        (diverge_recall_kernel, "^non-finite latents after recall"),
+        (diverge_recall_pixels, "^non-finite recalled pixels after recall"),
+    ],
+    ids=["kernel", "infer_latents", "train-pc-kernel", "train-ipc-gradient",
+         "train-validation", "recall-kernel", "recall-pixels"],
+)
+def test_every_divergence_names_its_step(toy_trained, toy_data, monkeypatch, site, where):
+    """The one divergence rule: wherever a DivergenceError is raised, its
+    step is an int and its message ends in "iteration {step}"."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DivergenceError, match=where) as excinfo:
+            site(toy_trained, toy_data, monkeypatch)
+    step = excinfo.value.step
+    assert isinstance(step, int)
+    assert str(excinfo.value).endswith(f"iteration {step}")
 
 
 class TestEvaluateErrors:

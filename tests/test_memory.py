@@ -22,7 +22,7 @@ from pcmem.memory import (
     replay,
 )
 
-from conftest import inference_gradients, toy_patterns
+from conftest import inference_gradients, overflowing_recall, toy_patterns
 
 
 def toy_mask():
@@ -202,6 +202,26 @@ class TestReplay:
             assert got.tobytes() == want.tobytes()
 
 
+def spy_kernel(monkeypatch, calls=None):
+    """Wrap memory.descend_latents; returns the list of its outputs, and
+    appends each call's n_iters to `calls` if given."""
+    settled = []
+
+    def kernel(params, state, x, n_iters):
+        if calls is not None:
+            calls.append(n_iters)
+        settled.append(descend_latents(params, state, x, n_iters))
+        return settled[-1]
+
+    monkeypatch.setattr(memory, "descend_latents", kernel)
+    return settled
+
+
+def stack_latents(states):
+    return LatentState(np.concatenate([s.phi2 for s in states]),
+                       np.concatenate([s.phi3 for s in states]))
+
+
 def direct_recall(params, target, mask, iters, tol, alpha=0.01, init_seed=0):
     """Reference: the joint direct-form recall of one image from the n=1
     seeded init, compute_errors and inference_gradients once per iteration,
@@ -232,7 +252,11 @@ class TestRecall:
         )
 
     def test_free_energy_decreases(self, toy_trained, monkeypatch):
+        """The full model's F at the recalled image and the final latents
+        (the kernel's last output, for one row) is below F at the presented
+        image and the seeded init."""
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 2000)
+        settled = spy_kernel(monkeypatch)
         mask = toy_mask()
         target = toy_patterns(1, seed=7)[0]
         # initial state: corrupted phi1, fresh random latents
@@ -241,7 +265,8 @@ class TestRecall:
         init = init_latents(toy_trained.dims, 1, rng)
         _, f_init = free_energy(compute_errors(toy_trained, init, phi1))
         result = recall(toy_trained, target, mask, init_seed=0)
-        assert result.final_free_energy < f_init
+        _, f_final = free_energy(compute_errors(toy_trained, settled[-1], result.recalled))
+        assert f_final < f_init
 
     def test_deterministic(self, toy_trained, monkeypatch):
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 200)
@@ -266,20 +291,13 @@ class TestRecall:
         visible-row model from the seeded init. Its chunks are kernel calls
         of T - 1 and 1 steps, the last one capped at the budget; each
         kernel step reads only phi2, phi3, G and the drive, which every
-        call forms alike. The hidden pixels are phi2 theta1_h^T, and the
-        energy is that of the full model on the assembled image."""
+        call forms alike. The hidden pixels are phi2 theta1_h^T."""
         t = core.DEFAULT_ITERS
         k = 2 * t + 23
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", k)
         monkeypatch.setattr(memory, "RECALL_PHI1_TOL", 0.0)  # only the budget stops
-        calls, settled = [], []
-
-        def kernel(params, state, x, n_iters):
-            calls.append(n_iters)
-            settled.append(descend_latents(params, state, x, n_iters))
-            return settled[-1]
-
-        monkeypatch.setattr(memory, "descend_latents", kernel)
+        calls = []
+        settled = spy_kernel(monkeypatch, calls)
         mask = toy_mask()
         target = toy_patterns(1, seed=10)
         result = recall(toy_trained, target, mask, init_seed=3)
@@ -293,7 +311,6 @@ class TestRecall:
         images = target.copy()
         images[:, mask.hidden] = want.phi2 @ toy_trained.theta1[mask.hidden].T
         assert result.recalled.tobytes() == images.tobytes()
-        assert result.final_free_energy == free_energy(compute_errors(toy_trained, want, images))[1]
         np.testing.assert_array_equal(result.iterations, [k])
 
     def test_reaches_the_joint_loops_stationary_point(self, toy_trained, monkeypatch):
@@ -303,24 +320,30 @@ class TestRecall:
         loop (phi1, phi2 and phi3 descended together, one row at a time)
         give the same images to 1e-8 (measured: 4e-10; each stops while
         still moving by about 1e-12 per step, at its own rate) and the
-        same final free energy to 1e-12."""
+        same final free energy to 1e-12. Recall's latents are the kernel's
+        last output, so it recalls one row per call."""
         tol = 1e-12
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 50_000)
         monkeypatch.setattr(memory, "RECALL_PHI1_TOL", tol)
+        settled = spy_kernel(monkeypatch)
         mask = toy_mask()
         target = toy_patterns(2, seed=10)
-        result = recall(toy_trained, target, mask, init_seed=3)
-        assert result.converged.all()
+        recalled, latents = [], []
+        for row in target:
+            result = recall(toy_trained, row, mask, init_seed=3)
+            assert result.converged.all()
+            recalled.append(result.recalled[0])
+            latents.append(settled[-1])
+        recalled = np.stack(recalled)
+        _, recall_f = free_energy(compute_errors(toy_trained, stack_latents(latents), recalled))
 
         runs = [direct_recall(toy_trained, t, mask, 50_000, tol, init_seed=3) for t in target]
         phi1 = np.stack([img for _, img in runs])
-        state = LatentState(np.concatenate([s.phi2 for s, _ in runs]),
-                            np.concatenate([s.phi3 for s, _ in runs]))
-        _, final_f = free_energy(compute_errors(toy_trained, state, phi1))
+        _, final_f = free_energy(compute_errors(toy_trained, stack_latents([s for s, _ in runs]), phi1))
 
-        np.testing.assert_allclose(result.recalled, phi1, rtol=0, atol=1e-8)
-        np.testing.assert_array_equal(result.recalled[:, mask.visible], target[:, mask.visible])
-        assert result.final_free_energy == pytest.approx(final_f, rel=0, abs=1e-12)
+        np.testing.assert_allclose(recalled, phi1, rtol=0, atol=1e-8)
+        np.testing.assert_array_equal(recalled[:, mask.visible], target[:, mask.visible])
+        assert recall_f == pytest.approx(final_f, rel=0, abs=1e-12)
 
     def test_batch_matches_sequential(self, toy_trained, monkeypatch):
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 10000)
@@ -376,10 +399,10 @@ class TestRecall:
         np.testing.assert_allclose(results[1].last_delta, change, rtol=1e-9, atol=0)
 
     def test_divergence_names_recall_iteration(self, toy_trained, monkeypatch):
-        """The error names the 1-based recall step after which the latents
+        """The error names the 0-based recall step after which the latents
         are non-finite: the step at which one descend_latents call of the
         visible-row model, from the same init, diverges. Here that is step
-        46, which chunks of 50, 7 and 23 steps reach in the first chunk, in
+        45, which chunks of 50, 7 and 23 steps reach in the first chunk, in
         a later chunk's first call and in a chunk's one-step last call."""
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 500)
         monkeypatch.setattr(core, "ALPHA", 1e6)
@@ -392,12 +415,23 @@ class TestRecall:
             with pytest.raises(DivergenceError) as kernel:
                 descend_latents(visible, start, target[:, mask.visible], 500)
             step = kernel.value.step
-            assert step + 1 == 46
+            assert step == 45
             for chunk in (50, 7, 23):
                 monkeypatch.setattr(core, "DEFAULT_ITERS", chunk)
-                with pytest.raises(DivergenceError, match=rf"recall iteration {step + 1}$") as err:
+                with pytest.raises(DivergenceError, match=rf"recall iteration {step}$") as err:
                     recall(toy_trained, target, mask)
                 assert err.value.step == step
+
+    def test_non_finite_recalled_pixels_raise_at_the_last_step(self, monkeypatch):
+        """Hidden theta1 rows of 1e308 leave the visible-row settle finite
+        but overflow phi2 theta1_h^T: recall raises, naming its last step,
+        the kernel's steps in all less one."""
+        calls = []
+        spy_kernel(monkeypatch, calls)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match=r"recalled pixels .* iteration \d+$") as err:
+                recall(*overflowing_recall())
+        assert err.value.step == sum(calls) - 1
 
     def test_model_input_size_must_match_image(self, toy_trained, monkeypatch):
         monkeypatch.setattr(memory, "DEFAULT_BUDGET", 5)
