@@ -31,7 +31,7 @@ import numpy as np
 from . import gradcheck
 from .checkpoint import (CheckpointError, RunManifest, atomic_write, file_digests,
                          load_checkpoint, save_checkpoint)
-from .core import compute_errors
+from .core import free_energy
 from .data import DEFAULT_FILENAMES, IMAGE_SIDE, build_splits, data_file, load_raw
 from .experiments import ExperimentConfig, preset, run_recall_suite, train, write_csv
 from .images import image_grid, write_pgm
@@ -187,8 +187,7 @@ def cmd_export_latents(args) -> int:
     labels = splits.test.labels
     _, d2, d3 = params.dims
     state = infer_latents(params, images, init_seed=config.seed)
-    errors = compute_errors(params, state, images)
-    e1 = 0.5 * np.einsum("ij,ij->i", errors.xi1, errors.xi1)
+    e1 = free_energy(params, state, images)[:, 0]
     rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),
              float(e1[k])] for k in range(state.batch)]
     header = (["label"] + [f"phi3_{j}" for j in range(d3)]

@@ -6,7 +6,7 @@ inference iterations, and Adam updates of both weight matrices from
 core.learning_gradients at the current latents. They differ only in how
 often the weights move: PC updates them once, after all T iterations; iPC
 after every iteration, which keeps full-dataset training stable at the
-cost of T updates per batch. The logged energies come from one compute_errors call per batch.
+cost of T updates per batch. The logged energies come from one free_energy call per batch.
 
 Every run trains on the first limit_train images of the training split
 (all of them when limit_train is None), in a fresh seeded order each
@@ -17,8 +17,8 @@ recalls.
 
 Evaluation settles a whole split in one memory.infer_latents call (which
 descends core.BLOCK_ROWS rows at a time) and reads its energies from
-compute_errors. write_csv is the one CSV writer, for
-the training log and the command-line metric files.
+core.free_energy. write_csv is the one CSV writer, for the training log
+and the command-line metric files.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ import io
 import math
 import numbers
 import time
-from collections import deque
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
@@ -40,8 +39,8 @@ from .checkpoint import atomic_write
 from .core import (
     DivergenceError,
     ModelParams,
-    compute_errors,
     descend_latents,
+    free_energy,
     init_latents,
     init_params,
     learning_gradients,
@@ -186,8 +185,8 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     then moves params.theta1, params.theta2 and both Adam states in place.
     Raises DivergenceError, naming the batch's inference iteration, before
     any update from a non-finite gradient (it checks the summed squared
-    gradients). Returns the per-layer energies at the last update, from the
-    batch's one compute_errors call.
+    gradients, formed under np.errstate). Returns the per-layer mean
+    energies at the last update, from the batch's one free_energy call.
     """
     n_iters = core.DEFAULT_ITERS
     steps = n_iters if config.mode == "pc" else 1
@@ -200,13 +199,15 @@ def _train_batch(params, x, config, adam1, adam2, rng):
             n = update * steps + exc.step  # the kernel counts from 0 on every call
             message = f"non-finite latents after inference iteration {n}"
             raise DivergenceError(message, step=n) from None
-        d_theta1, d_theta2 = learning_gradients(params, state, x)
-        if not np.isfinite(np.vdot(d_theta1, d_theta1) + np.vdot(d_theta2, d_theta2)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            d_theta1, d_theta2 = learning_gradients(params, state, x)
+            finite = np.isfinite(np.vdot(d_theta1, d_theta1) + np.vdot(d_theta2, d_theta2))
+        if not finite:
             # an overflowing gradient would turn the weights non-finite next
             n = (update + 1) * steps - 1
             raise DivergenceError(f"non-finite weight gradient at inference iteration {n}", step=n)
         if update == n_updates - 1:
-            energies = compute_errors(params, state, x).layer_energies
+            energies = free_energy(params, state, x).mean(axis=0)
         adam_step(params.theta1, d_theta1, adam1, config.beta)
         adam_step(params.theta2, d_theta2, adam2, config.beta)
     return energies
@@ -233,7 +234,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     rng_s = np.random.default_rng(config.seed)
 
     log = TrainLog()
-    recent = deque(maxlen=CONVERGENCE_PATIENCE)  # all convergence_check looks at
+    history = []
     reason = "max_epochs"
     last_val = np.full(3, np.nan)
     for epoch in range(1, config.max_epochs + 1):
@@ -247,8 +248,8 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
                 energies = _train_batch(params, x, config, adam1, adam2, rng_l)
                 weighted += energies * x.shape[0]
             train_energies = weighted / len(order)
-            recent.append(train_energies)
-            stop = convergence_check(list(recent)) or epoch == config.max_epochs
+            history.append(train_energies)
+            stop = convergence_check(history) or epoch == config.max_epochs
             if epoch == 1 or stop or epoch % config.val_every == 0:
                 where = f"epoch {epoch}, validation"
                 last_val = evaluate_errors(params, splits.validation, config.seed)
@@ -270,9 +271,10 @@ def evaluate_errors(
 ) -> np.ndarray:
     """Mean per-layer energies over a split after seeded inference
     (one memory.infer_latents call on all rows, T steps settled in blocks
-    of core.BLOCK_ROWS rows). Never updates weights."""
+    of core.BLOCK_ROWS rows): the column means of free_energy. Never
+    updates weights."""
     state = infer_latents(params, split.images, seed)
-    return compute_errors(params, state, split.images).layer_energies
+    return free_energy(params, state, split.images).mean(axis=0)
 
 
 def run_recall_suite(

@@ -2,11 +2,13 @@
 
 Runs on a small random model (DIMS, BATCH examples) and compares every
 analytic gradient coordinate, latent and weight, against a central
-difference of step H of the scalar free energy. d_phi2 and d_phi3 are read
-off one step of core.descend_latents, the kernel that training,
-evaluation, reconstruction, replay and recall descend with; d_phi1 is
-compute_errors' xi1; the weight gradients are core.learning_gradients,
-the function training steps Adam with.
+difference of step H of core.free_energy's row sums: the direct-form F
+that training, evaluation and export-latents log. The analytic side is
+computed apart from it: d_phi2 and d_phi3 are read off one step of
+core.descend_latents, the Gram-form kernel that training, evaluation,
+reconstruction, replay and recall descend with; d_phi1 is compute_errors'
+xi1; the weight gradients are core.learning_gradients, the function
+training steps Adam with.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .core import (
     ModelParams,
     compute_errors,
     descend_latents,
+    free_energy,
     init_params,
     learning_gradients,
 )
@@ -27,15 +30,6 @@ DEFAULT_TOL = 1e-4
 H = 1e-5  # central-difference step
 DIMS = (6, 4, 2)
 BATCH = 3
-
-
-def _per_example_energy(theta1, theta2, phi1, phi2, phi3):
-    xi1 = phi1 - phi2 @ theta1.T
-    xi2 = phi2 - np.tanh(phi3 @ theta2.T)
-    xi3 = phi3
-    return 0.5 * (
-        np.sum(xi1 * xi1, axis=1) + np.sum(xi2 * xi2, axis=1) + np.sum(xi3 * xi3, axis=1)
-    )
 
 
 def _rel_err(analytic: float, numeric: float) -> float:
@@ -67,7 +61,7 @@ def gradient_report(seed: int = 0) -> dict[str, float]:
     d_theta1, d_theta2 = learning_gradients(params, state, phi1)
 
     def energy(p1=phi1, p2=phi2, p3=phi3, t1=params.theta1, t2=params.theta2):
-        return _per_example_energy(t1, t2, p1, p2, p3)
+        return free_energy(ModelParams(t1, t2), LatentState(p2, p3), p1).sum(axis=1)
 
     def check(name, analytic, base, per_row):
         """Worst coordinate of `analytic` against a central difference of

@@ -12,7 +12,8 @@ hidden pixels h at h = phi2 theta1_h^T exactly, so recall settles the
 visible-row model ModelParams(theta1[visible], theta2) on v with the same
 kernel, in chunks between which each row stops on its own tolerance, and
 forms h once, at the end. The one divergence rule is the kernel's check
-on the latents, plus a check that the h recall returns is finite.
+on the latents, plus a check that the h recall returns is finite (the
+theta1_h products run under np.errstate, so no NumPy warning precedes it).
 """
 
 from __future__ import annotations
@@ -195,12 +196,14 @@ def recall(
         except DivergenceError as exc:
             step = done + exc.step
             raise DivergenceError(f"non-finite latents after recall iteration {step}", step) from None
-        delta = np.max(np.abs((after.phi2 - before.phi2) @ theta1_h.T), axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            delta = np.max(np.abs((after.phi2 - before.phi2) @ theta1_h.T), axis=1)
         phi2[active], phi3[active] = after.phi2, after.phi3
         iterations[active], last_delta[active] = done, delta
         active = active[delta >= RECALL_PHI1_TOL]
 
-    hidden = phi2 @ theta1_h.T
+    with np.errstate(over="ignore", invalid="ignore"):
+        hidden = phi2 @ theta1_h.T
     if not np.all(np.isfinite(hidden)):
         step = done - 1
         raise DivergenceError(f"non-finite recalled pixels after recall iteration {step}", step)

@@ -8,7 +8,7 @@ import pytest
 from pcmem import cli, core, gradcheck
 from pcmem.checkpoint import RunManifest, load_checkpoint, save_checkpoint
 from pcmem.cli import main
-from pcmem.core import init_params
+from pcmem.core import free_energy, init_params
 from pcmem.data import build_splits, load_raw
 from pcmem.experiments import run_recall_suite
 from pcmem.memory import infer_latents, reconstruct, replay
@@ -506,6 +506,14 @@ class TestExports:
             | {f"phi2_{j}" for j in range(35)}
         )
         assert {r["label"] for r in rows} == {"0", "1"}
+        # input_energy is free_energy's input-layer column at the settle
+        # the checkpoint's seed draws, read back bit for bit
+        params, _, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
+        seed = manifest.config["seed"]
+        images = build_splits(*load_raw(corpus_dir), split_seed=seed).test.images
+        want = free_energy(params, infer_latents(params, images, init_seed=seed), images)[:, 0]
+        got = np.array([float(r["input_energy"]) for r in rows])
+        assert got.tobytes() == want.tobytes()
 
 
 class TestGradcheckCommand:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,8 @@ from pcmem.core import (
     DivergenceError,
     LatentState,
     ModelParams,
-    compute_errors,
     descend_latents,
+    free_energy,
     init_latents,
     init_params,
     learning_gradients,
@@ -196,7 +198,7 @@ class TestTrain:
         x = toy_data.train.images[:4][np.random.default_rng(config.seed).permutation(4)]
         rng_l = np.random.default_rng(config.seed)
         state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 5)
-        errors = compute_errors(params, state, x)
+        energies = free_energy(params, state, x).mean(axis=0)
         d_theta1, d_theta2 = learning_gradients(params, state, x)
         theta1, theta2 = params.theta1.copy(), params.theta2.copy()
         adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
@@ -204,13 +206,13 @@ class TestTrain:
 
         np.testing.assert_array_equal(result.params.theta1, theta1)
         np.testing.assert_array_equal(result.params.theta2, theta2)
-        np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
+        np.testing.assert_array_equal(result.log.rows[0].train_energies, energies)
 
     def test_ipc_batches_match_hand_unrolled(self, toy_data, monkeypatch):
         """Two batches of iPC at T=5 equal a hand-unrolled loop, bit for
         bit: one kernel step, then the weight gradients and a fresh-array
         Adam update, five times per batch, with the logged energies from
-        the errors at the last update."""
+        free_energy at the last update."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
             mode="ipc", beta=1e-3, limit_train=8, batch_size=4, max_epochs=1,
@@ -232,10 +234,10 @@ class TestTrain:
                 params = ModelParams(theta1, theta2)
                 state = descend_latents(params, state, x, 1)
                 d_theta1, d_theta2 = learning_gradients(params, state, x)
-                errors = compute_errors(params, state, x)
+                energies = free_energy(params, state, x).mean(axis=0)
                 theta1, adam1 = value_form_adam_step(theta1, d_theta1, adam1, 1e-3)
                 theta2, adam2 = value_form_adam_step(theta2, d_theta2, adam2, 1e-3)
-            weighted += errors.layer_energies * 4
+            weighted += energies * 4
         train_energies = weighted / 8
 
         np.testing.assert_array_equal(result.params.theta1, theta1)
@@ -287,12 +289,12 @@ class TestTrain:
         x = toy_data.train.images[:3][np.random.default_rng(config.seed).permutation(3)]
         rng_l = np.random.default_rng(config.seed)
         state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, core.ALPHA, 5)
-        errors = compute_errors(params, state, x)
+        energies = free_energy(params, state, x).mean(axis=0)
         d_theta1, _ = learning_gradients(params, state, x)
         theta1 = params.theta1.copy()
         adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
         np.testing.assert_array_equal(result.params.theta1, theta1)
-        np.testing.assert_array_equal(result.log.rows[0].train_energies, errors.layer_energies)
+        np.testing.assert_array_equal(result.log.rows[0].train_energies, energies)
 
     @pytest.mark.parametrize("limit", [16, 100])
     def test_single_batch_limit_at_or_above_train_size_changes_nothing(
@@ -437,6 +439,17 @@ def diverge_train(alpha, latent_dims, **config):
     return run
 
 
+def diverge_gradient_products(params, data, monkeypatch):
+    """Finite latents whose products overflow: the kernel's check passes
+    them, the weight gradients' does not."""
+    def huge(params, state, x, n_iters):
+        return LatentState(np.full_like(state.phi2, 1e200), state.phi3)
+
+    monkeypatch.setattr(experiments, "descend_latents", huge)
+    monkeypatch.setattr(experiments, "LATENT_DIMS", TOY_DIMS[1:])
+    train(ExperimentConfig(max_epochs=1, batch_size=16), data)
+
+
 def diverge_recall_kernel(params, data, monkeypatch):
     monkeypatch.setattr(core, "ALPHA", 1e6)
     visible = np.zeros(25, dtype=bool)
@@ -459,16 +472,19 @@ def diverge_recall_pixels(params, data, monkeypatch):
          "^epoch 1, batch 0: non-finite weight gradient"),
         (diverge_train(core.ALPHA, TOY_DIMS[1:], mode="pc", beta=1e6, batch_size=16),
          "^epoch 1, validation: non-finite latents"),
+        (diverge_gradient_products, "^epoch 1, batch 0: non-finite weight gradient"),
         (diverge_recall_kernel, "^non-finite latents after recall"),
         (diverge_recall_pixels, "^non-finite recalled pixels after recall"),
     ],
     ids=["kernel", "infer_latents", "train-pc-kernel", "train-ipc-gradient",
-         "train-validation", "recall-kernel", "recall-pixels"],
+         "train-validation", "train-gradient-products", "recall-kernel", "recall-pixels"],
 )
 def test_every_divergence_names_its_step(toy_trained, toy_data, monkeypatch, site, where):
     """The one divergence rule: wherever a DivergenceError is raised, its
-    step is an int and its message ends in "iteration {step}"."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    step is an int and its message ends in "iteration {step}". NumPy warns
+    of nothing on the way: the check reports the overflow, not a warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(DivergenceError, match=where) as excinfo:
             site(toy_trained, toy_data, monkeypatch)
     step = excinfo.value.step
@@ -482,7 +498,7 @@ class TestEvaluateErrors:
         monkeypatch.setattr(core, "DEFAULT_ITERS", 10)
         split = toy_data.validation
         state = infer_latents(toy_trained, split.images, init_seed=5)
-        expected = compute_errors(toy_trained, state, split.images).layer_energies
+        expected = free_energy(toy_trained, state, split.images).mean(axis=0)
         np.testing.assert_array_equal(evaluate_errors(toy_trained, split, seed=5), expected)
 
     def test_matches_per_example_loop(self, toy_trained, toy_data, monkeypatch):
@@ -498,7 +514,7 @@ class TestEvaluateErrors:
             state = LatentState(phi2=phi2_all[k : k + 1].copy(), phi3=phi3_all[k : k + 1].copy())
             x = split.images[k : k + 1]
             state = direct_descent(toy_trained, state, x, core.ALPHA, 10)
-            totals += compute_errors(toy_trained, state, x).layer_energies
+            totals += free_energy(toy_trained, state, x)[0]
         np.testing.assert_allclose(batched, totals / n, rtol=1e-10)
 
 

@@ -60,3 +60,19 @@ class TestGradientReport:
         monkeypatch.setattr(gradcheck, "learning_gradients", corrupted)
         report = gradient_report(seed=0)
         assert report["d_theta2"] > DEFAULT_TOL
+
+    def test_differentiates_the_library_free_energy(self, monkeypatch):
+        """The numeric side is core.free_energy: scaled by 1.5 in its
+        layer-2 column, it no longer matches the analytic gradients that
+        read xi2 (d_phi2, d_phi3, d_theta2)."""
+        real = gradcheck.free_energy
+
+        def scaled(params, state, x):
+            energies = real(params, state, x)
+            energies[:, 1] *= 1.5
+            return energies
+
+        monkeypatch.setattr(gradcheck, "free_energy", scaled)
+        report = gradient_report(seed=0)
+        for block in ("d_phi2", "d_phi3", "d_theta2"):
+            assert report[block] > DEFAULT_TOL, block

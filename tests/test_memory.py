@@ -83,8 +83,8 @@ class TestInferLatents:
         state = infer_latents(toy_trained, x, init_seed=0)
         rng = np.random.default_rng(0)
         init = init_latents(toy_trained.dims, 4, rng)
-        _, f_init = free_energy(compute_errors(toy_trained, init, x))
-        _, f_final = free_energy(compute_errors(toy_trained, state, x))
+        f_init = free_energy(toy_trained, init, x).sum(axis=1).mean()
+        f_final = free_energy(toy_trained, state, x).sum(axis=1).mean()
         assert f_final < f_init
 
     def test_zero_weights_pull_to_prior(self, monkeypatch):
@@ -263,9 +263,9 @@ class TestRecall:
         phi1 = np.where(mask.visible, target, 0.0)[None, :]
         rng = np.random.default_rng(0)
         init = init_latents(toy_trained.dims, 1, rng)
-        _, f_init = free_energy(compute_errors(toy_trained, init, phi1))
+        f_init = free_energy(toy_trained, init, phi1).sum(axis=1).mean()
         result = recall(toy_trained, target, mask, init_seed=0)
-        _, f_final = free_energy(compute_errors(toy_trained, settled[-1], result.recalled))
+        f_final = free_energy(toy_trained, settled[-1], result.recalled).sum(axis=1).mean()
         assert f_final < f_init
 
     def test_deterministic(self, toy_trained, monkeypatch):
@@ -335,11 +335,12 @@ class TestRecall:
             recalled.append(result.recalled[0])
             latents.append(settled[-1])
         recalled = np.stack(recalled)
-        _, recall_f = free_energy(compute_errors(toy_trained, stack_latents(latents), recalled))
+        recall_f = free_energy(toy_trained, stack_latents(latents), recalled).sum(axis=1).mean()
 
         runs = [direct_recall(toy_trained, t, mask, 50_000, tol, init_seed=3) for t in target]
         phi1 = np.stack([img for _, img in runs])
-        _, final_f = free_energy(compute_errors(toy_trained, stack_latents([s for s, _ in runs]), phi1))
+        final = stack_latents([s for s, _ in runs])
+        final_f = free_energy(toy_trained, final, phi1).sum(axis=1).mean()
 
         np.testing.assert_allclose(recalled, phi1, rtol=0, atol=1e-8)
         np.testing.assert_array_equal(recalled[:, mask.visible], target[:, mask.visible])
