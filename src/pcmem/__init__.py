@@ -18,7 +18,6 @@ from .experiments import (
     ExperimentConfig,
     TrainLog,
     TrainResult,
-    convergence_check,
     evaluate_errors,
     preset,
     run_recall_suite,

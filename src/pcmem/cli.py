@@ -86,11 +86,11 @@ def _load_run(args):
     """The checkpoint's weights, its settings as an ExperimentConfig, and
     the splits rebuilt with the config's seed, which the caller also
     settles from. Keys the config does not know are ignored: legacy ones
-    such as scope, epsilon and patience, which only decided when a run
-    stopped, dims, which the weights' header holds, and activation, alpha
-    and n_iters, which load_checkpoint has checked. Creates --out once all
-    three have loaded, so an unusable --out fails before the command's
-    work."""
+    such as scope, epsilon and patience, which set a stop rule that
+    training no longer has, dims, which the weights' header holds, and
+    activation, alpha and n_iters, which load_checkpoint has checked.
+    Creates --out once all three have loaded, so an unusable --out fails
+    before the command's work."""
     params, _, manifest = load_checkpoint(args.checkpoint)
     known = {f.name for f in fields(ExperimentConfig)}
     try:
@@ -130,7 +130,7 @@ def cmd_train(args) -> int:
     atomic_write(args.out / "manifest.json",
                  manifest.to_json(include_timestamp=True).encode("utf-8"))
     result.log.to_csv(args.out / "trainlog.csv")
-    print(f"stopped: {result.stop_reason} after {len(result.log.rows)} epochs")
+    print(f"epochs trained: {len(result.log.rows)}")
     return 0
 
 

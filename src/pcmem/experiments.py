@@ -1,5 +1,5 @@
-"""Training orchestration (PC and iPC), convergence tracking, and the
-evaluation battery (per-layer error curves, recall suite).
+"""Training orchestration (PC and iPC) and the evaluation battery
+(per-layer error curves, recall suite).
 
 PC and iPC share one batch step: fresh latents, T = core.DEFAULT_ITERS
 inference iterations, and Adam updates of both weight matrices from
@@ -49,9 +49,6 @@ from .data import DatasetSplits, Split
 from .memory import OcclusionMask, RecallResult, infer_latents, recall
 from .optim import AdamState, adam_step
 
-# convergence_check's rule, read when it is called
-CONVERGENCE_EPSILON = 1e-5
-CONVERGENCE_PATIENCE = 5
 # (d2, d3), read when train is called; d1 is the training images' width
 LATENT_DIMS = (35, 2)
 
@@ -61,8 +58,8 @@ class ExperimentConfig:
     """Full run configuration; persisted with every checkpoint. Every field
     has a default, so a checkpoint's config that names only some of them
     (or none) still reads as one. Fixed values are module constants:
-    core.ALPHA, core.DEFAULT_ITERS, the convergence rule and LATENT_DIMS;
-    the model's input width is the data's."""
+    core.ALPHA, core.DEFAULT_ITERS and LATENT_DIMS; the model's input
+    width is the data's. A run trains exactly max_epochs epochs."""
 
     mode: str = "pc"  # "pc" | "ipc"
     beta: float = 1e-4
@@ -161,19 +158,6 @@ class TrainResult:
     adam1: AdamState
     adam2: AdamState
     log: TrainLog
-    stop_reason: str
-
-
-def convergence_check(history: list[np.ndarray]) -> bool:
-    """True when every per-layer train energy has been stable (relative
-    spread at most CONVERGENCE_EPSILON) over the last CONVERGENCE_PATIENCE
-    epochs."""
-    if len(history) < CONVERGENCE_PATIENCE:
-        return False
-    window = np.stack(history[-CONVERGENCE_PATIENCE:])
-    spread = window.max(axis=0) - window.min(axis=0)
-    scale = np.maximum(np.abs(window[-1]), 1e-300)
-    return bool(np.all(spread <= CONVERGENCE_EPSILON * scale))
 
 
 def _train_batch(params, x, config, adam1, adam2, rng):
@@ -214,8 +198,7 @@ def _train_batch(params, x, config, adam1, adam2, rng):
 
 
 def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
-    """Train on splits.train.images[:limit_train] until every per-layer
-    train energy has converged or max_epochs.
+    """Train on splits.train.images[:limit_train] for max_epochs epochs.
 
     A fresh seeded example order every epoch and fresh seeded latents every
     batch; Adam state persists across the whole run (one state per weight
@@ -234,8 +217,6 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
     rng_s = np.random.default_rng(config.seed)
 
     log = TrainLog()
-    history = []
-    reason = "max_epochs"
     last_val = np.full(3, np.nan)
     for epoch in range(1, config.max_epochs + 1):
         t0 = time.perf_counter()
@@ -248,9 +229,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
                 energies = _train_batch(params, x, config, adam1, adam2, rng_l)
                 weighted += energies * x.shape[0]
             train_energies = weighted / len(order)
-            history.append(train_energies)
-            stop = convergence_check(history) or epoch == config.max_epochs
-            if epoch == 1 or stop or epoch % config.val_every == 0:
+            if epoch in (1, config.max_epochs) or epoch % config.val_every == 0:
                 where = f"epoch {epoch}, validation"
                 last_val = evaluate_errors(params, splits.validation, config.seed)
         except DivergenceError as exc:
@@ -258,10 +237,7 @@ def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
         log.rows.append(
             EpochStats(epoch, train_energies, last_val, time.perf_counter() - t0)
         )
-        if stop and epoch != config.max_epochs:
-            reason = "converged"
-            break
-    return TrainResult(params, adam1, adam2, log, reason)
+    return TrainResult(params, adam1, adam2, log)
 
 
 def evaluate_errors(

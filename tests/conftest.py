@@ -86,7 +86,6 @@ def toy_trained(toy_data):
         val_every=100,
     )
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         mp.setattr(experiments, "LATENT_DIMS", TOY_DIMS[1:])
         return train(config, toy_data).params
 

@@ -54,6 +54,12 @@ class TestTrain:
         assert params.dims == (784, 35, 2)
         assert adam is not None and adam[0].t == 30
 
+    def test_prints_epochs_trained(self, corpus_dir, tmp_path, capsys):
+        rc = main(["train", "--preset", "exp1", "--max-epochs", "1",
+                   "--data-dir", str(corpus_dir), "--out", str(tmp_path / "run")])
+        assert rc == 0
+        assert capsys.readouterr().out == "epochs trained: 1\n"
+
     @pytest.mark.parametrize(
         "override, field",
         [
@@ -65,7 +71,7 @@ class TestTrain:
             pytest.param([1], "JSON object", id="override3-JSON object"),
             pytest.param({"beta": "x"}, "beta", id="override4-beta"),
             pytest.param({"alpha": -1}, "alpha", id="override5-alpha"),
-            # the convergence rule is experiments.CONVERGENCE_*, not a config key
+            # training has no stop rule, so its old keys are not config keys
             pytest.param(
                 {"epsilon": float("nan")}, "unknown config key(s): epsilon",
                 id="override6-epsilon",
@@ -122,8 +128,8 @@ class TestTrain:
         ids=["n_iters", "epsilon", "patience", "all", "dims"],
     )
     def test_fixed_setting_config_keys_rejected(self, tmp_path, capsys, settings, keys):
-        """T is core.DEFAULT_ITERS, the convergence rule is
-        experiments.CONVERGENCE_* and the model is (image width,
+        """T is core.DEFAULT_ITERS, training has no stop rule for epsilon
+        and patience to set, and the model is (image width,
         *experiments.LATENT_DIMS); no --config sets them, even at their values."""
         config = tmp_path / "config.json"
         config.write_text(json.dumps(settings))

@@ -17,7 +17,6 @@ from pcmem.core import (
 )
 from pcmem.experiments import (
     ExperimentConfig,
-    convergence_check,
     evaluate_errors,
     preset,
     run_recall_suite,
@@ -27,42 +26,6 @@ from pcmem.memory import OcclusionMask, infer_latents, recall
 from pcmem.optim import AdamState, adam_step
 
 from conftest import TOY_DIMS, direct_descent, overflowing_recall, value_form_adam_step
-
-
-def set_convergence_rule(monkeypatch, epsilon, patience):
-    monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", epsilon)
-    monkeypatch.setattr(experiments, "CONVERGENCE_PATIENCE", patience)
-
-
-class TestConvergenceCheck:
-    def test_short_history_never_converged(self, monkeypatch):
-        set_convergence_rule(monkeypatch, 1.0, 5)
-        assert not convergence_check([np.ones(3)] * 3)
-
-    def test_flat_history_converged(self, monkeypatch):
-        set_convergence_rule(monkeypatch, 1e-12, 5)
-        assert convergence_check([np.array([1.0, 2.0, 3.0])] * 6)
-
-    def test_decreasing_history_not_converged(self, monkeypatch):
-        set_convergence_rule(monkeypatch, 1e-3, 5)
-        assert not convergence_check([np.full(3, 10.0 - k) for k in range(8)])
-
-    def test_fires_exactly_when_window_settles(self, monkeypatch):
-        # 5 noisy epochs then perfectly flat ones; with patience 3 the check
-        # first passes when the last 3 entries are all flat
-        set_convergence_rule(monkeypatch, 1e-9, 3)
-        noisy = [np.array([5.0]), np.array([3.0]), np.array([4.0]), np.array([2.0]), np.array([2.5])]
-        flat = [np.array([2.0])] * 3
-        for k in range(1, 4):
-            assert convergence_check(noisy + flat[:k]) == (k >= 3)
-
-    def test_relative_not_absolute(self, monkeypatch):
-        # 1% wobble around 1000 fails eps=1e-3 but passes eps=0.05
-        history = [np.array([1000.0]), np.array([1005.0]), np.array([995.0])]
-        set_convergence_rule(monkeypatch, 1e-3, 3)
-        assert not convergence_check(history)
-        set_convergence_rule(monkeypatch, 0.05, 3)
-        assert convergence_check(history)
 
 
 class TestConfig:
@@ -81,7 +44,7 @@ class TestConfig:
         "name, message",
         [
             pytest.param("batch_size", "batch_size", id="batch_size"),
-            # T and the convergence patience are module constants, not config keys
+            # T is a module constant and training has no stop rule: neither is a config key
             pytest.param("n_iters", "unknown config key.*n_iters", id="n_iters"),
             pytest.param("max_epochs", "max_epochs", id="max_epochs"),
             pytest.param("patience", "unknown config key.*patience", id="patience"),
@@ -98,8 +61,8 @@ class TestConfig:
             # the ids are literals, fixed at the names pytest once numbered them
             # by position, so removing a case renames no other
             pytest.param({"batch_size": True}, "batch_size", id="override0-batch_size"),
-            # n_iters, patience and epsilon are not config keys (core.DEFAULT_ITERS
-            # and experiments.CONVERGENCE_* are), whatever their values
+            # n_iters, patience and epsilon are not config keys (T is
+            # core.DEFAULT_ITERS, and training has no stop rule), whatever their values
             pytest.param({"n_iters": True}, "unknown config key.*n_iters", id="override1-n_iters"),
             pytest.param({"max_epochs": False}, "max_epochs", id="override2-max_epochs"),
             pytest.param(
@@ -259,7 +222,6 @@ class TestTrain:
         np.testing.assert_array_equal(pc.params.theta2, ipc.params.theta2)
 
     def test_training_reduces_input_energy(self, toy_data, monkeypatch):
-        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         config = ExperimentConfig(
             mode="pc", beta=1e-3, batch_size=16, max_epochs=120, val_every=60,
         )
@@ -308,43 +270,12 @@ class TestTrain:
         assert capped.params.theta1.tobytes() == uncapped.params.theta1.tobytes()
         assert capped.params.theta2.tobytes() == uncapped.params.theta2.tobytes()
 
-    def test_convergence_stops_early(self, toy_data, monkeypatch):
-        # huge epsilon: any history is "stable" once patience epochs exist
-        monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
-        set_convergence_rule(monkeypatch, 1e6, 3)
-        config = ExperimentConfig(
-            mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=50,
-        )
+    def test_flat_run_trains_every_epoch(self, toy_data, monkeypatch):
+        # identical energies every epoch: a run still lasts max_epochs
+        monkeypatch.setattr(experiments, "_train_batch", lambda *args: np.ones(3))
+        config = ExperimentConfig(mode="pc", beta=1e-3, batch_size=8, max_epochs=8, val_every=8)
         result = train(config, toy_data)
-        assert result.stop_reason == "converged"
-        assert len(result.log.rows) == 3
-
-    @pytest.mark.parametrize("patience", [1, 3])
-    def test_stops_where_full_history_check_first_passes(self, toy_data, patience, monkeypatch):
-        """train checks only the last `patience` epochs; it stops at the
-        first epoch where the check over the whole history passes. With
-        patience 1 that is epoch 1, since one epoch is always stable."""
-        monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
-        config = ExperimentConfig(
-            mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=30,
-        )
-        # the run's whole energy history, never stopping early
-        set_convergence_rule(monkeypatch, 0.0, 1000)
-        full = train(config, toy_data)
-        history = [r.train_energies for r in full.log.rows]
-        # an epsilon that the median window passes, so the stop falls mid-run
-        spreads = sorted(
-            float(np.max(np.ptp(w, axis=0) / np.abs(w[-1])))
-            for w in (np.stack(history[k - patience:k]) for k in range(patience, 31))
-        )
-        epsilon = spreads[len(spreads) // 2]
-        set_convergence_rule(monkeypatch, epsilon, patience)
-        first = next(k for k in range(1, 31) if convergence_check(history[:k]))
-        assert first == 1 if patience == 1 else 1 < first < 30
-
-        result = train(config, toy_data)
-        assert result.stop_reason == "converged"
-        assert len(result.log.rows) == first
+        assert [r.epoch for r in result.log.rows] == list(range(1, 9))
 
     @pytest.mark.parametrize("mode", ["pc", "ipc"])
     def test_divergence_names_epoch_batch_and_iteration(self, toy_data, mode, monkeypatch):
@@ -397,7 +328,6 @@ class TestTrain:
 
     def test_val_rows_carried_forward(self, toy_data, monkeypatch):
         monkeypatch.setattr(core, "DEFAULT_ITERS", 2)
-        monkeypatch.setattr(experiments, "CONVERGENCE_EPSILON", 0.0)
         config = ExperimentConfig(
             mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=6, val_every=3,
         )
