@@ -3,10 +3,8 @@ inference and learning, replay, and auto-associative recall."""
 
 from .core import (
     DivergenceError,
-    ErrorState,
     LatentState,
     ModelParams,
-    compute_errors,
     descend_latents,
     free_energy,
     init_latents,

@@ -59,10 +59,10 @@ class RunManifest:
         d = json.loads(text)
         if not isinstance(d, dict) or not isinstance(d.get("config", {}), dict):
             raise ValueError("manifest is not a JSON object with a config object")
-        return cls(
-            config=d.get("config", {}),
-            data_digests=d.get("data_digests", {}),
-        )
+        digests = d.get("data_digests", {})
+        if not (isinstance(digests, dict) and all(isinstance(v, str) for v in digests.values())):
+            raise ValueError("data_digests is not a JSON object of strings")
+        return cls(config=d.get("config", {}), data_digests=digests)
 
 
 def file_digests(paths: list[Path]) -> dict:

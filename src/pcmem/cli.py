@@ -12,8 +12,9 @@ from that seed too, and read a prefix of a split: reconstruct and replay
 its first batch_size images, recall the recall suite's first 10 training
 images. gradcheck's `--seed` draws its random instance. Every settle runs
 core.DEFAULT_ITERS steps of size core.ALPHA; no config sets either. Every
-command that reads data requires --data-dir, and every command creates
---out before its work, so an unusable --out fails first. Runs are
+command that reads data requires --data-dir; the memory commands refuse one
+whose files differ from those training read. Every command creates --out
+before its work, so an unusable --out fails first. Runs are
 bit-reproducible with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
 MKL_NUM_THREADS set to 1 before pcmem starts.
 """
@@ -82,6 +83,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _data_digests(data_dir) -> dict:
+    """SHA-256 of the bytes of the four MNIST files data_file finds, by file name."""
+    return file_digests([data_file(data_dir, name) for name in DEFAULT_FILENAMES.values()])
+
+
 def _load_run(args):
     """The checkpoint's weights, its settings as an ExperimentConfig, and
     the splits rebuilt with the config's seed, which the caller also
@@ -89,6 +95,9 @@ def _load_run(args):
     such as scope, epsilon and patience, which set a stop rule that
     training no longer has, dims, which the weights' header holds, and
     activation, alpha and n_iters, which load_checkpoint has checked.
+    If the manifest holds data digests, --data-dir must hold the files
+    training read, byte for byte (a .gz and its plain file differ), or
+    CheckpointError names the first file, in sorted order, that differs.
     Creates --out once all three have loaded, so an unusable --out fails
     before the command's work."""
     params, _, manifest = load_checkpoint(args.checkpoint)
@@ -99,6 +108,12 @@ def _load_run(args):
         )
     except ValueError as exc:
         raise CheckpointError(f"bad config in {args.checkpoint}: {exc}") from None
+    if manifest.data_digests:
+        found, trained = _data_digests(args.data_dir), manifest.data_digests
+        for name in sorted(found.keys() | trained.keys()):
+            if found.get(name) != trained.get(name):
+                raise CheckpointError(f"--data-dir {args.data_dir} is not the data "
+                                      f"{args.checkpoint} was trained on: {name} differs")
     splits = build_splits(*load_raw(args.data_dir), split_seed=config.seed)
     args.out.mkdir(parents=True, exist_ok=True)
     return params, config, splits
@@ -119,12 +134,7 @@ def cmd_train(args) -> int:
     # before training, so an unusable --out fails before any epoch runs
     args.out.mkdir(parents=True, exist_ok=True)
     result = train(config, splits)
-    manifest = RunManifest(
-        config=config.to_dict(),
-        data_digests=file_digests(
-            [data_file(args.data_dir, name) for name in DEFAULT_FILENAMES.values()]
-        ),
-    )
+    manifest = RunManifest(config=config.to_dict(), data_digests=_data_digests(args.data_dir))
     save_checkpoint(args.out / "checkpoint.pcn", result.params,
                     (result.adam1, result.adam2), manifest)
     atomic_write(args.out / "manifest.json",

@@ -1,5 +1,5 @@
-"""Three-level predictive coding network: prediction errors, free energy,
-the weight gradients and the latent descent kernel.
+"""Three-level predictive coding network: the free energy, the weight
+gradients and the latent descent kernel.
 
 The generative model is
 
@@ -15,7 +15,9 @@ All functions are pure: they take value state and return new values.
 Arrays are float64, batch-major (batch x dim). "diag[f']" is always an
 element-wise product, never a materialized diagonal matrix. free_energy
 is the one definition of F: training logs, evaluation, export-latents
-and gradcheck all read its per-example, per-layer energies.
+and gradcheck all read its per-example, per-layer energies. It forms its
+own errors, and it is the one function here that forms the batch x d1
+input error xi1; the kernel and the weight gradients use Gram forms.
 """
 
 from __future__ import annotations
@@ -145,15 +147,6 @@ def init_latents(
     )
 
 
-@dataclass(frozen=True)
-class ErrorState:
-    """Per-example prediction errors, one batch x dim array per layer."""
-
-    xi1: np.ndarray
-    xi2: np.ndarray
-    xi3: np.ndarray
-
-
 def _check_batch(params: ModelParams, state: LatentState, x: np.ndarray) -> np.ndarray:
     """x as a float64 array, checked against the batch and the model dims;
     an empty batch is rejected."""
@@ -168,29 +161,19 @@ def _check_batch(params: ModelParams, state: LatentState, x: np.ndarray) -> np.n
     return x
 
 
-def compute_errors(params: ModelParams, state: LatentState, x: np.ndarray) -> ErrorState:
-    """Compute the three prediction errors for a batch of inputs.
-
-    Replay's gated pathway, where the input errors are switched off, reads
-    out its fixpoint phi2 = f(theta2 phi3) directly and never calls this
-    (see memory.regenerate).
-    """
+def free_energy(params: ModelParams, state: LatentState, x: np.ndarray) -> np.ndarray:
+    """Per-example, per-layer free energy (additive constant dropped) in
+    direct form: [k, l] is 1/2 |xi_{l+1}|^2 of example k, from the errors
+    this call forms. It is column-major, so a column mean is NumPy's
+    pairwise sum: at B = 2010 within 3e-16 of an exact sum, where a
+    row-major one was 3.5e-15 off."""
     x = _check_batch(params, state, x)
     # xi1 = x - phi2 theta1^T, written over the product: one batch x d1 array
     xi1 = state.phi2 @ params.theta1.T
     np.subtract(x, xi1, out=xi1)
     xi2 = state.phi2 - np.tanh(state.phi3 @ params.theta2.T)
-    return ErrorState(xi1=xi1, xi2=xi2, xi3=state.phi3)
-
-
-def free_energy(params: ModelParams, state: LatentState, x: np.ndarray) -> np.ndarray:
-    """Per-example, per-layer free energy (additive constant dropped) from
-    one compute_errors call: [k, l] is 1/2 |xi_{l+1}|^2 of example k. It is
-    column-major, so a column mean is NumPy's pairwise sum: at B = 2010
-    within 3e-16 of an exact sum, where a row-major one was 3.5e-15 off."""
-    errors = compute_errors(params, state, x)
     energies = np.empty((3, state.batch))
-    for layer, xi in enumerate((errors.xi1, errors.xi2, errors.xi3)):
+    for layer, xi in enumerate((xi1, xi2, state.phi3)):
         np.einsum("ij,ij->i", xi, xi, out=energies[layer])
     energies *= 0.5
     return energies.T

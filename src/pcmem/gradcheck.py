@@ -6,9 +6,9 @@ difference of step H of core.free_energy's row sums: the direct-form F
 that training, evaluation and export-latents log. The analytic side is
 computed apart from it: d_phi2 and d_phi3 are read off one step of
 core.descend_latents, the Gram-form kernel that training, evaluation,
-reconstruction, replay and recall descend with; d_phi1 is compute_errors'
-xi1; the weight gradients are core.learning_gradients, the function
-training steps Adam with.
+reconstruction, replay and recall descend with; d_phi1 is the input
+error xi1 = phi1 - phi2 theta1^T, formed here; the weight gradients are
+core.learning_gradients, the function training steps Adam with.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from . import core
 from .core import (
     LatentState,
     ModelParams,
-    compute_errors,
     descend_latents,
     free_energy,
     init_params,
@@ -56,7 +55,7 @@ def gradient_report(seed: int = 0) -> dict[str, float]:
     phi3 = rng.standard_normal((BATCH, d3))
     state = LatentState(phi2=phi2, phi3=phi3)
 
-    errors = compute_errors(params, state, phi1)
+    xi1 = phi1 - phi2 @ params.theta1.T  # dl/dphi1 is the input error itself
     d_phi2, d_phi3 = kernel_latent_gradients(params, state, phi1)
     d_theta1, d_theta2 = learning_gradients(params, state, phi1)
 
@@ -81,7 +80,7 @@ def gradient_report(seed: int = 0) -> dict[str, float]:
         return worst
 
     return {
-        "d_phi1": check("p1", errors.xi1, phi1, True),  # dl/dphi1 is the input error itself
+        "d_phi1": check("p1", xi1, phi1, True),
         "d_phi2": check("p2", d_phi2, phi2, True),
         "d_phi3": check("p3", d_phi3, phi3, True),
         "d_theta1": check("t1", d_theta1, params.theta1, False),

@@ -7,7 +7,7 @@ import pytest
 
 from pcmem import experiments, synthetic
 from pcmem.checkpoint import RunManifest, save_checkpoint
-from pcmem.core import LatentState, ModelParams, compute_errors, init_params
+from pcmem.core import LatentState, ModelParams, init_params
 from pcmem.data import DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
 from pcmem.memory import OcclusionMask
@@ -106,6 +106,17 @@ def tanh_prime(params, state):
     """Reference: f'(theta2 phi3) = 1 - tanh^2, formed from the definition."""
     pred2 = np.tanh(state.phi3 @ params.theta2.T)
     return 1.0 - pred2 * pred2
+
+
+def compute_errors(params, state, x):
+    """Reference: the three prediction errors in direct form, as plain
+    arrays: xi1 = x - phi2 theta1^T, xi2 = phi2 - tanh(phi3 theta2^T) and
+    xi3 = phi3."""
+    return SimpleNamespace(
+        xi1=x - state.phi2 @ params.theta1.T,
+        xi2=state.phi2 - np.tanh(state.phi3 @ params.theta2.T),
+        xi3=state.phi3,
+    )
 
 
 def inference_gradients(params, state, errors):

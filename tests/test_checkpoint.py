@@ -256,7 +256,8 @@ class TestFormat:
 
     @pytest.mark.parametrize(
         "blob", [b"\xff", b"{", b"[]", b'{"config": {"activation": "relu"}}',
-                 b'{"config": {"activation": "identity"}}']
+                 b'{"config": {"activation": "identity"}}',
+                 b'{"config": {}, "data_digests": []}']
     )
     def test_bad_manifest_rejected(self, tmp_path, blob):
         path = tmp_path / "model.pcn"

@@ -163,10 +163,7 @@ class TestTrain:
         assert not (tmp_path / "x").exists()
 
     def test_one_dimensional_images_fail_cleanly(self, corpus_dir, tmp_path, capsys):
-        data_dir = tmp_path / "data"
-        data_dir.mkdir()
-        for f in corpus_dir.iterdir():
-            (data_dir / f.name).write_bytes(f.read_bytes())
+        data_dir = _corpus_copy(corpus_dir, tmp_path / "data")
         write_idx(data_dir / "train-images-idx3-ubyte", np.zeros(10, dtype=np.uint8))
         rc = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "x")])
         assert rc == 1
@@ -425,6 +422,56 @@ def _assert_same_outputs(trained_run, corpus_dir, tmp_path, legacy):
         for name in names:
             assert (tmp_path / "legacy" / command / name).read_bytes() == (
                 tmp_path / "plain" / command / name).read_bytes()
+
+
+def _corpus_copy(corpus_dir, path, relabel=False):
+    """A copy of the test corpus at path; with relabel, its test labels
+    rolled by one, which keeps every label's count and so the split sizes."""
+    path.mkdir()
+    for f in corpus_dir.iterdir():
+        (path / f.name).write_bytes(f.read_bytes())
+    if relabel:
+        labels = load_raw(corpus_dir)[1].labels
+        write_idx(path / "t10k-labels-idx1-ubyte", np.roll(labels, 1))
+    return path
+
+
+def test_recall_on_other_data_fails_cleanly(trained_run, corpus_dir, tmp_path, capsys):
+    """A --data-dir whose bytes differ from what training read fails with
+    one error line naming the first file that differs, before --out is
+    created."""
+    other = _corpus_copy(corpus_dir, tmp_path / "relabelled", relabel=True)
+    rc = main(["recall", "--checkpoint", str(trained_run / "checkpoint.pcn"),
+               "--data-dir", str(other), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: --data-dir ") and err.count("\n") == 1
+    assert err.endswith(": t10k-labels-idx1-ubyte differs\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_recall_on_copied_data_gives_same_bytes(trained_run, corpus_dir, tmp_path):
+    """The check reads file bytes, not the directory: an unchanged copy of
+    the corpus gives the same recall.csv."""
+    copy = _corpus_copy(corpus_dir, tmp_path / "copy")
+    for data, out in ((corpus_dir, tmp_path / "a"), (copy, tmp_path / "b")):
+        rc = main(["recall", "--checkpoint", str(trained_run / "checkpoint.pcn"),
+                   "--data-dir", str(data), "--out", str(out)])
+        assert rc == 0
+    assert (tmp_path / "a" / "recall.csv").read_bytes() == (
+        tmp_path / "b" / "recall.csv").read_bytes()
+
+
+def test_checkpoint_without_digests_is_not_checked(trained_run, corpus_dir, tmp_path):
+    """A manifest with no data digests, as the library's RunManifest(config=...)
+    writes, loads on any data that builds the splits."""
+    params, adam, manifest = load_checkpoint(trained_run / "checkpoint.pcn")
+    bare = tmp_path / "bare.pcn"
+    save_checkpoint(bare, params, adam, RunManifest(config=manifest.config))
+    other = _corpus_copy(corpus_dir, tmp_path / "relabelled", relabel=True)
+    rc = main(["recall", "--checkpoint", str(bare), "--data-dir", str(other),
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
 
 
 def test_recall_on_wrong_input_size_fails_cleanly(corpus_dir, tmp_path, capsys):

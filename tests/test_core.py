@@ -11,7 +11,6 @@ from pcmem.core import (
     DivergenceError,
     LatentState,
     ModelParams,
-    compute_errors,
     descend_latents,
     free_energy,
     init_latents,
@@ -20,8 +19,10 @@ from pcmem.core import (
 )
 from pcmem.experiments import preset, train
 from pcmem.gradcheck import kernel_latent_gradients
+from pcmem.memory import regenerate
 
 from conftest import (
+    compute_errors,
     direct_descent,
     direct_learning_gradients,
     value_form_descent,
@@ -56,12 +57,13 @@ def scalar_free_energy(params, phi1, phi2, phi3):
 
 
 def tanh_layer(pre: float):
-    """compute_errors' layer-2 prediction at one pre-activation, and the
-    activation derivative descend_latents steps phi3 with there, both on a
-    1-1-1 model with theta1 = theta2 = 1 and phi3 = pre."""
+    """The library's layer-2 prediction at one pre-activation, read out by
+    memory.regenerate, and the activation derivative descend_latents steps
+    phi3 with there, both on a 1-1-1 model with theta1 = theta2 = 1 and
+    phi3 = pre, where regenerate returns tanh(pre) exactly."""
     params = ModelParams(np.ones((1, 1)), np.ones((1, 1)))
-    phi3, zero = np.array([[pre]]), np.zeros((1, 1))
-    value = -compute_errors(params, LatentState(phi2=zero, phi3=phi3), zero).xi2[0, 0]
+    phi3 = np.array([[pre]])
+    value = regenerate(params, phi3)[0, 0]
     # phi2 one above the prediction (xi2 = 1) and x = phi2 (xi1 = 0): d_phi3 = pre - f'
     phi2 = np.tanh(phi3) + 1.0
     _, d_phi3 = kernel_latent_gradients(params, LatentState(phi2=phi2, phi3=phi3), phi2)
@@ -97,11 +99,6 @@ class TestComputeErrors:
         assert np.all(errors.xi1 == 0) and np.all(errors.xi2 == 0) and np.all(errors.xi3 == 0)
         assert np.all(free_energy(params, state, np.zeros((2, 6))) == 0)
 
-    def test_xi3_is_phi3(self):
-        params, state, x = small_instance(seed=5)
-        errors = compute_errors(params, state, x)
-        np.testing.assert_array_equal(errors.xi3, state.phi3)
-
     def test_energies_match_scalar_loop(self):
         params, state, x = small_instance(seed=2)
         errors = compute_errors(params, state, x)
@@ -117,7 +114,7 @@ class TestComputeErrors:
     @example(batch=2010, trained=False, seed=0)
     def test_dot_energies_match_elementwise_sums(self, toy_trained, batch, trained, seed):
         """free_energy (einsum row sums), its column means and its row sums
-        against the element-wise square-and-sum forms of compute_errors'
+        against the element-wise square-and-sum forms of the oracle's
         errors."""
         rng = np.random.default_rng(seed)
         params = toy_trained if trained else init_params((784, 35, 2), rng)
@@ -135,14 +132,14 @@ class TestComputeErrors:
         np.testing.assert_allclose(energies.sum(axis=1), old_per, rtol=ENERGY_RTOL, atol=0)
 
     def test_shape_mismatch_rejected(self):
-        """The kernel's batch-input check, with its messages."""
+        """free_energy's batch-input check, the kernel's, with its messages."""
         params, state, _ = small_instance()
         for shape in [(3, 7), (2, 6), (3, 6, 1), (6,)]:
             with pytest.raises(ValueError, match=r"input shape \(.*\) != \(3, 6\)$"):
-                compute_errors(params, state, np.zeros(shape))
+                free_energy(params, state, np.zeros(shape))
         wrong = LatentState(phi2=np.zeros((3, 5)), phi3=np.zeros((3, 2)))
         with pytest.raises(ValueError, match="^latent shapes do not match model dims$"):
-            compute_errors(params, wrong, np.zeros((3, 6)))
+            free_energy(params, wrong, np.zeros((3, 6)))
 
 
 class TestFreeEnergy:

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 import pcmem.gradcheck as gradcheck
-from pcmem.core import LatentState, compute_errors
+from pcmem.core import LatentState
 from pcmem.gradcheck import DEFAULT_TOL, gradient_report
 
-from conftest import inference_gradients
+from conftest import compute_errors, inference_gradients
 
 
 class TestGradientReport:

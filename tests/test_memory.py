@@ -5,7 +5,6 @@ from pcmem import core, memory
 from pcmem.core import (
     LatentState,
     ModelParams,
-    compute_errors,
     descend_latents,
     free_energy,
     init_latents,
@@ -22,7 +21,7 @@ from pcmem.memory import (
     replay,
 )
 
-from conftest import inference_gradients, overflowing_recall, toy_patterns
+from conftest import compute_errors, inference_gradients, overflowing_recall, toy_patterns
 
 
 def toy_mask():
@@ -447,11 +446,11 @@ class TestRecall:
         lambda params, x: recall(params, x, toy_mask()),
         lambda params, x: replay(params, x),
         lambda params, x: infer_latents(params, x),
-        lambda params, x: compute_errors(
+        lambda params, x: free_energy(
             params, init_latents(params.dims, 0, np.random.default_rng(0)), x
         ),
     ],
-    ids=["recall", "replay", "infer_latents", "compute_errors"],
+    ids=["recall", "replay", "infer_latents", "free_energy"],
 )
 def test_empty_batch_rejected(toy_trained, call):
     """Zero rows are bad input, not a divergence."""
