@@ -32,7 +32,6 @@ import numpy as np
 from . import gradcheck
 from .checkpoint import (CheckpointError, RunManifest, atomic_write, file_digests,
                          load_checkpoint, save_checkpoint)
-from .core import free_energy
 from .data import DEFAULT_FILENAMES, IMAGE_SIDE, build_splits, data_file, load_raw
 from .experiments import ExperimentConfig, preset, run_recall_suite, train, write_csv
 from .images import image_grid, write_pgm
@@ -192,12 +191,15 @@ def cmd_export_weights(args) -> int:
 
 
 def cmd_export_latents(args) -> int:
+    """Settle the test split from the checkpoint's seed and write, per
+    image, its label, phi3, phi2 and input_energy: 1/2 |xi1|^2 at the
+    settled latents, the first column of the settle's own energies."""
     params, config, splits = _load_run(args)
     images = splits.test.images
     labels = splits.test.labels
     _, d2, d3 = params.dims
     state = infer_latents(params, images, init_seed=config.seed)
-    e1 = free_energy(params, state, images)[:, 0]
+    e1 = state.energies()[:, 0]
     rows = [[int(labels[k]), *map(float, state.phi3[k]), *map(float, state.phi2[k]),
              float(e1[k])] for k in range(state.batch)]
     header = (["label"] + [f"phi3_{j}" for j in range(d3)]

@@ -6,7 +6,8 @@ inference iterations, and Adam updates of both weight matrices from
 core.learning_gradients at the current latents. They differ only in how
 often the weights move: PC updates them once, after all T iterations; iPC
 after every iteration, which keeps full-dataset training stable at the
-cost of T updates per batch. The logged energies come from one free_energy call per batch.
+cost of T updates per batch. The logged energies are those of the batch's
+last settle, read through its SettledState.energies.
 
 Every run trains on the first limit_train images of the training split
 (all of them when limit_train is None), in a fresh seeded order each
@@ -16,9 +17,9 @@ prefix: a run with limit_train >= n_images has trained on every image it
 recalls.
 
 Evaluation settles a whole split in one memory.infer_latents call (which
-descends core.BLOCK_ROWS rows at a time) and reads its energies from
-core.free_energy. write_csv is the one CSV writer, for the training log
-and the command-line metric files.
+descends core.BLOCK_ROWS rows at a time) and reads its energies from that
+settle. Neither forms a batch x d1 array. write_csv is the one CSV
+writer, for the training log and the command-line metric files.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ from .core import (
     DivergenceError,
     ModelParams,
     descend_latents,
-    free_energy,
     init_latents,
     init_params,
     learning_gradients,
@@ -170,7 +170,8 @@ def _train_batch(params, x, config, adam1, adam2, rng):
     Raises DivergenceError, naming the batch's inference iteration, before
     any update from a non-finite gradient (it checks the summed squared
     gradients, formed under np.errstate). Returns the per-layer mean
-    energies at the last update, from the batch's one free_energy call.
+    energies of the last settle, which the weight updates after it leave
+    as they are.
     """
     n_iters = core.DEFAULT_ITERS
     steps = n_iters if config.mode == "pc" else 1
@@ -190,11 +191,9 @@ def _train_batch(params, x, config, adam1, adam2, rng):
             # an overflowing gradient would turn the weights non-finite next
             n = (update + 1) * steps - 1
             raise DivergenceError(f"non-finite weight gradient at inference iteration {n}", step=n)
-        if update == n_updates - 1:
-            energies = free_energy(params, state, x).mean(axis=0)
         adam_step(params.theta1, d_theta1, adam1, config.beta)
         adam_step(params.theta2, d_theta2, adam2, config.beta)
-    return energies
+    return state.energies().mean(axis=0)
 
 
 def train(config: ExperimentConfig, splits: DatasetSplits) -> TrainResult:
@@ -247,10 +246,9 @@ def evaluate_errors(
 ) -> np.ndarray:
     """Mean per-layer energies over a split after seeded inference
     (one memory.infer_latents call on all rows, T steps settled in blocks
-    of core.BLOCK_ROWS rows): the column means of free_energy. Never
-    updates weights."""
-    state = infer_latents(params, split.images, seed)
-    return free_energy(params, state, split.images).mean(axis=0)
+    of core.BLOCK_ROWS rows): the column means of the settle's own
+    energies, core.free_energy in Gram form. Never updates weights."""
+    return infer_latents(params, split.images, seed).energies().mean(axis=0)
 
 
 def run_recall_suite(

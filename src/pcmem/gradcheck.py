@@ -2,8 +2,10 @@
 
 Runs on a small random model (DIMS, BATCH examples) and compares every
 analytic gradient coordinate, latent and weight, against a central
-difference of step H of core.free_energy's row sums: the direct-form F
-that training, evaluation and export-latents log. The analytic side is
+difference of step H of core.free_energy's row sums: F in direct form,
+formed apart from the Gram forms under check (the energies training,
+evaluation and export-latents log are the settle's Gram form of the
+same F). The analytic side is
 computed apart from it: d_phi2 and d_phi3 are read off one step of
 core.descend_latents, the Gram-form kernel that training, evaluation,
 reconstruction, replay and recall descend with; d_phi1 is the input

@@ -27,6 +27,7 @@ from .core import (
     DivergenceError,
     LatentState,
     ModelParams,
+    SettledState,
     descend_latents,
     init_latents,
 )
@@ -96,10 +97,11 @@ def infer_latents(
     params: ModelParams,
     x: np.ndarray,
     init_seed: int = 0,
-) -> LatentState:
+) -> SettledState:
     """Seeded random latent init, then T = core.DEFAULT_ITERS steps of size
     core.ALPHA (both read at call time) through core.descend_latents, which
-    settles the batch core.BLOCK_ROWS rows at a time."""
+    settles the batch core.BLOCK_ROWS rows at a time; its energies() are
+    F at the settled latents."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     rng = np.random.default_rng(init_seed)
     state = init_latents(params.dims, x.shape[0], rng)

@@ -34,7 +34,7 @@ from pcmem.experiments import (
 from pcmem.gradcheck import gradient_report
 from pcmem.memory import OcclusionMask, infer_latents, regenerate, replay
 
-from conftest import direct_descent
+from conftest import assert_energies_match_free_energy, direct_descent
 
 
 def _cli_train(out_dir, corpus_dir) -> subprocess.Popen:
@@ -286,3 +286,17 @@ def test_criterion_9_latent_separability(exp1_model, splits):
     print(f"criterion 9: class separation {separation:.3f} pooled stds")
     assert separation > 1.0
     assert time.perf_counter() - t0 < 60.0
+
+
+def test_settle_energies_on_exp1_model(exp1_model, splits):
+    """The energies training, evaluation and export-latents read come from
+    the settle, in Gram form. On the fully trained exp1 model they match
+    the direct form: on the validation split, and on the 64 images it
+    memorised, where 1/2 |x|^2 is largest against e1."""
+    params, config = exp1_model
+    n = config.limit_train
+    for x in (splits.validation.images, splits.train.images[:n]):
+        state = infer_latents(params, x, config.seed)
+        assert_energies_match_free_energy(params, state, x)
+        ratio = np.max(0.5 * np.sum(x * x, axis=1) / state.energies()[:, 0])
+        print(f"settle energies: {len(x)} images, 1/2 |x|^2 up to {ratio:.1f} e1")

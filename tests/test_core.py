@@ -22,6 +22,7 @@ from pcmem.gradcheck import kernel_latent_gradients
 from pcmem.memory import regenerate
 
 from conftest import (
+    assert_energies_match_free_energy,
     compute_errors,
     direct_descent,
     direct_learning_gradients,
@@ -424,6 +425,84 @@ class TestDescendLatents:
         assert sizes == [4, 4]  # the third block never ran
         assert str(blocked.value) == str(alone.value)
         assert not str(alone.value).endswith("iteration 0")
+
+    @pytest.mark.parametrize("case", ["first-step", "middle-step", "last-step"])
+    def test_check_once_names_the_per_step_step(self, monkeypatch, case):
+        """A block is checked once, after its last step, and rerun with a
+        check after every step when it ends non-finite: the step named is
+        the first after which the per-step check of the reference loop
+        finds a non-finite latent, wherever in the block it lies."""
+        monkeypatch.setattr(core, "ALPHA", 1e6)
+        params, state, x = small_instance(seed=3)
+        if case == "first-step":
+            x = x * 1e303  # the first step's drive term overflows
+        step = per_step_divergence(params, state, x, 500)
+        n_iters = step + 1 if case == "last-step" else 500
+        assert (step == 0) == (case == "first-step") and step < n_iters
+        with pytest.raises(DivergenceError) as err:
+            descend_latents(params, state, x, n_iters)
+        assert err.value.step == step
+        assert str(err.value) == f"non-finite latents after inference iteration {step}"
+        if step:
+            # one step short of the divergence, the same block passes
+            short = descend_latents(params, state, x, step)
+            assert np.all(np.isfinite(short.phi2)) and np.all(np.isfinite(short.phi3))
+
+    def test_divergence_in_last_of_several_blocks_names_its_step(self, monkeypatch):
+        # rows at the zero-error fixed point stay there at any step size;
+        # only the last block's rows leave it
+        monkeypatch.setattr(core, "ALPHA", 1e6)
+        monkeypatch.setattr(core, "BLOCK_ROWS", 4)
+        params, seeded, x_seeded = small_instance(seed=3, batch=3)
+        x = np.zeros((11, DIMS[0]))
+        x[8:] = x_seeded
+        phi2, phi3 = np.zeros((11, DIMS[1])), np.zeros((11, DIMS[2]))
+        phi2[8:], phi3[8:] = seeded.phi2, seeded.phi3
+        step = per_step_divergence(params, seeded, x_seeded, 500)
+        sizes = spy_block_sizes(monkeypatch)
+        with pytest.raises(DivergenceError) as err:
+            descend_latents(params, LatentState(phi2=phi2, phi3=phi3), x, 500)
+        assert sizes == [4, 4, 3]
+        assert 0 < err.value.step == step
+        assert str(err.value).endswith(f"iteration {step}")
+
+
+def per_step_divergence(params, state, x, n_iters):
+    """Reference: the first step after which value_form_descent's latents
+    are not all finite, checked after every step, or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n_iters):
+            state = value_form_descent(params, state, x, core.ALPHA, 1)
+            if not (np.all(np.isfinite(state.phi2)) and np.all(np.isfinite(state.phi3))):
+                return i
+    return None
+
+
+class TestSettledEnergies:
+    @pytest.mark.parametrize("n_iters", [0, 50])
+    @pytest.mark.parametrize("batch", [1, 64, 2010])
+    @pytest.mark.parametrize("trained", [False, True])
+    def test_match_free_energy(self, toy_trained, batch, trained, n_iters):
+        rng = np.random.default_rng(batch)
+        params = toy_trained if trained else init_params((784, 35, 2), rng)
+        x = rng.uniform(0, 1, size=(batch, params.dims[0]))
+        state = descend_latents(params, init_latents(params.dims, batch, rng), x, n_iters)
+        assert state.energies().shape == (batch, 3)
+        assert_energies_match_free_energy(params, state, x)
+
+    def test_weights_moved_in_place_change_nothing(self, toy_trained):
+        """As training does after the settle: theta1 and theta2 move in
+        place, and the energies stay those of the weights settled with."""
+        params = ModelParams(toy_trained.theta1.copy(), toy_trained.theta2.copy())
+        rng = np.random.default_rng(9)
+        x = rng.uniform(0, 1, size=(6, params.dims[0]))
+        state = descend_latents(params, init_latents(params.dims, 6, rng), x, 20)
+        before = state.energies()
+        settled_with = ModelParams(params.theta1.copy(), params.theta2.copy())
+        params.theta1[...] += 0.5
+        params.theta2[...] *= -2.0
+        np.testing.assert_array_equal(state.energies(), before)
+        assert_energies_match_free_energy(settled_with, state, x)
 
 
 def kernel_blocks(batch):

@@ -25,7 +25,13 @@ from pcmem.experiments import (
 from pcmem.memory import OcclusionMask, infer_latents, recall
 from pcmem.optim import AdamState, adam_step
 
-from conftest import TOY_DIMS, direct_descent, overflowing_recall, value_form_adam_step
+from conftest import (
+    GRAM_ENERGY_RTOL,
+    TOY_DIMS,
+    direct_descent,
+    overflowing_recall,
+    value_form_adam_step,
+)
 
 
 class TestConfig:
@@ -150,7 +156,9 @@ class TestTrain:
         inference/update loop, bit for bit: the batch is the first
         limit_train images in the epoch's seeded order. The latent loop is
         the kernel train calls, since the direct form agrees with it only
-        up to rounding (TestDescendLatents in test_core checks that)."""
+        up to rounding (TestDescendLatents in test_core checks that). The
+        logged energies are the settle's own, and free_energy's within
+        GRAM_ENERGY_RTOL."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
             mode="pc", beta=1e-3, limit_train=4, batch_size=4, max_epochs=1,
@@ -161,7 +169,7 @@ class TestTrain:
         x = toy_data.train.images[:4][np.random.default_rng(config.seed).permutation(4)]
         rng_l = np.random.default_rng(config.seed)
         state = descend_latents(params, init_latents(TOY_DIMS, 4, rng_l), x, 5)
-        energies = free_energy(params, state, x).mean(axis=0)
+        energies = state.energies().mean(axis=0)
         d_theta1, d_theta2 = learning_gradients(params, state, x)
         theta1, theta2 = params.theta1.copy(), params.theta2.copy()
         adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
@@ -169,13 +177,17 @@ class TestTrain:
 
         np.testing.assert_array_equal(result.params.theta1, theta1)
         np.testing.assert_array_equal(result.params.theta2, theta2)
-        np.testing.assert_array_equal(result.log.rows[0].train_energies, energies)
+        logged = result.log.rows[0].train_energies
+        np.testing.assert_array_equal(logged, energies)
+        direct = free_energy(params, state, x).mean(axis=0)
+        np.testing.assert_allclose(logged, direct, rtol=GRAM_ENERGY_RTOL, atol=0)
 
     def test_ipc_batches_match_hand_unrolled(self, toy_data, monkeypatch):
         """Two batches of iPC at T=5 equal a hand-unrolled loop, bit for
         bit: one kernel step, then the weight gradients and a fresh-array
-        Adam update, five times per batch, with the logged energies from
-        free_energy at the last update."""
+        Adam update, five times per batch, with the logged energies those
+        of the last step's settle, and free_energy's there within
+        GRAM_ENERGY_RTOL."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
             mode="ipc", beta=1e-3, limit_train=8, batch_size=4, max_epochs=1,
@@ -189,7 +201,7 @@ class TestTrain:
         images = toy_data.train.images[:8]
         order = np.random.default_rng(config.seed).permutation(8)
         rng_l = np.random.default_rng(config.seed)
-        weighted = np.zeros(3)
+        weighted, direct = np.zeros(3), np.zeros(3)
         for batch in (order[:4], order[4:]):
             x = images[batch]
             state = init_latents(TOY_DIMS, 4, rng_l)
@@ -197,10 +209,12 @@ class TestTrain:
                 params = ModelParams(theta1, theta2)
                 state = descend_latents(params, state, x, 1)
                 d_theta1, d_theta2 = learning_gradients(params, state, x)
-                energies = free_energy(params, state, x).mean(axis=0)
+                energies = state.energies().mean(axis=0)
+                direct_energies = free_energy(params, state, x).mean(axis=0)
                 theta1, adam1 = value_form_adam_step(theta1, d_theta1, adam1, 1e-3)
                 theta2, adam2 = value_form_adam_step(theta2, d_theta2, adam2, 1e-3)
             weighted += energies * 4
+            direct += direct_energies * 4
         train_energies = weighted / 8
 
         np.testing.assert_array_equal(result.params.theta1, theta1)
@@ -209,7 +223,9 @@ class TestTrain:
             np.testing.assert_array_equal(got.m, want.m)
             np.testing.assert_array_equal(got.v, want.v)
             assert got.t == want.t == 10
-        np.testing.assert_array_equal(result.log.rows[0].train_energies, train_energies)
+        logged = result.log.rows[0].train_energies
+        np.testing.assert_array_equal(logged, train_energies)
+        np.testing.assert_allclose(logged, direct / 8, rtol=GRAM_ENERGY_RTOL, atol=0)
 
     def test_ipc_equals_pc_at_one_iteration(self, toy_data, monkeypatch):
         """With a single inference iteration per batch the incremental
@@ -240,7 +256,9 @@ class TestTrain:
 
     def test_single_batch_limit_below_batch_size_trains_on_capped_rows(self, toy_data, monkeypatch):
         """With limit_train=3 < batch_size the single batch is the three
-        capped images in their seeded order, nothing else."""
+        capped images in their seeded order, nothing else. The logged
+        energies are those of the kernel's settle of that batch, and
+        free_energy's at the direct-form latents within GRAM_ENERGY_RTOL."""
         monkeypatch.setattr(core, "DEFAULT_ITERS", 5)
         config = ExperimentConfig(
             mode="pc", beta=1e-3, batch_size=4, max_epochs=1, limit_train=3,
@@ -249,14 +267,17 @@ class TestTrain:
 
         params = init_params(TOY_DIMS, np.random.default_rng(config.seed))
         x = toy_data.train.images[:3][np.random.default_rng(config.seed).permutation(3)]
-        rng_l = np.random.default_rng(config.seed)
-        state = direct_descent(params, init_latents(TOY_DIMS, 3, rng_l), x, core.ALPHA, 5)
-        energies = free_energy(params, state, x).mean(axis=0)
+        init = init_latents(TOY_DIMS, 3, np.random.default_rng(config.seed))
+        state = direct_descent(params, init, x, core.ALPHA, 5)
         d_theta1, _ = learning_gradients(params, state, x)
         theta1 = params.theta1.copy()
         adam_step(theta1, d_theta1, AdamState.fresh(theta1.shape), 1e-3)
         np.testing.assert_array_equal(result.params.theta1, theta1)
-        np.testing.assert_array_equal(result.log.rows[0].train_energies, energies)
+        logged = result.log.rows[0].train_energies
+        settled = descend_latents(params, init, x, 5)
+        np.testing.assert_array_equal(logged, settled.energies().mean(axis=0))
+        direct = free_energy(params, state, x).mean(axis=0)
+        np.testing.assert_allclose(logged, direct, rtol=GRAM_ENERGY_RTOL, atol=0)
 
     @pytest.mark.parametrize("limit", [16, 100])
     def test_single_batch_limit_at_or_above_train_size_changes_nothing(
@@ -424,12 +445,16 @@ def test_every_divergence_names_its_step(toy_trained, toy_data, monkeypatch, sit
 
 class TestEvaluateErrors:
     def test_equals_compute_errors_on_infer_latents(self, toy_trained, toy_data, monkeypatch):
+        """The column means of infer_latents' settle energies, bit for bit,
+        and of free_energy at its latents within GRAM_ENERGY_RTOL."""
         monkeypatch.setattr(core, "ALPHA", 0.02)
         monkeypatch.setattr(core, "DEFAULT_ITERS", 10)
         split = toy_data.validation
         state = infer_latents(toy_trained, split.images, init_seed=5)
-        expected = free_energy(toy_trained, state, split.images).mean(axis=0)
-        np.testing.assert_array_equal(evaluate_errors(toy_trained, split, seed=5), expected)
+        got = evaluate_errors(toy_trained, split, seed=5)
+        np.testing.assert_array_equal(got, state.energies().mean(axis=0))
+        direct = free_energy(toy_trained, state, split.images).mean(axis=0)
+        np.testing.assert_allclose(got, direct, rtol=GRAM_ENERGY_RTOL, atol=0)
 
     def test_matches_per_example_loop(self, toy_trained, toy_data, monkeypatch):
         monkeypatch.setattr(core, "DEFAULT_ITERS", 10)
