@@ -23,7 +23,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import core
 from .core import ModelParams
 from .optim import AdamState
 
@@ -109,9 +108,9 @@ def load_checkpoint(
     state of theta1 and theta2, and the manifest.
 
     Raises CheckpointError, naming the offset, on any file that does not
-    hold exactly one well-formed checkpoint of the tanh model, Adam flag 1
-    included. Older configs that name "activation", "alpha" or "n_iters"
-    load only at the values the model fixes.
+    hold exactly one well-formed checkpoint, Adam flag 1 included. The
+    manifest's config must be a JSON object, but no key of it is read
+    here: experiments.ExperimentConfig.from_dict is its one reader.
     """
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
@@ -165,11 +164,6 @@ def load_checkpoint(
         manifest = RunManifest.from_json(blob.decode("utf-8"))
     except ValueError as exc:
         raise CheckpointError(f"bad manifest at offset {start}: {exc}") from None
-    for key, fixed in (("activation", "tanh"), ("alpha", core.ALPHA),
-                       ("n_iters", core.DEFAULT_ITERS)):
-        if manifest.config.get(key, fixed) != fixed:
-            raise CheckpointError(f"bad manifest at offset {start}: {key} "
-                                  f"{manifest.config[key]!r}, the model has {fixed!r}")
     try:
         params = ModelParams(theta1, theta2)
     except ValueError as exc:

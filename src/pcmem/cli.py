@@ -1,30 +1,30 @@
 """Command-line surface: training runs, memory-task exports, gradient checks.
 
 Subcommands: train, reconstruct, replay, recall, export-weights,
-export-latents, gradcheck. Config precedence is CLI flags > --config file
-> preset defaults; the resolved config is frozen into the run manifest.
-For train, `--seed` sets the config's one seed, from which the weight
-init, the latent draws, the epoch order and the split each start a
-generator; the model is (image width, *experiments.LATENT_DIMS). The
-memory commands take no seed: they read the checkpoint's settings as an
-ExperimentConfig, rebuild the splits with its seed, draw the latent init
-from that seed too, and read a prefix of a split: reconstruct and replay
-its first batch_size images, recall the recall suite's first 10 training
-images. gradcheck's `--seed` draws its random instance. Every settle runs
-core.DEFAULT_ITERS steps of size core.ALPHA; no config sets either. Every
-command that reads data requires --data-dir; the memory commands refuse one
-whose files differ from those training read. Every command creates --out
-before its work, so an unusable --out fails first. Runs are
-bit-reproducible with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and
-MKL_NUM_THREADS set to 1 before pcmem starts.
+export-latents, gradcheck. A training run is a preset with any of --seed,
+--limit-train, --max-epochs and --beta replacing its field (flags >
+preset); its config and the digests of the data files it loaded are
+frozen into the run manifest. `--seed` sets the config's one seed, from
+which the weight init, the latent draws, the epoch order and the split
+each start a generator; the model is (image width,
+*experiments.LATENT_DIMS). The memory commands take no seed: they read
+the checkpoint's config through ExperimentConfig.from_dict, rebuild the
+splits with its seed, draw the latent init from that seed too, and read a
+prefix of a split: reconstruct and replay its first batch_size images,
+recall the recall suite's first 10 training images. gradcheck's `--seed`
+draws its random instance. Every settle runs core.DEFAULT_ITERS steps of
+size core.ALPHA; nothing sets either. A command refuses a checkpoint whose
+model input is not one image, and a --data-dir whose files differ from
+those training read, before it creates --out. Runs are bit-reproducible
+with OMP_NUM_THREADS, OPENBLAS_NUM_THREADS and MKL_NUM_THREADS set to 1
+before pcmem starts.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from dataclasses import fields
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -55,10 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model (PC or iPC preset)")
     common(p, data=True)
-    # without --seed, the preset's or --config's seed stands
+    # each flag not given leaves the preset's field as it is
     p.add_argument("--seed", type=int, help="the run's one seed")
     p.add_argument("--preset", choices=("exp1", "exp2"), default="exp1")
-    p.add_argument("--config", type=Path, help="JSON file overriding preset fields")
     p.add_argument("--limit-train", type=int, help="desk-scale cap on training examples")
     p.add_argument("--max-epochs", type=int)
     p.add_argument("--beta", type=float)
@@ -87,24 +86,26 @@ def _data_digests(data_dir) -> dict:
     return file_digests([data_file(data_dir, name) for name in DEFAULT_FILENAMES.values()])
 
 
+def _load_model(path):
+    """The checkpoint's weights and manifest, if its model's input is one image."""
+    params, _, manifest = load_checkpoint(path)
+    if params.dims[0] != IMAGE_SIDE**2:
+        raise ValueError(f"model input size {params.dims[0]} != image size {IMAGE_SIDE**2}")
+    return params, manifest
+
+
 def _load_run(args):
-    """The checkpoint's weights, its settings as an ExperimentConfig, and
-    the splits rebuilt with the config's seed, which the caller also
-    settles from. Keys the config does not know are ignored: legacy ones
-    such as scope, epsilon and patience, which set a stop rule that
-    training no longer has, dims, which the weights' header holds, and
-    activation, alpha and n_iters, which load_checkpoint has checked.
-    If the manifest holds data digests, --data-dir must hold the files
-    training read, byte for byte (a .gz and its plain file differ), or
-    CheckpointError names the first file, in sorted order, that differs.
-    Creates --out once all three have loaded, so an unusable --out fails
-    before the command's work."""
-    params, _, manifest = load_checkpoint(args.checkpoint)
-    known = {f.name for f in fields(ExperimentConfig)}
+    """The checkpoint's weights, its config as ExperimentConfig.from_dict
+    reads it (a refusal becomes CheckpointError "bad config in C: ..."),
+    and the splits rebuilt with the config's seed, which the caller also
+    settles from. If the manifest holds data digests, --data-dir must hold
+    the files training read, byte for byte (a .gz and its plain file
+    differ), or CheckpointError names the first file, in sorted order,
+    that differs. Creates --out once all three have loaded, so an unusable
+    --out fails before the command's work."""
+    params, manifest = _load_model(args.checkpoint)
     try:
-        config = ExperimentConfig.from_dict(
-            {k: v for k, v in manifest.config.items() if k in known}
-        )
+        config = ExperimentConfig.from_dict(manifest.config)
     except ValueError as exc:
         raise CheckpointError(f"bad config in {args.checkpoint}: {exc}") from None
     if manifest.data_digests:
@@ -119,21 +120,15 @@ def _load_run(args):
 
 
 def cmd_train(args) -> int:
-    cfg = preset(args.preset).to_dict()
-    if args.config:
-        overrides = json.loads(args.config.read_text())
-        if not isinstance(overrides, dict):
-            raise ValueError(f"--config {args.config} must hold a JSON object")
-        cfg.update(overrides)
-    for name in ("seed", "limit_train", "max_epochs", "beta"):
-        if getattr(args, name) is not None:
-            cfg[name] = getattr(args, name)
-    config = ExperimentConfig.from_dict(cfg)
+    flags = {name: getattr(args, name) for name in ("seed", "limit_train", "max_epochs", "beta")
+             if getattr(args, name) is not None}
+    config = replace(preset(args.preset), **flags)
     splits = build_splits(*load_raw(args.data_dir), split_seed=config.seed)
+    # the files as loaded, not as they may be once training ends
+    manifest = RunManifest(config=config.to_dict(), data_digests=_data_digests(args.data_dir))
     # before training, so an unusable --out fails before any epoch runs
     args.out.mkdir(parents=True, exist_ok=True)
     result = train(config, splits)
-    manifest = RunManifest(config=config.to_dict(), data_digests=_data_digests(args.data_dir))
     save_checkpoint(args.out / "checkpoint.pcn", result.params,
                     (result.adam1, result.adam2), manifest)
     atomic_write(args.out / "manifest.json",
@@ -180,9 +175,7 @@ def cmd_recall(args) -> int:
 
 
 def cmd_export_weights(args) -> int:
-    params, _, _ = load_checkpoint(args.checkpoint)
-    if params.dims[0] != IMAGE_SIDE**2:  # each tile is one image
-        raise ValueError(f"model input size {params.dims[0]} != image size {IMAGE_SIDE**2}")
+    params, _ = _load_model(args.checkpoint)  # each tile is one image
     args.out.mkdir(parents=True, exist_ok=True)
     tiles = params.theta1.T  # one tile per hidden unit
     n_cols = int(np.ceil(np.sqrt(tiles.shape[0])))

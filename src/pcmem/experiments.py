@@ -94,10 +94,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
-        return cls(**d)
+        """The one reader of a stored config. Keys that are not fields are
+        ignored (legacy scope, epsilon, patience, dims); activation, alpha
+        and n_iters, which older checkpoints name, must be the model's
+        "tanh", core.ALPHA and core.DEFAULT_ITERS; __post_init__ checks the rest."""
+        for key, fixed in (("activation", "tanh"), ("alpha", core.ALPHA),
+                           ("n_iters", core.DEFAULT_ITERS)):
+            if d.get(key, fixed) != fixed:
+                raise ValueError(f"{key} {d[key]!r}, the model has {fixed!r}")
+        names = {f.name for f in fields(cls)}
+        return cls(**{k: v for k, v in d.items() if k in names})
 
 
 def _is_int(value) -> bool:

@@ -87,17 +87,6 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.theta1, params.theta1)
         assert manifest.config == config
 
-    def test_other_alpha_rejected(self, tmp_path):
-        """A checkpoint whose config names another step size than core.ALPHA
-        cannot be inferred at that step size, so it does not load."""
-        params, adam = small_adam(small_params())
-        manifest = RunManifest(config={**preset("exp1").to_dict(), "alpha": 0.02})
-        path = tmp_path / "model.pcn"
-        save_checkpoint(path, params, adam, manifest)
-        offset = path.stat().st_size - len(manifest.to_json())
-        with pytest.raises(CheckpointError, match=f"^bad manifest at offset {offset}: alpha 0.02"):
-            load_checkpoint(path)
-
     def test_legacy_iters_and_stop_rule_manifest_loads(self, tmp_path):
         # manifests written while T and the convergence rule were config fields
         params, adam = small_adam(small_params())
@@ -109,19 +98,17 @@ class TestRoundTrip:
         np.testing.assert_array_equal(loaded.theta1, params.theta1)
         assert manifest.config == config
 
-    def test_other_n_iters_rejected(self, tmp_path):
-        """A checkpoint whose config names another T than core.DEFAULT_ITERS
-        was trained at that T, so it does not load to be settled at this one."""
+    def test_config_keys_not_read(self, tmp_path):
+        """load_checkpoint reads no key of the config: one that
+        ExperimentConfig.from_dict refuses still loads, unchanged."""
         params, adam = small_adam(small_params())
-        manifest = RunManifest(config={**preset("exp1").to_dict(), "n_iters": 10})
+        config = {**preset("exp1").to_dict(), "alpha": 0.02, "n_iters": 10,
+                  "activation": "relu", "mode": "x"}
         path = tmp_path / "model.pcn"
-        save_checkpoint(path, params, adam, manifest)
-        offset = path.stat().st_size - len(manifest.to_json())
-        with pytest.raises(CheckpointError) as excinfo:
-            load_checkpoint(path)
-        assert str(excinfo.value) == (
-            f"bad manifest at offset {offset}: n_iters 10, the model has 50"
-        )
+        save_checkpoint(path, params, adam, RunManifest(config=config))
+        loaded, _, manifest = load_checkpoint(path)
+        np.testing.assert_array_equal(loaded.theta1, params.theta1)
+        assert manifest.config == config
 
     def test_manifest_config_round_trip(self, tmp_path):
         config = preset("exp2")
@@ -255,9 +242,7 @@ class TestFormat:
             load_checkpoint(path)
 
     @pytest.mark.parametrize(
-        "blob", [b"\xff", b"{", b"[]", b'{"config": {"activation": "relu"}}',
-                 b'{"config": {"activation": "identity"}}',
-                 b'{"config": {}, "data_digests": []}']
+        "blob", [b"\xff", b"{", b"[]", b'{"config": {}, "data_digests": []}']
     )
     def test_bad_manifest_rejected(self, tmp_path, blob):
         path = tmp_path / "model.pcn"

@@ -1,6 +1,8 @@
 import csv
 import gzip
+import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,8 +11,8 @@ from pcmem import cli, core, gradcheck
 from pcmem.checkpoint import RunManifest, load_checkpoint, save_checkpoint
 from pcmem.cli import main
 from pcmem.core import free_energy, init_params
-from pcmem.data import build_splits, load_raw
-from pcmem.experiments import run_recall_suite
+from pcmem.data import build_splits, load_idx, load_raw
+from pcmem.experiments import preset, run_recall_suite
 from pcmem.memory import infer_latents, reconstruct, replay
 from pcmem.synthetic import write_idx
 
@@ -21,10 +23,8 @@ from conftest import GRAM_ENERGY_RTOL, checkpoint_extras, read_pgm, save_zero_wi
 def trained_run(corpus_dir, tmp_path_factory):
     """A short real CLI training run shared by the command tests."""
     out = tmp_path_factory.mktemp("run")
-    config = out / "config.json"
-    config.write_text(json.dumps({"max_epochs": 30, "val_every": 30}))
     rc = main([
-        "train", "--preset", "exp1", "--config", str(config),
+        "train", "--preset", "exp1", "--max-epochs", "30",
         "--data-dir", str(corpus_dir), "--out", str(out), "--seed", "0",
     ])
     assert rc == 0
@@ -61,44 +61,26 @@ class TestTrain:
         assert capsys.readouterr().out == "epochs trained: 1\n"
 
     @pytest.mark.parametrize(
-        "override, field",
+        "flags, field",
         [
-            # the ids are literals, fixed at the names pytest once numbered them
-            # by position, so removing a case renames no other
-            pytest.param({"mode": "pcx"}, "mode", id="override0-mode"),
-            pytest.param({"val_every": 0}, "val_every", id="override1-val_every"),
-            pytest.param({"max_epoch": 3}, "max_epoch", id="override2-max_epoch"),
-            pytest.param([1], "JSON object", id="override3-JSON object"),
-            pytest.param({"beta": "x"}, "beta", id="override4-beta"),
-            pytest.param({"alpha": -1}, "alpha", id="override5-alpha"),
-            # training has no stop rule, so its old keys are not config keys
-            pytest.param(
-                {"epsilon": float("nan")}, "unknown config key(s): epsilon",
-                id="override6-epsilon",
-            ),
-            # the model shape is (image width, *experiments.LATENT_DIMS), not a config key
-            pytest.param(
-                {"dims": [784, 35]}, "unknown config key(s): dims", id="override7-dims"
-            ),
-            pytest.param({"batch_size": True}, "batch_size", id="override8-batch_size"),
-            pytest.param({"limit_train": "x"}, "limit_train", id="override9-limit_train"),
-            pytest.param({"limit_train": 0}, "limit_train", id="override10-limit_train"),
-            pytest.param({"limit_train": -4}, "limit_train", id="override11-limit_train"),
-            pytest.param({"limit_train": True}, "limit_train", id="override12-limit_train"),
-            pytest.param({"seed": -1}, "seed", id="override13-seed"),
-            pytest.param({"seed": 1.5}, "seed", id="override14-seed"),
-            pytest.param({"seed": True}, "seed", id="override15-seed"),
-            pytest.param({"seed": "3"}, "seed", id="override16-seed"),
-            pytest.param({"activation": "tanh"}, "activation", id="override17-activation"),
+            # the override ids are literals, fixed at the names pytest once
+            # numbered them by position, so removing a case renames no other
+            pytest.param(["--limit-train", "0"], "limit_train", id="override10-limit_train"),
+            pytest.param(["--limit-train", "-4"], "limit_train", id="override11-limit_train"),
+            pytest.param(["--seed", "-1"], "seed", id="override13-seed"),
+            pytest.param(["--beta", "0"], "beta", id="beta-zero"),
+            # "=" because argparse reads a bare -1e-4 as an option
+            pytest.param(["--beta=-1e-4"], "beta", id="beta-negative"),
+            pytest.param(["--beta", "inf"], "beta", id="beta-inf"),
+            pytest.param(["--beta", "nan"], "beta", id="beta-nan"),
+            pytest.param(["--max-epochs", "0"], "max_epochs", id="max_epochs-zero"),
         ],
     )
-    def test_bad_config_fails_cleanly(self, tmp_path, capsys, override, field):
+    def test_bad_config_fails_cleanly(self, tmp_path, capsys, flags, field):
         # the data directory does not exist: a config checked only after
         # loading would report the missing data instead
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(override))
         rc = main([
-            "train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
+            "train", *flags, "--data-dir", str(tmp_path / "no-data"),
             "--out", str(tmp_path / "x"),
         ])
         assert rc == 1
@@ -106,50 +88,90 @@ class TestTrain:
         assert err.startswith("error:") and field in err and "MNIST" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_config_file_is_not_an_option(self, tmp_path, capsys):
+        """A run is a preset plus flags; there is no second route through a file."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--config", str(tmp_path / "x.json"),
+                  "--data-dir", str(tmp_path / "no-data"), "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --config" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_alpha_config_key_rejected(self, tmp_path, capsys):
-        """The inference step size is core.ALPHA; no --config sets it."""
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"alpha": 0.5}))
-        rc = main(["train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
-                   "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert capsys.readouterr().err == "error: unknown config key(s): alpha\n"
+        """The inference step size is core.ALPHA; no flag sets it."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--alpha", "0.5", "--data-dir", str(tmp_path / "no-data"),
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --alpha 0.5" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize(
-        "settings, keys",
+        "flags",
         [
-            ({"n_iters": 50}, "n_iters"),
-            ({"epsilon": 1e-5}, "epsilon"),
-            ({"patience": 5}, "patience"),
-            ({"patience": 5, "n_iters": 50, "epsilon": 1e-5}, "epsilon, n_iters, patience"),
-            ({"dims": [784, 35, 2]}, "dims"),
+            ["--n-iters", "50"],
+            ["--epsilon", "1e-5"],
+            ["--patience", "5"],
+            ["--patience", "5", "--n-iters", "50", "--epsilon", "1e-5"],
+            ["--dims", "784", "35", "2"],
         ],
         ids=["n_iters", "epsilon", "patience", "all", "dims"],
     )
-    def test_fixed_setting_config_keys_rejected(self, tmp_path, capsys, settings, keys):
+    def test_fixed_setting_config_keys_rejected(self, tmp_path, capsys, flags):
         """T is core.DEFAULT_ITERS, training has no stop rule for epsilon
         and patience to set, and the model is (image width,
-        *experiments.LATENT_DIMS); no --config sets them, even at their values."""
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps(settings))
-        rc = main(["train", "--config", str(config), "--data-dir", str(tmp_path / "no-data"),
-                   "--out", str(tmp_path / "x")])
-        assert rc == 1
-        assert capsys.readouterr().err == f"error: unknown config key(s): {keys}\n"
+        *experiments.LATENT_DIMS); no flag sets them, even at their values."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *flags, "--data-dir", str(tmp_path / "no-data"),
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
-    @pytest.mark.parametrize("flags, seed", [([], 5), (["--seed", "2"], 2)])
-    def test_config_seed_reaches_manifest_unless_flag_given(
-        self, corpus_dir, tmp_path, flags, seed
+    @pytest.mark.parametrize("given", [False, True], ids=["preset", "flag"])
+    @pytest.mark.parametrize(
+        "flag, field, value",
+        [("--seed", "seed", 2), ("--limit-train", "limit_train", 32),
+         ("--max-epochs", "max_epochs", 3), ("--beta", "beta", 2e-4)],
+        ids=["seed", "limit_train", "max_epochs", "beta"],
+    )
+    def test_flag_reaches_manifest_else_preset_stands(
+        self, corpus_dir, tmp_path, monkeypatch, flag, field, value, given
     ):
-        config = tmp_path / "config.json"
-        config.write_text(json.dumps({"seed": 5, "max_epochs": 1}))
+        """Each flag replaces its field of the preset in manifest.json's
+        config; without it the preset's value stands. Training runs one
+        epoch whatever max_epochs says: only the recorded config is read."""
+        real_train = cli.train
+        monkeypatch.setattr(
+            cli, "train", lambda config, splits: real_train(replace(config, max_epochs=1), splits)
+        )
         out = tmp_path / "run"
-        rc = main(["train", "--config", str(config), "--data-dir", str(corpus_dir),
-                   "--out", str(out), *flags])
+        rc = main(["train", "--data-dir", str(corpus_dir), "--out", str(out),
+                   *([flag, str(value)] if given else [])])
         assert rc == 0
-        assert json.loads((out / "manifest.json").read_text())["config"]["seed"] == seed
+        expected = value if given else getattr(preset("exp1"), field)
+        assert json.loads((out / "manifest.json").read_text())["config"][field] == expected
+
+    def test_manifest_digests_the_data_training_read(self, corpus_dir, tmp_path, monkeypatch):
+        """A data file replaced while training runs does not reach the
+        manifest: it holds the digest of the file training loaded."""
+        data = _corpus_copy(corpus_dir, tmp_path / "data")
+        labels = data / "t10k-labels-idx1-ubyte"
+        loaded = hashlib.sha256(labels.read_bytes()).hexdigest()
+        real_train = cli.train
+
+        def train_then_relabel(config, splits):
+            result = real_train(config, splits)
+            write_idx(labels, np.roll(load_idx(labels), 1))
+            return result
+
+        monkeypatch.setattr(cli, "train", train_then_relabel)
+        out = tmp_path / "run"
+        rc = main(["train", "--max-epochs", "1", "--data-dir", str(data), "--out", str(out)])
+        assert rc == 0
+        assert hashlib.sha256(labels.read_bytes()).hexdigest() != loaded
+        digests = json.loads((out / "manifest.json").read_text())["data_digests"]
+        assert digests["t10k-labels-idx1-ubyte"] == loaded
 
     def test_truncated_gzip_data_fails_cleanly(self, corpus_dir, tmp_path, capsys):
         data_dir = tmp_path / "data"
@@ -344,23 +366,29 @@ def test_checkpoint_with_another_alpha_fails_cleanly(trained_run, corpus_dir, tm
     rc = main(["recall", "--checkpoint", str(checkpoint), "--data-dir", str(corpus_dir),
                "--out", str(tmp_path / "o")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: bad manifest at offset ") and err.count("\n") == 1
-    assert "alpha 0.02" in err and not (tmp_path / "o").exists()
+    assert capsys.readouterr().err == (
+        f"error: bad config in {checkpoint}: alpha 0.02, the model has 0.01\n"
+    )
+    assert not (tmp_path / "o").exists()
+
+
+def test_export_weights_reads_no_config(trained_run, tmp_path):
+    """export-weights settles nothing, so a config at another alpha does not stop it."""
+    checkpoint = _with_config(trained_run, tmp_path, alpha=0.02)
+    out = tmp_path / "o"
+    assert main(["export-weights", "--checkpoint", str(checkpoint), "--out", str(out)]) == 0
+    assert (out / "weights.pgm").exists()
 
 
 def test_checkpoint_with_another_n_iters_fails_cleanly(trained_run, corpus_dir, tmp_path, capsys):
     """A checkpoint trained at another T is not settled at core.DEFAULT_ITERS
-    without a word; the error names the manifest's offset."""
+    without a word; the error names the checkpoint."""
     checkpoint = _with_config(trained_run, tmp_path, n_iters=20)
-    p = 784 * 35 + 35 * 2  # floats per copy of the weights
-    # header, weights, adam flag, adam m and v, adam steps, manifest length
-    offset = 24 + 8 * p + 1 + 2 * 8 * p + 2 * 8 + 4
     rc = main(["replay", "--checkpoint", str(checkpoint), "--data-dir", str(corpus_dir),
                "--out", str(tmp_path / "o")])
     assert rc == 1
     assert capsys.readouterr().err == (
-        f"error: bad manifest at offset {offset}: n_iters 20, the model has 50\n"
+        f"error: bad config in {checkpoint}: n_iters 20, the model has 50\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -474,16 +502,19 @@ def test_checkpoint_without_digests_is_not_checked(trained_run, corpus_dir, tmp_
     assert rc == 0
 
 
-def test_recall_on_wrong_input_size_fails_cleanly(corpus_dir, tmp_path, capsys):
-    """A 25-8-2 checkpoint cannot recall 28x28 images."""
+@pytest.mark.parametrize("command", ["recall", "reconstruct", "replay", "export-latents"])
+def test_recall_on_wrong_input_size_fails_cleanly(tmp_path, capsys, monkeypatch, command):
+    """A 25-8-2 checkpoint cannot settle 28x28 images: every memory command
+    says so before it reads any data or creates --out."""
+    monkeypatch.setattr(cli, "load_raw", lambda *args: pytest.fail("data read"))
     path = tmp_path / "toy.pcn"
     params = init_params((25, 8, 2), np.random.default_rng(0))
     save_checkpoint(path, params, *checkpoint_extras(params))
-    rc = main(["recall", "--checkpoint", str(path), "--data-dir", str(corpus_dir),
+    rc = main([command, "--checkpoint", str(path), "--data-dir", str(tmp_path / "no-data"),
                "--out", str(tmp_path / "o")])
     assert rc == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "25" in err and "784" in err
+    assert capsys.readouterr().err == "error: model input size 25 != image size 784\n"
+    assert not (tmp_path / "o").exists()
 
 
 def test_export_weights_on_wrong_input_size_fails_cleanly(tmp_path, capsys):

@@ -50,10 +50,9 @@ class TestConfig:
         "name, message",
         [
             pytest.param("batch_size", "batch_size", id="batch_size"),
-            # T is a module constant and training has no stop rule: neither is a config key
-            pytest.param("n_iters", "unknown config key.*n_iters", id="n_iters"),
+            # T is the module constant core.DEFAULT_ITERS, which a stored n_iters must equal
+            pytest.param("n_iters", "^n_iters 0, the model has 50$", id="n_iters"),
             pytest.param("max_epochs", "max_epochs", id="max_epochs"),
-            pytest.param("patience", "unknown config key.*patience", id="patience"),
             pytest.param("val_every", "val_every", id="val_every"),
         ],
     )
@@ -67,56 +66,19 @@ class TestConfig:
             # the ids are literals, fixed at the names pytest once numbered them
             # by position, so removing a case renames no other
             pytest.param({"batch_size": True}, "batch_size", id="override0-batch_size"),
-            # n_iters, patience and epsilon are not config keys (T is
-            # core.DEFAULT_ITERS, and training has no stop rule), whatever their values
-            pytest.param({"n_iters": True}, "unknown config key.*n_iters", id="override1-n_iters"),
+            # a stored n_iters must be T = core.DEFAULT_ITERS
+            pytest.param({"n_iters": True}, "^n_iters True, the model", id="override1-n_iters"),
             pytest.param({"max_epochs": False}, "max_epochs", id="override2-max_epochs"),
-            pytest.param(
-                {"patience": True}, "unknown config key.*patience", id="override3-patience"
-            ),
             pytest.param({"val_every": True}, "val_every", id="override4-val_every"),
-            pytest.param({"n_iters": 2.0}, "unknown config key.*n_iters", id="override5-n_iters"),
+            pytest.param({"n_iters": 2.0}, "^n_iters 2.0, the model", id="override5-n_iters"),
             pytest.param({"beta": "x"}, "beta", id="override6-beta"),
             pytest.param({"beta": 0.0}, "beta", id="override7-beta"),
             pytest.param({"beta": -1e-4}, "beta", id="override8-beta"),
             pytest.param({"beta": float("inf")}, "beta", id="override9-beta"),
             pytest.param({"beta": True}, "beta", id="override10-beta"),
-            # alpha is not a config key (core.ALPHA is the step size), whatever its value
-            pytest.param({"alpha": 0.01}, "alpha", id="override11-alpha"),
-            pytest.param({"alpha": -1}, "alpha", id="override12-alpha"),
-            pytest.param({"alpha": None}, "alpha", id="override13-alpha"),
-            pytest.param(
-                {"epsilon": float("nan")}, "unknown config key.*epsilon", id="override14-epsilon"
-            ),
-            pytest.param(
-                {"epsilon": -1e-5}, "unknown config key.*epsilon", id="override15-epsilon"
-            ),
-            pytest.param(
-                {"epsilon": "1e-5"}, "unknown config key.*epsilon", id="override16-epsilon"
-            ),
-            # dims is not a config key: d1 is the images' width, the rest
-            # experiments.LATENT_DIMS
-            pytest.param(
-                {"dims": [784, 35]}, "unknown config key.*dims", id="override17-dims"
-            ),
-            pytest.param(
-                {"dims": [784, 35, 2, 1]}, "unknown config key.*dims", id="override18-dims"
-            ),
-            pytest.param(
-                {"dims": [784, 0, 2]}, "unknown config key.*dims", id="override19-dims"
-            ),
-            pytest.param(
-                {"dims": [784, 35.0, 2]}, "unknown config key.*dims", id="override20-dims"
-            ),
-            pytest.param(
-                {"dims": [784, True, 2]}, "unknown config key.*dims", id="override21-dims"
-            ),
-            pytest.param(
-                {"dims": 784}, "unknown config key.*dims", id="override22-dims"
-            ),
-            pytest.param(
-                {"dims": "abc"}, "unknown config key.*dims", id="override23-dims"
-            ),
+            # a stored alpha must be the step size core.ALPHA
+            pytest.param({"alpha": -1}, "^alpha -1, the model", id="override12-alpha"),
+            pytest.param({"alpha": None}, "^alpha None, the model", id="override13-alpha"),
             pytest.param({"limit_train": "x"}, "limit_train", id="override24-limit_train"),
             pytest.param({"limit_train": 0}, "limit_train", id="override25-limit_train"),
             pytest.param({"limit_train": -4}, "limit_train", id="override26-limit_train"),
@@ -125,15 +87,38 @@ class TestConfig:
             pytest.param({"seed": 1.5}, "seed", id="override29-seed"),
             pytest.param({"seed": True}, "seed", id="override30-seed"),
             pytest.param({"seed": "3"}, "seed", id="override31-seed"),
-            pytest.param(
-                {"scope": "full"}, "unknown config key.*scope",
-                id="override32-unknown config key.*scope",
-            ),
         ],
     )
     def test_bad_values_rejected(self, override, name):
         with pytest.raises(ValueError, match=name):
             ExperimentConfig.from_dict({"mode": "pc", "beta": 1e-3, **override})
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("alpha", 0.02, "alpha 0.02, the model has 0.01"),
+            ("n_iters", 10, "n_iters 10, the model has 50"),
+            ("activation", "relu", "activation 'relu', the model has 'tanh'"),
+            ("activation", "identity", "activation 'identity', the model has 'tanh'"),
+        ],
+        ids=["alpha", "n_iters", "activation-relu", "activation-identity"],
+    )
+    def test_stored_fixed_setting_must_be_the_models(self, key, value, message):
+        """Older configs name the step size, T and the activation; a config
+        that names another value than the model's was not trained at it."""
+        with pytest.raises(ValueError) as excinfo:
+            ExperimentConfig.from_dict({**preset("exp1").to_dict(), key: value})
+        assert str(excinfo.value) == message
+
+    def test_stored_legacy_keys_ignored(self):
+        """Keys that are not fields, as older checkpoints wrote them, change
+        nothing: the stop rule's, scope, dims, and the fixed settings at
+        the model's values."""
+        legacy = {"scope": "single-batch", "epsilon": 1e-5, "patience": 5,
+                  "dims": [784, 35, 2], "activation": "tanh", "alpha": core.ALPHA,
+                  "n_iters": core.DEFAULT_ITERS}
+        config = preset("exp2")
+        assert ExperimentConfig.from_dict({**config.to_dict(), **legacy}) == config
 
     def test_edge_rates_accepted(self):
         config = ExperimentConfig.from_dict({"mode": "pc", "beta": 1})
