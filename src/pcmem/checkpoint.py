@@ -68,10 +68,14 @@ def file_digests(paths: list[Path]) -> dict:
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
 
 
-def atomic_write(path: Path, payload: bytes) -> None:
-    """Write payload to a temporary file next to path, then rename it over path."""
+def atomic_write(path: Path, *parts) -> None:
+    """Write parts, in order, to a temporary file next to path, then rename
+    it over path. Each part is bytes or a C-contiguous array, whose buffer
+    is written as it lies in memory."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(payload)
+    with open(tmp, "wb") as f:
+        for part in parts:
+            f.write(part)
     tmp.replace(path)
 
 
@@ -84,21 +88,17 @@ def save_checkpoint(
     """Write the weights, both Adam states and the manifest as one checkpoint, atomically."""
     path = Path(path)
     d1, d2, d3 = params.dims
-    out = bytearray()
-    out += MAGIC
-    out += struct.pack("<II", VERSION, 3)
-    out += struct.pack("<III", d1, d2, d3)
-    out += np.ascontiguousarray(params.theta1, dtype="<f8").tobytes()
-    out += np.ascontiguousarray(params.theta2, dtype="<f8").tobytes()
-    out += struct.pack("<B", 1)
+
+    def matrix(a):
+        return np.ascontiguousarray(a, dtype="<f8")
+
+    parts = [MAGIC, struct.pack("<II", VERSION, 3), struct.pack("<III", d1, d2, d3),
+             matrix(params.theta1), matrix(params.theta2), struct.pack("<B", 1)]
     for state in adam:
-        out += np.ascontiguousarray(state.m, dtype="<f8").tobytes()
-        out += np.ascontiguousarray(state.v, dtype="<f8").tobytes()
-        out += struct.pack("<Q", state.t)
+        parts += [matrix(state.m), matrix(state.v), struct.pack("<Q", state.t)]
     blob = manifest.to_json().encode("utf-8")
-    out += struct.pack("<I", len(blob))
-    out += blob
-    atomic_write(path, bytes(out))
+    parts += [struct.pack("<I", len(blob)), blob]
+    atomic_write(path, *parts)
 
 
 def load_checkpoint(

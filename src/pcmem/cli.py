@@ -41,10 +41,15 @@ from .memory import infer_latents, reconstruct, replay
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcmem",
+        allow_abbrev=False,
         description="Hierarchical predictive coding network: training, replay, "
         "and auto-associative recall on a two-digit MNIST subset.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, text):
+        # a flag is read only as spelled in full, never from a prefix
+        return sub.add_parser(name, help=text, allow_abbrev=False)
 
     def common(p, checkpoint=False, data=False):
         p.add_argument("--out", type=Path, required=True, help="output directory")
@@ -53,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
         if data:
             p.add_argument("--data-dir", type=Path, required=True, help="MNIST IDX directory")
 
-    p = sub.add_parser("train", help="train a model (PC or iPC preset)")
+    p = command("train", "train a model (PC or iPC preset)")
     common(p, data=True)
     # each flag not given leaves the preset's field as it is
     p.add_argument("--seed", type=int, help="the run's one seed")
@@ -63,20 +68,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", type=float)
 
     for name in ("reconstruct", "replay", "recall"):
-        p = sub.add_parser(name, help=f"run {name} on a trained checkpoint")
+        p = command(name, f"run {name} on a trained checkpoint")
         common(p, checkpoint=True, data=True)
         if name == "reconstruct":
             p.add_argument("--split", choices=("train", "test"), default="train")
         elif name == "replay":
             p.set_defaults(split="train")
 
-    p = sub.add_parser("export-weights", help="theta1 columns as a PGM tile grid")
+    p = command("export-weights", "theta1 columns as a PGM tile grid")
     common(p, checkpoint=True)
 
-    p = sub.add_parser("export-latents", help="per-test-image latent CSV")
+    p = command("export-latents", "per-test-image latent CSV")
     common(p, checkpoint=True, data=True)
 
-    p = sub.add_parser("gradcheck", help="finite-difference gradient verification")
+    p = command("gradcheck", "finite-difference gradient verification")
     p.add_argument("--seed", type=int, default=0)
     return parser
 

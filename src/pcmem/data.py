@@ -58,7 +58,7 @@ def parse_idx(data: bytes) -> np.ndarray:
         raise IdxFormatError("truncated IDX dimension header")
     dims = struct.unpack(f">{n_dims}I", data[4:header_len])
     expected = math.prod(dims)
-    payload = data[header_len:]
+    payload = memoryview(data)[header_len:]
     if len(payload) != expected:
         raise IdxFormatError(
             f"IDX payload length {len(payload)} != expected {expected} for dims {dims}"
@@ -141,12 +141,19 @@ class DatasetSplits:
     test: Split
 
 
-def _filter_and_scale(raw: RawImageSet) -> tuple[np.ndarray, np.ndarray]:
+def _filter(raw: RawImageSet) -> tuple[np.ndarray, np.ndarray]:
+    """The DIGITS examples: uint8 images flattened to rows, and labels 0/1."""
     mask = np.isin(raw.labels, DIGITS)
     images = raw.images[mask].reshape(-1, raw.images.shape[1] * raw.images.shape[2])
-    images = images.astype(np.float64) / 255.0
     labels = (raw.labels[mask] == DIGITS[1]).astype(np.uint8)
     return images, labels
+
+
+def _split(images: np.ndarray, labels: np.ndarray) -> Split:
+    """A Split of uint8 image rows, scaled to [0, 1] in one float64 array."""
+    scaled = images.astype(np.float64)
+    scaled /= 255.0
+    return Split(scaled, labels)
 
 
 def build_splits(
@@ -159,8 +166,8 @@ def build_splits(
     Fails hard (naming the observed counts) if the filtered subsets do not
     have the standard-MNIST sizes 12107 (train side) and 2010 (test side).
     """
-    train_images, train_labels = _filter_and_scale(train_raw)
-    test_images, test_labels = _filter_and_scale(test_raw)
+    train_images, train_labels = _filter(train_raw)
+    test_images, test_labels = _filter(test_raw)
 
     n_train_side = train_images.shape[0]
     if n_train_side != TRAIN_SIZE + VAL_SIZE:
@@ -173,7 +180,7 @@ def build_splits(
     order = np.random.default_rng(split_seed).permutation(n_train_side)
     train_idx, val_idx = order[:TRAIN_SIZE], order[TRAIN_SIZE:]
     return DatasetSplits(
-        train=Split(train_images[train_idx], train_labels[train_idx]),
-        validation=Split(train_images[val_idx], train_labels[val_idx]),
-        test=Split(test_images, test_labels),
+        train=_split(train_images[train_idx], train_labels[train_idx]),
+        validation=_split(train_images[val_idx], train_labels[val_idx]),
+        test=_split(test_images, test_labels),
     )

@@ -52,5 +52,5 @@ def write_pgm(path: str | Path, raster: np.ndarray) -> None:
     if raster.ndim != 2 or raster.dtype != np.uint8:
         raise ValueError("raster must be a 2-D uint8 array")
     h, w = raster.shape
-    atomic_write(Path(path), f"P5\n{w} {h}\n255\n".encode("ascii") + raster.tobytes())
+    atomic_write(Path(path), f"P5\n{w} {h}\n255\n".encode("ascii"), np.ascontiguousarray(raster))
 

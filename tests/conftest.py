@@ -8,7 +8,7 @@ import pytest
 from pcmem import experiments, synthetic
 from pcmem.checkpoint import RunManifest, save_checkpoint
 from pcmem.core import LatentState, ModelParams, free_energy, init_params
-from pcmem.data import DatasetSplits, Split, build_splits, load_raw
+from pcmem.data import DIGITS, TRAIN_SIZE, DatasetSplits, Split, build_splits, load_raw
 from pcmem.experiments import ExperimentConfig, train
 from pcmem.memory import OcclusionMask
 from pcmem.optim import ADAM_DECAY1, ADAM_DECAY2, ADAM_EPSILON, AdamState
@@ -31,6 +31,73 @@ def raw_sets(corpus_dir):
 def splits(raw_sets):
     train_raw, test_raw = raw_sets
     return build_splits(train_raw, test_raw, split_seed=0)
+
+
+def scipy_template_bank():
+    """Reference: synthetic.template_bank built with scipy.ndimage: each
+    digit's strokes blurred by gaussian_filter(sigma=0.8), scaled to peak 1
+    and turned to each angle by rotate(reshape=False, order=1)."""
+    from scipy import ndimage
+
+    angles = np.linspace(-12.0, 12.0, synthetic._N_ANGLES)
+    bank = np.zeros((10, angles.size, 28, 28))
+    for digit, strokes in enumerate(synthetic._strokes()):
+        canvas = ndimage.gaussian_filter(strokes, sigma=0.8)
+        base = np.clip(canvas / canvas.max(), 0.0, 1.0)
+        for j, angle in enumerate(angles):
+            bank[digit, j] = np.clip(ndimage.rotate(base, angle, reshape=False, order=1), 0.0, 1.0)
+    return bank
+
+
+def roll_render(labels, bank, rng):
+    """Reference: synthetic._render in direct form. Each chunk gathers
+    fresh copies of its templates, np.roll's them by their shift, group by
+    group, and draws its noise as one new array."""
+    n = labels.shape[0]
+    variants = rng.integers(0, synthetic._N_ANGLES, size=n)
+    shifts = rng.integers(-synthetic._MAX_SHIFT, synthetic._MAX_SHIFT + 1, size=(n, 2))
+    gains = rng.uniform(0.55, 1.0, size=n)
+    span = range(-synthetic._MAX_SHIFT, synthetic._MAX_SHIFT + 1)
+    out = np.empty((n, 28, 28), dtype=np.uint8)
+    for start in range(0, n, synthetic._CHUNK):
+        part = slice(start, start + synthetic._CHUNK)
+        images = bank[labels[part], variants[part]]
+        rows, cols = shifts[part].T
+        for dr in span:
+            for dc in span:
+                idx = np.flatnonzero((rows == dr) & (cols == dc))
+                if idx.size and (dr or dc):
+                    images[idx] = np.roll(images[idx], (dr, dc), axis=(1, 2))
+        stroke = images > 0.08
+        images *= gains[part, None, None]
+        images += 0.06 * rng.standard_normal(images.shape) * stroke
+        out[part] = (np.clip(images, 0.0, 1.0) * 255).round()
+    return out
+
+
+def filter_and_scale(raw):
+    """Reference: the DIGITS examples of a RawImageSet, every image scaled
+    to float64 in [0, 1] as one (count, 784) array before any split takes
+    rows, and labels mapped to 0/1."""
+    mask = np.isin(raw.labels, DIGITS)
+    images = raw.images[mask].reshape(-1, raw.images.shape[1] * raw.images.shape[2])
+    images = images.astype(np.float64) / 255.0
+    labels = (raw.labels[mask] == DIGITS[1]).astype(np.uint8)
+    return images, labels
+
+
+def direct_splits(train_raw, test_raw, split_seed):
+    """Reference: build_splits in its float-first form, the rows of
+    filter_and_scale's arrays in the seeded order."""
+    train_images, train_labels = filter_and_scale(train_raw)
+    test_images, test_labels = filter_and_scale(test_raw)
+    order = np.random.default_rng(split_seed).permutation(train_images.shape[0])
+    train_idx, val_idx = order[:TRAIN_SIZE], order[TRAIN_SIZE:]
+    return DatasetSplits(
+        train=Split(train_images[train_idx], train_labels[train_idx]),
+        validation=Split(train_images[val_idx], train_labels[val_idx]),
+        test=Split(test_images, test_labels),
+    )
 
 
 TOY_DIMS = (25, 8, 2)

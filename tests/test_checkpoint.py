@@ -153,6 +153,22 @@ class TestFormat:
         theta1 = np.frombuffer(raw[24 : 24 + n1], dtype="<f8").reshape(6, 4)
         np.testing.assert_array_equal(theta1, params.theta1)
 
+    def test_whole_layout_from_any_memory_order(self, tmp_path):
+        """The file is the documented fields concatenated, each matrix row
+        major whatever the memory order of the array it was saved from."""
+        params, adam = small_adam(small_params(seed=3))
+        params = ModelParams(np.asfortranarray(params.theta1), params.theta2.T.copy().T)
+        manifest = RunManifest(config=preset("exp1").to_dict())
+        path = tmp_path / "model.pcn"
+        save_checkpoint(path, params, adam, manifest)
+        want = MAGIC + struct.pack("<II", 1, 3) + struct.pack("<III", 6, 4, 2)
+        want += params.theta1.tobytes() + params.theta2.tobytes() + struct.pack("<B", 1)
+        for state in adam:
+            want += state.m.tobytes() + state.v.tobytes() + struct.pack("<Q", state.t)
+        blob = manifest.to_json().encode("utf-8")
+        want += struct.pack("<I", len(blob)) + blob
+        assert path.read_bytes() == want
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "bad.pcn"
         path.write_bytes(b"NOPE" + bytes(64))

@@ -97,6 +97,17 @@ class TestTrain:
         assert "unrecognized arguments: --config" in capsys.readouterr().err
         assert not (tmp_path / "x").exists()
 
+    def test_flag_prefixes_are_not_read_as_flags(self, tmp_path, capsys):
+        """Each prefix below is unique to one flag, yet none of them sets it:
+        a flag counts only as spelled in full."""
+        flags = ["--max-epoch", "3", "--lim", "5", "--be", "1e-3"]
+        with pytest.raises(SystemExit) as exc:
+            main(["train", *flags, "--data-dir", str(tmp_path / "no-data"),
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_alpha_config_key_rejected(self, tmp_path, capsys):
         """The inference step size is core.ALPHA; no flag sets it."""
         with pytest.raises(SystemExit) as exc:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import direct_splits
 from pcmem.data import (
     IdxFormatError,
     RawImageSet,
@@ -118,6 +119,17 @@ class TestBuildSplits:
         b = build_splits(*raw_sets, split_seed=3)
         np.testing.assert_array_equal(a.train.images, b.train.images)
         np.testing.assert_array_equal(a.validation.labels, b.validation.labels)
+
+    @pytest.mark.parametrize("split_seed", [0, 1])
+    def test_equals_the_float_first_form(self, raw_sets, split_seed):
+        """Rows taken as uint8 and scaled per split are the rows of the
+        whole filtered set scaled first, bit for bit."""
+        got, want = build_splits(*raw_sets, split_seed=split_seed), direct_splits(*raw_sets, split_seed)
+        for name in ("train", "validation", "test"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.images.dtype == b.images.dtype == np.float64
+            assert a.images.tobytes() == b.images.tobytes()
+            np.testing.assert_array_equal(a.labels, b.labels)
 
     def test_different_seed_changes_assignment(self, raw_sets, splits):
         other = build_splits(*raw_sets, split_seed=1)

@@ -78,6 +78,12 @@ class TestPgm:
         write_pgm(path, raster)
         assert path.read_bytes() == b"P5\n3 2\n255\n" + bytes(6)
 
+    def test_strided_raster_written_row_major(self, tmp_path):
+        raster = np.arange(15, dtype=np.uint8).reshape(3, 5).T
+        path = tmp_path / "img.pgm"
+        write_pgm(path, raster)
+        assert path.read_bytes() == b"P5\n3 5\n255\n" + raster.tobytes()
+
     def test_whitespace_valued_pixels_survive(self, tmp_path):
         # payload starting with 0x0a/0x20 must not be eaten by header parsing
         raster = np.array([[0x0A, 0x20], [0x0A, 0x0A]], dtype=np.uint8)
