@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .core import ModelParams
+from .data import CHUNK_BYTES
 from .optim import AdamState
 
 MAGIC = b"PCN1"
@@ -65,7 +66,17 @@ class RunManifest:
 
 
 def file_digests(paths: list[Path]) -> dict:
-    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(paths)}
+    """SHA-256 of each file's bytes, by file name, read in CHUNK_BYTES
+    reads into one reused buffer."""
+    buffer = bytearray(CHUNK_BYTES)
+    digests = {}
+    for path in sorted(paths):
+        sha = hashlib.sha256()
+        with open(path, "rb") as f:
+            while n := f.readinto(buffer):
+                sha.update(memoryview(buffer)[:n])
+        digests[path.name] = sha.hexdigest()
+    return digests
 
 
 def atomic_write(path: Path, *parts) -> None:

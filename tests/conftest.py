@@ -1,4 +1,6 @@
+import gzip
 import math
+import struct
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -8,7 +10,9 @@ import pytest
 from pcmem import experiments, synthetic
 from pcmem.checkpoint import RunManifest, save_checkpoint
 from pcmem.core import LatentState, ModelParams, free_energy, init_params
-from pcmem.data import DIGITS, TRAIN_SIZE, DatasetSplits, Split, build_splits, load_raw
+from pcmem.data import (DEFAULT_FILENAMES, DIGITS, IDX_UBYTE, TRAIN_SIZE, DatasetSplits,
+                        IdxFormatError, RawImageSet, Split, build_splits, data_file, load_idx,
+                        load_raw)
 from pcmem.experiments import ExperimentConfig, train
 from pcmem.memory import OcclusionMask
 from pcmem.optim import ADAM_DECAY1, ADAM_DECAY2, ADAM_EPSILON, AdamState
@@ -23,14 +27,64 @@ def corpus_dir(tmp_path_factory):
 
 
 @pytest.fixture(scope="session")
+def gzip_corpus_dir(corpus_dir, tmp_path_factory):
+    """The corpus with each of its four files gzipped, and no plain file."""
+    out = tmp_path_factory.mktemp("corpus-gz")
+    for name in DEFAULT_FILENAMES.values():
+        blob = gzip.compress((corpus_dir / name).read_bytes(), compresslevel=1, mtime=0)
+        (out / (name + ".gz")).write_bytes(blob)
+    return out
+
+
+@pytest.fixture(scope="session")
 def raw_sets(corpus_dir):
     return load_raw(corpus_dir)
+
+
+def whole_file_raw_sets(data_dir):
+    """The train-side and test-side RawImageSets of every example in
+    data_dir, each file read whole with load_idx: what load_raw filters."""
+    def load(key):
+        return load_idx(data_file(data_dir, DEFAULT_FILENAMES[key]))
+
+    return (RawImageSet(load("train_images"), load("train_labels")),
+            RawImageSet(load("test_images"), load("test_labels")))
+
+
+@pytest.fixture(scope="session")
+def whole_raw_sets(corpus_dir):
+    return whole_file_raw_sets(corpus_dir)
 
 
 @pytest.fixture(scope="session")
 def splits(raw_sets):
     train_raw, test_raw = raw_sets
     return build_splits(train_raw, test_raw, split_seed=0)
+
+
+def whole_buffer_parse_idx(data):
+    """Reference: data.parse_idx in its whole-buffer form, which checks the
+    header of the bytes in hand and views the rest as the payload."""
+    if len(data) < 4:
+        raise IdxFormatError("truncated IDX header")
+    zero0, zero1, type_code, n_dims = struct.unpack(">BBBB", data[:4])
+    if zero0 != 0 or zero1 != 0:
+        raise IdxFormatError(f"bad IDX magic bytes ({zero0:#x}, {zero1:#x})")
+    if type_code != IDX_UBYTE:
+        raise IdxFormatError(f"unsupported IDX type code {type_code:#x}")
+    header_len = 4 + 4 * n_dims
+    if n_dims == 0:
+        raise IdxFormatError("IDX header declares no dimensions")
+    if len(data) < header_len:
+        raise IdxFormatError("truncated IDX dimension header")
+    dims = struct.unpack(f">{n_dims}I", data[4:header_len])
+    expected = math.prod(dims)
+    payload = memoryview(data)[header_len:]
+    if len(payload) != expected:
+        raise IdxFormatError(
+            f"IDX payload length {len(payload)} != expected {expected} for dims {dims}"
+        )
+    return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
 def scipy_template_bank():

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +332,21 @@ class TestManifest:
         f = tmp_path / "x.bin"
         f.write_bytes(b"hello")
         digests = file_digests([f])
-        import hashlib
-
         assert digests == {"x.bin": hashlib.sha256(b"hello").hexdigest()}
+
+    def test_file_digests_of_chunked_reads(self, corpus_dir, gzip_corpus_dir):
+        """Files larger than one read, plain and gzip, digest as their bytes do."""
+        paths = [corpus_dir / "train-images-idx3-ubyte",
+                 gzip_corpus_dir / "t10k-images-idx3-ubyte.gz"]
+        assert file_digests(paths) == {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                                       for p in paths}
+
+    def test_file_digests_hold_no_whole_file(self, corpus_dir):
+        """The corpus's largest file is 47 MB."""
+        tracemalloc.start()
+        try:
+            file_digests(sorted(corpus_dir.iterdir()))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20

@@ -187,6 +187,8 @@ class TestTrain:
     def test_truncated_gzip_data_fails_cleanly(self, corpus_dir, tmp_path, capsys):
         data_dir = tmp_path / "data"
         data_dir.mkdir()
+        for name in ("train-labels-idx1-ubyte", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte"):
+            (data_dir / name).write_bytes((corpus_dir / name).read_bytes())
         blob = gzip.compress((corpus_dir / "train-images-idx3-ubyte").read_bytes()[:4096])
         (data_dir / "train-images-idx3-ubyte.gz").write_bytes(blob[: len(blob) // 2])
         rc = main(["train", "--data-dir", str(data_dir), "--out", str(tmp_path / "x")])
@@ -470,7 +472,7 @@ def _corpus_copy(corpus_dir, path, relabel=False):
     for f in corpus_dir.iterdir():
         (path / f.name).write_bytes(f.read_bytes())
     if relabel:
-        labels = load_raw(corpus_dir)[1].labels
+        labels = load_idx(corpus_dir / "t10k-labels-idx1-ubyte")
         write_idx(path / "t10k-labels-idx1-ubyte", np.roll(labels, 1))
     return path
 

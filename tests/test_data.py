@@ -1,18 +1,22 @@
 import gzip
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import direct_splits
+from conftest import direct_splits, whole_buffer_parse_idx, whole_file_raw_sets
+from pcmem import data
 from pcmem.data import (
+    DEFAULT_FILENAMES,
     IdxFormatError,
     RawImageSet,
     build_splits,
     load_idx,
+    load_raw,
     parse_idx,
 )
 
@@ -108,8 +112,8 @@ class TestBuildSplits:
         assert len(splits.validation) == 2010
         assert len(splits.test) == 2010
 
-    def test_independent_label_scan(self, raw_sets):
-        train_raw, test_raw = raw_sets
+    def test_independent_label_scan(self, whole_raw_sets):
+        train_raw, test_raw = whole_raw_sets
         n47 = sum(1 for v in train_raw.labels if v == 4 or v == 7)
         assert n47 == 12107
         assert sum(1 for v in test_raw.labels if v in (4, 7)) == 2010
@@ -140,9 +144,9 @@ class TestBuildSplits:
             assert split.images.min() >= 0.0 and split.images.max() <= 1.0
             assert set(np.unique(split.labels)) <= {0, 1}
 
-    def test_train_val_partition(self, raw_sets, splits):
+    def test_train_val_partition(self, whole_raw_sets, splits):
         # train and validation together are a permutation of the filtered subset
-        train_raw, _ = raw_sets
+        train_raw, _ = whole_raw_sets
         mask = np.isin(train_raw.labels, (4, 7))
         filtered = train_raw.images[mask].reshape(-1, 784) / 255.0
         combined = np.vstack([splits.train.images, splits.validation.images])
@@ -171,3 +175,129 @@ class TestBuildSplits:
         raw = RawImageSet(imgs, labels)
         with pytest.raises(ValueError, match="100"):
             build_splits(raw, raw)
+
+
+def write_raw_dir(path, images, labels, compress=False):
+    """A data directory whose train and test sides both hold images and
+    labels, each file plain or gzipped; returns the plain IDX bytes of
+    the images file and of the labels file."""
+    path.mkdir()
+    blobs = {"images": idx_bytes(images.shape, images.tobytes()),
+             "labels": idx_bytes(labels.shape, labels.tobytes())}
+    for key, name in DEFAULT_FILENAMES.items():
+        blob = blobs[key.split("_")[1]]
+        if compress:
+            (path / (name + ".gz")).write_bytes(gzip.compress(blob, mtime=0))
+        else:
+            (path / name).write_bytes(blob)
+    return blobs["images"], blobs["labels"]
+
+
+MASK_LABELS = {"all": [4, 7, 4, 7, 4], "none": [0, 1, 2, 3, 5], "alternating": [4, 0, 7, 1, 4]}
+
+
+class TestChunkedReader:
+    @pytest.mark.parametrize("chunk", [1, 7, 783, 785])
+    @pytest.mark.parametrize("compress", [False, True], ids=["plain", "gzip"])
+    @pytest.mark.parametrize("kept", MASK_LABELS)
+    def test_any_chunk_size_reads_what_the_whole_buffer_parse_does(
+            self, tmp_path, monkeypatch, chunk, compress, kept):
+        """Reads that split the header and the 784-byte rows give the
+        whole-buffer parse's arrays, and load_raw exactly its DIGITS rows."""
+        monkeypatch.setattr(data, "CHUNK_BYTES", chunk)
+        rng = np.random.default_rng(chunk)
+        images = rng.integers(0, 256, size=(5, 28, 28), dtype=np.uint8)
+        labels = np.array(MASK_LABELS[kept], dtype=np.uint8)
+        image_blob, label_blob = write_raw_dir(tmp_path / "d", images, labels, compress)
+        want_images, want_labels = whole_buffer_parse_idx(image_blob), whole_buffer_parse_idx(label_blob)
+        suffix = ".gz" if compress else ""
+        np.testing.assert_array_equal(load_idx(tmp_path / "d" / ("train-images-idx3-ubyte" + suffix)),
+                                      want_images)
+        np.testing.assert_array_equal(parse_idx(image_blob), want_images)
+        np.testing.assert_array_equal(parse_idx(label_blob), want_labels)
+        keep = np.isin(want_labels, (4, 7))
+        for raw in load_raw(tmp_path / "d"):
+            assert raw.images.shape == (keep.sum(), 28, 28)
+            np.testing.assert_array_equal(raw.images, want_images[keep])
+            np.testing.assert_array_equal(raw.labels, want_labels[keep])
+
+    def test_declared_size_is_never_allocated(self, tmp_path):
+        """A 20-byte file declaring (2**32 - 1) x 28 x 28 fails with the
+        whole-buffer parse's message, holding under 1 MiB on the way."""
+        blob = idx_bytes((2**32 - 1, 28, 28), bytes(4))
+        with pytest.raises(IdxFormatError) as want:
+            whole_buffer_parse_idx(blob)
+        path = tmp_path / "huge"
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            with pytest.raises(IdxFormatError) as got:
+                load_idx(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(got.value) == f"{path}: {want.value}"
+        assert peak < 1 << 20
+        with pytest.raises(IdxFormatError) as parsed:
+            parse_idx(blob)
+        assert str(parsed.value) == str(want.value)
+
+    @pytest.mark.parametrize("split_seed", [0, 1])
+    @pytest.mark.parametrize("corpus", ["corpus_dir", "gzip_corpus_dir"], ids=["plain", "gzip"])
+    def test_splits_equal_those_of_whole_file_reads(self, request, corpus, split_seed):
+        data_dir = request.getfixturevalue(corpus)
+        got = build_splits(*load_raw(data_dir), split_seed=split_seed)
+        want = direct_splits(*whole_file_raw_sets(data_dir), split_seed)
+        for name in ("train", "validation", "test"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.images.tobytes() == b.images.tobytes()
+            assert a.labels.tobytes() == b.labels.tobytes()
+
+    def test_load_raw_holds_no_whole_payload(self, corpus_dir):
+        """The corpus's images payloads are 55 MB, its 4/7 rows 11 MB."""
+        tracemalloc.start()
+        try:
+            load_raw(corpus_dir)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 30e6
+
+    @pytest.mark.parametrize("extra", [1, 785])
+    def test_trailing_image_bytes_rejected(self, tmp_path, extra):
+        """Bytes past the declared payload are read, counted and reported,
+        not taken as rows past the labels."""
+        image_blob, _ = write_raw_dir(tmp_path / "d", np.zeros((5, 28, 28), np.uint8),
+                                      np.array(MASK_LABELS["all"], np.uint8))
+        path = tmp_path / "d" / "train-images-idx3-ubyte"
+        path.write_bytes(image_blob + bytes(extra))
+        with pytest.raises(IdxFormatError) as want:
+            whole_buffer_parse_idx(image_blob + bytes(extra))
+        with pytest.raises(IdxFormatError) as got:
+            load_raw(tmp_path / "d")
+        assert str(got.value) == f"{path}: {want.value}"
+
+    def test_corrupt_gzip_reported_before_a_bad_header(self, tmp_path):
+        """A gzip file is read to its end before an IDX fault is raised, so
+        damaged gzip data is what is reported, as a whole-file read does."""
+        blob = bytearray(gzip.compress(b"\x00\x00\x0d\x01" + struct.pack(">I", 1) + b"\x00"))
+        blob[-8] ^= 1  # the CRC
+        path = tmp_path / "labels.gz"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(IdxFormatError, match="labels.gz: corrupt gzip data: CRC check failed"):
+            load_idx(path)
+
+    @pytest.mark.parametrize(
+        "labels, message",
+        [(np.full(10, 4, np.uint8), "image count != label count"),
+         (np.full((12, 1), 4, np.uint8), re.escape("(12, 28, 28)") + ".*" + re.escape("(12, 1)"))],
+        ids=["10 labels for 12 images", "2-d labels"],
+    )
+    def test_header_shapes_checked_before_the_payload(self, tmp_path, labels, message):
+        """The images file holds its header alone, so only a check made
+        before its payload is read gives RawImageSet's ValueError."""
+        write_raw_dir(tmp_path / "d", np.zeros((12, 28, 28), np.uint8), labels)
+        (tmp_path / "d" / "train-images-idx3-ubyte").write_bytes(idx_bytes((12, 28, 28), b""))
+        with pytest.raises(ValueError, match=message) as exc:
+            load_raw(tmp_path / "d")
+        assert type(exc.value) is ValueError
