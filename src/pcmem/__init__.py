@@ -11,7 +11,7 @@ from .core import (
     init_params,
     learning_gradients,
 )
-from .data import DatasetSplits, RawImageSet, Split, build_splits, load_raw, parse_idx
+from .data import DatasetSplits, RawImageSet, Split, build_splits, load_raw
 from .experiments import (
     ExperimentConfig,
     TrainLog,

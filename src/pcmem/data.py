@@ -1,10 +1,10 @@
-"""MNIST IDX parsing, two-digit filtering and splits.
+"""MNIST IDX reading, the digit 4 and 7 subset, and splits.
 
 The pipeline finds the four standard MNIST files (each plain or .gz) in a
-data directory, filters them down to digits 4 and 7 as the images are
-read, in chunks, so that no other image is ever held, shuffles the
-filtered training subset with a seed and takes the first 10097 examples as
-the training set (the remaining 2010 become validation); the filtered test
+data directory and keeps the images of digits 4 and 7 as they are read,
+in chunks, so that no other image is ever held. It shuffles the training
+side's 4/7 subset with a seed and takes the first 10097 examples as the
+training set (the remaining 2010 become validation); the test side's 4/7
 subset (2010 examples) is the test set. Pixels are scaled to [0, 1] and
 labels mapped 4 -> 0, 7 -> 1. The training split's own seeded order is
 the one pick of examples: training, the recall suite and the memory
@@ -14,7 +14,6 @@ commands all read a prefix of it.
 from __future__ import annotations
 
 import gzip
-import io
 import math
 import struct
 import zlib
@@ -107,12 +106,6 @@ def _read_payload(stream, dims: tuple[int, ...], keep: np.ndarray | None = None)
     return np.frombuffer(out, dtype=np.uint8).reshape(dims)
 
 
-def parse_idx(data: bytes) -> np.ndarray:
-    """Parse one IDX byte stream into a uint8 array of the declared shape."""
-    stream = io.BytesIO(data)
-    return _read_payload(stream, _read_header(stream))
-
-
 @contextmanager
 def _idx_stream(path: Path):
     """The IDX stream of the file at path, decompressed as it is read if the
@@ -164,8 +157,8 @@ def _check_shapes(images_shape: tuple[int, ...], labels_shape: tuple[int, ...]) 
 @dataclass(frozen=True)
 class RawImageSet:
     """Images (count x IMAGE_SIDE x IMAGE_SIDE, uint8) with their digit
-    labels 0-9. load_raw's sets hold only the DIGITS rows; build_splits
-    filters any set to them."""
+    labels 0-9. load_raw's sets hold only the DIGITS rows, and
+    build_splits takes no other."""
 
     images: np.ndarray
     labels: np.ndarray
@@ -224,12 +217,14 @@ class DatasetSplits:
     test: Split
 
 
-def _filter(raw: RawImageSet) -> tuple[np.ndarray, np.ndarray]:
-    """The DIGITS examples: uint8 images flattened to rows, and labels 0/1."""
-    mask = np.isin(raw.labels, DIGITS)
-    images = raw.images[mask].reshape(-1, raw.images.shape[1] * raw.images.shape[2])
-    labels = (raw.labels[mask] == DIGITS[1]).astype(np.uint8)
-    return images, labels
+def _rows(raw: RawImageSet, side: str) -> tuple[np.ndarray, np.ndarray]:
+    """raw's uint8 images flattened to rows (a view of load_raw's) and its
+    labels mapped to 0/1. A label outside DIGITS is a ValueError naming it."""
+    stray = np.setdiff1d(raw.labels, DIGITS)
+    if stray.size:
+        raise ValueError(f"{side}-side labels {stray.tolist()} are not among {DIGITS}")
+    images = raw.images.reshape(-1, IMAGE_SIDE * IMAGE_SIDE)
+    return images, (raw.labels == DIGITS[1]).astype(np.uint8)
 
 
 def _split(images: np.ndarray, labels: np.ndarray) -> Split:
@@ -244,21 +239,20 @@ def build_splits(
     test_raw: RawImageSet,
     split_seed: int = 0,
 ) -> DatasetSplits:
-    """Filter to DIGITS and produce the fixed-size splits.
+    """The fixed-size splits of load_raw's two sets of DIGITS examples.
 
-    Fails hard (naming the observed counts) if the filtered subsets do not
-    have the standard-MNIST sizes 12107 (train side) and 2010 (test side).
+    Fails hard on a label outside DIGITS (naming it), or (naming the
+    observed counts) unless the sets have the standard-MNIST 4/7 sizes
+    12107 (train side) and 2010 (test side).
     """
-    train_images, train_labels = _filter(train_raw)
-    test_images, test_labels = _filter(test_raw)
+    train_images, train_labels = _rows(train_raw, "train")
+    test_images, test_labels = _rows(test_raw, "test")
 
     n_train_side = train_images.shape[0]
     if n_train_side != TRAIN_SIZE + VAL_SIZE:
-        raise ValueError(
-            f"filtered train-side count {n_train_side} != {TRAIN_SIZE + VAL_SIZE}"
-        )
+        raise ValueError(f"train-side count {n_train_side} != {TRAIN_SIZE + VAL_SIZE}")
     if test_images.shape[0] != TEST_SIZE:
-        raise ValueError(f"filtered test-side count {test_images.shape[0]} != {TEST_SIZE}")
+        raise ValueError(f"test-side count {test_images.shape[0]} != {TEST_SIZE}")
 
     order = np.random.default_rng(split_seed).permutation(n_train_side)
     train_idx, val_idx = order[:TRAIN_SIZE], order[TRAIN_SIZE:]

@@ -44,7 +44,10 @@ _N_ANGLES = 9
 _SIGMA = 0.8
 _RADIUS = int(4.0 * _SIGMA + 0.5)
 _MAX_SHIFT = 3
-_CHUNK = 4096  # images rendered per float work array
+# images rendered per float work array, 1.6 MB each, within a core's 2 MiB L2;
+# any size writes the same bytes. The seed-0 corpus took 1.54 CPU-s at 4096,
+# 1.20 at 256, 1.28 at 128 (2-core Xeon VM, medians of 6 interleaved runs)
+_CHUNK = 256
 
 # Filtered 4/7 counts the split builder expects from standard MNIST.
 _TRAIN_FOURS, _TRAIN_SEVENS = 6054, 6053

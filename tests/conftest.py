@@ -1,4 +1,5 @@
 import gzip
+import io
 import math
 import struct
 from pathlib import Path
@@ -11,8 +12,8 @@ from pcmem import experiments, synthetic
 from pcmem.checkpoint import RunManifest, save_checkpoint
 from pcmem.core import LatentState, ModelParams, free_energy, init_params
 from pcmem.data import (DEFAULT_FILENAMES, DIGITS, IDX_UBYTE, TRAIN_SIZE, DatasetSplits,
-                        IdxFormatError, RawImageSet, Split, build_splits, data_file, load_idx,
-                        load_raw)
+                        IdxFormatError, RawImageSet, Split, _read_header, _read_payload,
+                        build_splits, data_file, load_idx, load_raw)
 from pcmem.experiments import ExperimentConfig, train
 from pcmem.memory import OcclusionMask
 from pcmem.optim import ADAM_DECAY1, ADAM_DECAY2, ADAM_EPSILON, AdamState
@@ -62,8 +63,16 @@ def splits(raw_sets):
     return build_splits(train_raw, test_raw, split_seed=0)
 
 
+def read_idx_bytes(data):
+    """The library's one IDX reader, data._read_header then
+    data._read_payload in CHUNK_BYTES reads, run over the bytes data in
+    memory: what load_idx reads from a plain file."""
+    stream = io.BytesIO(data)
+    return _read_payload(stream, _read_header(stream))
+
+
 def whole_buffer_parse_idx(data):
-    """Reference: data.parse_idx in its whole-buffer form, which checks the
+    """Reference: the IDX reader in a whole-buffer form, which checks the
     header of the bytes in hand and views the rest as the payload."""
     if len(data) < 4:
         raise IdxFormatError("truncated IDX header")

@@ -88,6 +88,17 @@ class TestTrain:
         assert err.startswith("error:") and field in err and "MNIST" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_negative_beta_needs_the_equals_sign(self, tmp_path, capsys):
+        """argparse reads a bare -1e-4 as an option, so --beta -1e-4 is a
+        usage error (exit 2) before the config check; beta-negative above
+        spells it --beta=-1e-4."""
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--beta", "-1e-4", "--data-dir", str(tmp_path / "no-data"),
+                  "--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "argument --beta: expected one argument" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_config_file_is_not_an_option(self, tmp_path, capsys):
         """A run is a preset plus flags; there is no second route through a file."""
         with pytest.raises(SystemExit) as exc:

@@ -30,7 +30,8 @@ def test_blurred_templates_have_a_zero_border():
 def test_render_is_the_roll_form_byte_for_byte(seed, n):
     """From the same generator state, _render writes the same uint8 images
     as the roll-based form and leaves the generator where it leaves it;
-    10,000 test-side labels span two full chunks and a partial one."""
+    10,000 test-side labels span 39 full chunks of 256 and a partial one,
+    and 5 labels one partial chunk."""
     rngs = [np.random.default_rng(seed) for _ in range(2)]
     labels = [synthetic._label_vector(rng, synthetic._TEST_FOURS, synthetic._TEST_SEVENS,
                                       synthetic._TEST_TOTAL)[:n] for rng in rngs]
